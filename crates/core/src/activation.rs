@@ -12,8 +12,8 @@
 //!   backward pass consumes it. Today's behavior; the bitwise baseline.
 //! * [`ResidencyPolicy::Spill`] — caches stay resident up to a byte
 //!   budget; beyond it, least-recently-inserted layer caches are evicted
-//!   to checksummed spill files (the [`ShardStore`] v2 header + FNV-1a
-//!   checksum format) and reloaded — checksum-verified — when
+//!   to checksummed spill files (the [`ShardStore`] header + digest
+//!   format) and reloaded — checksum-verified — when
 //!   backward reaches their layer. Reload buffers come from the store's
 //!   own [`KernelWorkspace`], so the zero-alloc-after-warmup invariant
 //!   survives.
@@ -38,12 +38,12 @@
 
 use crate::layer::DistLayerCache;
 use crate::loader::{
-    fnv1a, Cursor, LoaderError, LoaderResult, FORMAT_VERSION, MAX_READ_RETRIES, READ_RETRY_BACKOFF,
+    verify_shard_bytes, with_read_retry, Cursor, HashingWriter, LoaderError, LoaderResult,
 };
 use plexus_comm::fault::FaultPlan;
+use plexus_graph::MappedFile;
 use plexus_tensor::{KernelWorkspace, Matrix};
-use std::fs::{self, File};
-use std::io::Read;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -130,8 +130,6 @@ pub struct ActivationStore {
     /// Buffer pool for spill-eviction recycling and reload allocation;
     /// sized by the first spilling epoch, stable after.
     ws: KernelWorkspace,
-    /// Reusable raw-byte buffer for reload I/O.
-    io_buf: Vec<u8>,
     stats: ActivationStats,
     clock: u64,
     /// Armed fault-injection plan consulted on every spill reload (test
@@ -156,7 +154,6 @@ impl ActivationStore {
             dir,
             dir_created: false,
             ws: KernelWorkspace::new(),
-            io_buf: Vec::new(),
             stats: ActivationStats::default(),
             clock: 0,
             faults: None,
@@ -323,11 +320,11 @@ impl ActivationStore {
         self.spill_cache(layer, cache)
     }
 
-    /// Write a cache to layer `layer`'s spill file — the v2 header +
-    /// FNV-1a checksum format, assembled in the reusable I/O buffer and
-    /// hashed/written in one pass (this runs in the per-epoch hot loop,
-    /// unlike the offline store writers) — then recycle the buffers into
-    /// the store's pool.
+    /// Write a cache to layer `layer`'s spill file in the shared header +
+    /// digest format, then recycle the buffers into the store's pool. This
+    /// runs in the per-epoch hot loop: the writer encodes each matrix
+    /// straight into its staging buffer — the only copy — and hashes it
+    /// there before it leaves the cache.
     fn spill_cache(&mut self, layer: usize, cache: DistLayerCache) -> LoaderResult<()> {
         if !self.dir_created {
             fs::create_dir_all(&self.dir)?;
@@ -335,19 +332,12 @@ impl ActivationStore {
         }
         let t0 = std::time::Instant::now();
         let path = self.dir.join(format!("act_l{}.plx", layer));
-        self.io_buf.clear();
-        self.io_buf.extend_from_slice(&crate::loader::MAGIC.to_le_bytes());
-        self.io_buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        let mut w = HashingWriter::create(&path)?;
+        w.header()?;
         for m in [&cache.h, &cache.q, &cache.w_full] {
-            self.io_buf.extend_from_slice(&(m.rows() as u64).to_le_bytes());
-            self.io_buf.extend_from_slice(&(m.cols() as u64).to_le_bytes());
-            for &v in m.as_slice() {
-                self.io_buf.extend_from_slice(&v.to_le_bytes());
-            }
+            w.put_matrix(m)?;
         }
-        let checksum = fnv1a(&self.io_buf);
-        let len = self.io_buf.len() as u64;
-        fs::write(&path, &self.io_buf)?;
+        let (checksum, len) = w.finish()?;
         let DistLayerCache { h, q, w_full, activated } = cache;
         self.ws.recycle(h);
         self.ws.recycle(q);
@@ -359,83 +349,33 @@ impl ActivationStore {
         Ok(())
     }
 
-    /// One read + length/checksum verification attempt into `io_buf`.
-    fn read_spill_verified(&mut self, file: &SpillFile) -> LoaderResult<()> {
-        self.io_buf.clear();
-        File::open(&file.path)?.read_to_end(&mut self.io_buf)?;
-        if let Some(plan) = &self.faults {
-            if plan.shard_read_fails(&file.path.to_string_lossy()) {
+    /// Map a spill file, verify length + digest + header, and decode the
+    /// cache out of the mapping into workspace buffers — no staging copy.
+    /// Like the shard loader's verified reads, a checksum/truncation
+    /// failure is re-read once from disk before the typed error surfaces.
+    fn reload(&mut self, file: &SpillFile, activated: bool) -> LoaderResult<DistLayerCache> {
+        let t0 = std::time::Instant::now();
+        let (faults, ws) = (&self.faults, &mut self.ws);
+        let ([h, q, w_full], retries) = with_read_retry(|| {
+            let map = MappedFile::open(&file.path)?;
+            if faults.as_ref().is_some_and(|p| p.shard_read_fails(&file.path.to_string_lossy())) {
                 return Err(LoaderError::ChecksumMismatch {
                     file: file.path.clone(),
                     stored: file.checksum,
                     computed: !file.checksum, // synthetic injected mismatch
                 });
             }
-        }
-        if self.io_buf.len() as u64 != file.len {
-            return Err(LoaderError::Truncated { file: file.path.clone() });
-        }
-        let computed = fnv1a(&self.io_buf);
-        if computed != file.checksum {
-            return Err(LoaderError::ChecksumMismatch {
-                file: file.path.clone(),
-                stored: file.checksum,
-                computed,
-            });
-        }
-        Ok(())
-    }
-
-    /// Read a spill file back, verify length + checksum + header, and
-    /// rebuild the cache in workspace buffers. Like the shard loader's
-    /// verified reads, a checksum/truncation failure is re-read once from
-    /// disk (bounded backoff) before the typed error surfaces.
-    fn reload(&mut self, file: &SpillFile, activated: bool) -> LoaderResult<DistLayerCache> {
-        let t0 = std::time::Instant::now();
-        let mut retries = 0u64;
-        loop {
-            match self.read_spill_verified(file) {
-                Ok(()) => break,
-                Err(e @ (LoaderError::ChecksumMismatch { .. } | LoaderError::Truncated { .. })) => {
-                    if retries >= MAX_READ_RETRIES {
-                        return Err(e);
-                    }
-                    retries += 1;
-                    std::thread::sleep(READ_RETRY_BACKOFF * retries as u32);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+            let at = verify_shard_bytes(map.bytes(), &file.path, file.checksum, file.len)?;
+            let mut cur = Cursor { bytes: map.bytes(), pos: at, path: &file.path };
+            let mut next = || -> LoaderResult<Matrix> {
+                let (rows, cols) = cur.matrix_shape()?;
+                let mut m = ws.take_scratch(rows, cols);
+                cur.f32s_into(m.as_mut_slice())?;
+                Ok(m)
+            };
+            Ok([next()?, next()?, next()?])
+        })?;
         self.stats.reload_retries += retries;
-        let mut cur = Cursor { bytes: &self.io_buf, pos: 0, path: &file.path };
-        let magic = cur.u64()?;
-        if magic != crate::loader::MAGIC {
-            return Err(LoaderError::BadMagic { file: file.path.clone() });
-        }
-        let version = cur.u64()?;
-        if version != FORMAT_VERSION {
-            return Err(LoaderError::VersionMismatch {
-                file: file.path.clone(),
-                found: version,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let mut mats = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let rows = cur.u64()? as usize;
-            let cols = cur.u64()? as usize;
-            let mut m = self.ws.take_scratch(rows, cols);
-            // Bulk-decode the payload: one bounds check per matrix, not
-            // one per element (this is the per-epoch hot loop).
-            let payload = cur.take(rows * cols * 4)?;
-            for (dst, src) in m.as_mut_slice().iter_mut().zip(payload.chunks_exact(4)) {
-                *dst = f32::from_le_bytes(src.try_into().expect("chunk width"));
-            }
-            mats.push(m);
-        }
-        let w_full = mats.pop().expect("three matrices");
-        let q = mats.pop().expect("three matrices");
-        let h = mats.pop().expect("three matrices");
         self.stats.reloaded_bytes += file.len;
         self.stats.reload_events += 1;
         self.stats.spill_io_s += t0.elapsed().as_secs_f64();
@@ -600,6 +540,32 @@ mod tests {
         match store.fetch(0) {
             Err(LoaderError::ChecksumMismatch { .. }) => {}
             other => panic!("expected ChecksumMismatch, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn hostile_spill_shape_is_truncated_not_a_wrap_or_an_allocation() {
+        let mut store = ActivationStore::new(ResidencyPolicy::Spill { budget_bytes: 0 });
+        let mut ws = KernelWorkspace::new();
+        store.insert(0, test_cache(0.4, 5, 3), Matrix::zeros(1, 1), &mut ws).unwrap();
+        let victim = store.spill_dir().join("act_l0.plx");
+        let good = fs::read(&victim).unwrap();
+        for (rows, cols) in [(u64::MAX, u64::MAX), (1u64 << 62, 1), (1 << 32, 1 << 32), (6, 3)] {
+            // Patch H's shape (right after the 16-byte header) and re-sign
+            // the handle, so only the shape check stands in the way.
+            let mut bytes = good.clone();
+            bytes[16..24].copy_from_slice(&rows.to_le_bytes());
+            bytes[24..32].copy_from_slice(&cols.to_le_bytes());
+            fs::write(&victim, &bytes).unwrap();
+            let Slot::Spilled { file, .. } = &mut store.slots[0] else { panic!("not spilled") };
+            file.checksum = crate::loader::digest(&bytes);
+            let file = SpillFile { path: file.path.clone(), ..*file };
+            assert!(
+                matches!(store.reload(&file, false), Err(LoaderError::Truncated { .. })),
+                "{} x {} was not refused",
+                rows,
+                cols
+            );
         }
     }
 

@@ -2,9 +2,9 @@
 //! distributed run, and the typed reader that resumes from them.
 //!
 //! The on-disk discipline is the [`ShardStore`](crate::loader::ShardStore)
-//! v2 one — every rank file starts with the shared
-//! `[MAGIC][FORMAT_VERSION]` header, the whole file is FNV-1a checksummed,
-//! and a per-epoch `manifest.txt` records `(checksum, length)` for every
+//! one — every rank file starts with the shared
+//! `[MAGIC][FORMAT_VERSION]` header, the whole file is digested,
+//! and a per-epoch `manifest.txt` records `(digest, length)` for every
 //! rank file. Everything is written to a temporary name and published with
 //! `fs::rename`, so a crash mid-write can never corrupt the last good
 //! checkpoint: an epoch directory either has a complete manifest or is
@@ -168,41 +168,18 @@ fn ledger_from_counters(c: &[u64; LEDGER_COUNTERS]) -> MemoryLedger {
     }
 }
 
-fn put_matrix(w: &mut HashingWriter, m: &Matrix) -> LoaderResult<()> {
-    w.put(&(m.rows() as u64).to_le_bytes())?;
-    w.put(&(m.cols() as u64).to_le_bytes())?;
-    for &v in m.as_slice() {
-        w.put(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn take_matrix(cur: &mut Cursor<'_>) -> LoaderResult<Matrix> {
-    let rows = cur.u64()? as usize;
-    let cols = cur.u64()? as usize;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| LoaderError::Truncated { file: cur.path.to_path_buf() })?;
-    let bytes = cur.take(4 * n)?;
-    let data = bytes
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes(b.try_into().expect("chunk size")))
-        .collect();
-    Ok(Matrix::from_vec(rows, cols, data))
-}
-
 fn put_param(w: &mut HashingWriter, p: &ParamState) -> LoaderResult<()> {
-    put_matrix(w, &p.value)?;
-    put_matrix(w, &p.m)?;
-    put_matrix(w, &p.v)?;
-    w.put(&(p.t as u64).to_le_bytes())?;
+    w.put_matrix(&p.value)?;
+    w.put_matrix(&p.m)?;
+    w.put_matrix(&p.v)?;
+    w.put_u64(p.t as u64)?;
     Ok(())
 }
 
 fn take_param(cur: &mut Cursor<'_>) -> LoaderResult<ParamState> {
-    let value = take_matrix(cur)?;
-    let m = take_matrix(cur)?;
-    let v = take_matrix(cur)?;
+    let value = cur.matrix()?;
+    let m = cur.matrix()?;
+    let v = cur.matrix()?;
     let t = cur.u64()? as u32;
     Ok(ParamState { value, m, v, t })
 }
@@ -224,25 +201,21 @@ pub(crate) fn write_rank_state(
     let tmp = epoch_dir.join(format!("{}.tmp", name));
     let mut w = HashingWriter::create(&tmp)?;
     w.header()?;
-    w.put(&state.config_fp.to_le_bytes())?;
-    w.put(&(rank as u64).to_le_bytes())?;
-    w.put(&(world as u64).to_le_bytes())?;
-    w.put(&(state.epochs_done as u64).to_le_bytes())?;
-    w.put(&(state.history.len() as u64).to_le_bytes())?;
+    w.put_u64(state.config_fp)?;
+    w.put_u64s(&[rank, world, state.epochs_done, state.history.len()])?;
     for s in &state.history {
-        w.put(&s.loss.to_bits().to_le_bytes())?;
-        w.put(&s.train_accuracy.to_bits().to_le_bytes())?;
-        w.put(&s.timing.compute_s.to_bits().to_le_bytes())?;
-        w.put(&s.timing.comm_s.to_bits().to_le_bytes())?;
+        for v in [s.loss, s.train_accuracy, s.timing.compute_s, s.timing.comm_s] {
+            w.put_u64(v.to_bits())?;
+        }
     }
-    w.put(&(state.layers.len() as u64).to_le_bytes())?;
+    w.put_u64(state.layers.len() as u64)?;
     for p in &state.layers {
         put_param(&mut w, p)?;
     }
     put_param(&mut w, &state.features)?;
-    w.put(&(LEDGER_COUNTERS as u64).to_le_bytes())?;
+    w.put_u64(LEDGER_COUNTERS as u64)?;
     for c in ledger_counters(&state.ledger) {
-        w.put(&c.to_le_bytes())?;
+        w.put_u64(c)?;
     }
     let entry = w.finish()?;
     fs::rename(&tmp, epoch_dir.join(&name))?;
@@ -393,9 +366,9 @@ impl Checkpoint {
         &self.dir
     }
 
-    /// Load and fully verify one rank's state: manifest length + FNV-1a
-    /// checksum, the shared header, and the structural fields all gate the
-    /// decode with the loader's typed errors.
+    /// Load and fully verify one rank's state: manifest length + digest,
+    /// the shared header, and the structural fields all gate the decode
+    /// with the loader's typed errors.
     pub fn load_rank(&self, rank: usize) -> LoaderResult<RankState> {
         let name = rank_file_name(rank);
         let &(ck, len) = self.files.get(&name).ok_or_else(|| LoaderError::BadManifest {
@@ -467,7 +440,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::layer::TimeSplit;
-    use crate::loader::fnv1a;
+    use crate::loader::digest;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("plexus_ckpt_{}_{}", tag, std::process::id()));
@@ -578,7 +551,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         // Re-point the manifest at the patched bytes so the version check
         // (not the checksum) is what trips.
-        publish_manifest(&epoch_dir, 1, &[(fnv1a(&bytes), bytes.len() as u64)]).unwrap();
+        publish_manifest(&epoch_dir, 1, &[(digest(&bytes), bytes.len() as u64)]).unwrap();
         let ck = Checkpoint::open(&epoch_dir).unwrap();
         match ck.load_rank(0) {
             Err(LoaderError::VersionMismatch { found, expected, .. }) => {
@@ -586,6 +559,61 @@ mod tests {
                 assert_eq!(expected, FORMAT_VERSION);
             }
             other => panic!("expected VersionMismatch, got {:?}", other.map(|_| ())),
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn v2_checkpoint_directory_is_refused() {
+        let root = tmp_root("v2");
+        let epoch_dir = write_checkpoint(&root, 1, &sample_state(7, 1));
+        // Rank file with version word 2, re-signed: the header check trips.
+        let path = epoch_dir.join(rank_file_name(0));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        publish_manifest(&epoch_dir, 1, &[(digest(&bytes), bytes.len() as u64)]).unwrap();
+        assert!(matches!(
+            Checkpoint::open(&epoch_dir).unwrap().load_rank(0),
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. })
+        ));
+        // Manifest labelled format 2: the directory does not open at all,
+        // so `latest` finds no checkpoint to resume from.
+        let manifest = epoch_dir.join("manifest.txt");
+        let text = fs::read_to_string(&manifest).unwrap().replacen("format = 3", "format = 2", 1);
+        fs::write(&manifest, text).unwrap();
+        assert!(matches!(
+            Checkpoint::open(&epoch_dir),
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. })
+        ));
+        assert!(Checkpoint::latest(&root).unwrap().is_none());
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn hostile_matrix_shape_in_a_rank_file_is_truncated() {
+        let root = tmp_root("hostile");
+        let epoch_dir = write_checkpoint(&root, 0, &sample_state(7, 0));
+        // With no history the first layer's `rows, cols` sit right after
+        // the 16-byte header and six u64 fields.
+        let at = 16 + 6 * 8;
+        let path = epoch_dir.join(rank_file_name(0));
+        let good = fs::read(&path).unwrap();
+        assert_eq!(good[at..at + 16], [3u64.to_le_bytes(), 2u64.to_le_bytes()].concat()[..]);
+        for (rows, cols) in [(u64::MAX, u64::MAX), (1 << 62, 2), (1 << 40, 1 << 22), (u64::MAX, 1)]
+        {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&rows.to_le_bytes());
+            bytes[at + 8..at + 16].copy_from_slice(&cols.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            publish_manifest(&epoch_dir, 0, &[(digest(&bytes), bytes.len() as u64)]).unwrap();
+            let ck = Checkpoint::open(&epoch_dir).unwrap();
+            assert!(
+                matches!(ck.load_rank(0), Err(LoaderError::Truncated { .. })),
+                "{} x {} was not refused",
+                rows,
+                cols
+            );
         }
         fs::remove_dir_all(&root).unwrap();
     }

@@ -73,7 +73,7 @@ pub use layer::{
     Aggregation, CommOverlap, CommPlan, DistLayer, DistLayerCache, GemmTuning, TimeSplit,
 };
 pub use loader::{
-    fnv1a, parse_csr, parse_csr_block, parse_matrix, parse_matrix_rows, preprocess_to_store,
+    digest, parse_csr, parse_csr_block, parse_matrix, parse_matrix_rows, preprocess_to_store,
     preprocess_to_store_serial, verify_shard_bytes, CsrPayload, Cursor, HashingWriter, LoadStats,
     LoaderError, LoaderResult, MemoryLedger, Parity, PreprocessSummary, ShardStore, FORMAT_VERSION,
     MAGIC,

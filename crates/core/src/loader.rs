@@ -24,12 +24,17 @@
 //!    bytes — the quantities behind the paper's memory reductions.
 //!
 //! The binary format is versioned ([`FORMAT_VERSION`]) and every file's
-//! FNV-1a checksum is recorded in the manifest; a corrupted, truncated, or
+//! [`digest`] is recorded in the manifest; a corrupted, truncated, or
 //! version-mismatched file surfaces as a typed [`LoaderError`] instead of
-//! garbage data.
+//! garbage data. The header, digest, bulk codecs and bounds-checked cursor
+//! are [`plexus_graph::format`]'s, re-exported here.
 
 use crate::setup::PermutationMode;
 use plexus_comm::fault::FaultPlan;
+pub use plexus_graph::format::{
+    digest, verify_shard_bytes, Cursor, HashingWriter, LoaderError, LoaderResult, FORMAT_VERSION,
+    MAGIC,
+};
 use plexus_graph::{LoadedDataset, MappedFile};
 use plexus_sparse::permute::{inverse_permutation, permuted_row_band};
 use plexus_sparse::shard::split_range;
@@ -37,87 +42,39 @@ use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Magic prefix of every Plexus shard-format file ("PLXSSHAR"). Public so
-/// downstream artifact formats (the serving freezer) can reuse the header.
-pub const MAGIC: u64 = 0x504c5853_53484152;
-/// Current on-disk format. Version 2 added the per-file version header,
-/// manifest checksums, dual-parity adjacency shards, and label files.
-pub const FORMAT_VERSION: u64 = 2;
 /// Bounded retry budget for verified reads: one re-read from disk before a
 /// checksum/truncation failure becomes the caller's typed [`LoaderError`].
-/// Shared with the activation store's spill reloads.
-pub(crate) const MAX_READ_RETRIES: u64 = 1;
+const MAX_READ_RETRIES: u64 = 1;
 /// Backoff before a verified-read retry (scaled by the attempt number).
-pub(crate) const READ_RETRY_BACKOFF: Duration = Duration::from_millis(2);
+const READ_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
-/// Typed failure of a [`ShardStore`] operation.
-#[derive(Debug)]
-pub enum LoaderError {
-    /// Underlying filesystem error.
-    Io(io::Error),
-    /// The file does not start with the Plexus shard magic.
-    BadMagic { file: PathBuf },
-    /// The file (or manifest) was written by a different format version.
-    VersionMismatch { file: PathBuf, found: u64, expected: u64 },
-    /// The file's bytes do not hash to the checksum the manifest recorded.
-    ChecksumMismatch { file: PathBuf, stored: u64, computed: u64 },
-    /// The file ended before its declared payload.
-    Truncated { file: PathBuf },
-    /// The manifest is missing, unparsable, or does not list the file.
-    BadManifest { reason: String },
-    /// The store does not contain the requested component (e.g. labels in
-    /// a raw store, or the odd parity in a single-parity store).
-    Missing { what: &'static str },
-}
-
-impl fmt::Display for LoaderError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LoaderError::Io(e) => write!(f, "shard store I/O error: {}", e),
-            LoaderError::BadMagic { file } => {
-                write!(f, "{}: not a Plexus shard file", file.display())
+/// Run one verified read, re-reading from disk after a short backoff when
+/// it fails its length or digest check: a mismatch can be a transient fault
+/// (torn page cache, mid-flight replacement by an atomic republish) as
+/// easily as real corruption, and a re-read distinguishes the two for free.
+/// Returns the value and the number of re-reads (0 on the clean path).
+pub(crate) fn with_read_retry<T>(
+    mut attempt: impl FnMut() -> LoaderResult<T>,
+) -> LoaderResult<(T, u64)> {
+    let mut retries = 0u64;
+    loop {
+        match attempt() {
+            Err(LoaderError::ChecksumMismatch { .. } | LoaderError::Truncated { .. })
+                if retries < MAX_READ_RETRIES =>
+            {
+                retries += 1;
+                std::thread::sleep(READ_RETRY_BACKOFF * retries as u32);
             }
-            LoaderError::VersionMismatch { file, found, expected } => {
-                write!(
-                    f,
-                    "{}: format version {} (this build reads {})",
-                    file.display(),
-                    found,
-                    expected
-                )
-            }
-            LoaderError::ChecksumMismatch { file, stored, computed } => write!(
-                f,
-                "{}: checksum {:016x} does not match manifest {:016x} (corrupted file)",
-                file.display(),
-                computed,
-                stored
-            ),
-            LoaderError::Truncated { file } => {
-                write!(f, "{}: file shorter than its declared payload", file.display())
-            }
-            LoaderError::BadManifest { reason } => write!(f, "bad shard manifest: {}", reason),
-            LoaderError::Missing { what } => write!(f, "store does not contain {}", what),
+            other => return other.map(|v| (v, retries)),
         }
     }
 }
-
-impl std::error::Error for LoaderError {}
-
-impl From<io::Error> for LoaderError {
-    fn from(e: io::Error) -> Self {
-        LoaderError::Io(e)
-    }
-}
-
-pub type LoaderResult<T> = Result<T, LoaderError>;
 
 /// Which adjacency permutation variant a file holds: even layers consume
 /// `P_r Â P_cᵀ`, odd layers `P_c Â P_rᵀ` (§5.1). Labels follow the same
@@ -165,14 +122,14 @@ pub struct LoadStats {
     /// beyond the returned object itself.
     pub peak_transient_bytes: u64,
     /// Reads that failed verification once and succeeded on the bounded
-    /// re-read (transient-fault recovery; see `ShardStore::read_verified`).
+    /// re-read (transient-fault recovery; see `with_read_retry`).
     pub read_retries: u64,
 }
 
 impl LoadStats {
     /// Count one verified file, classifying its bytes as mapped or copied
     /// by which path [`MappedFile::open`] took.
-    fn note_file_read(&mut self, map: &MappedFile) {
+    pub fn note_file_read(&mut self, map: &MappedFile) {
         self.files_read += 1;
         self.bytes_read += map.len() as u64;
         if map.is_mapped() {
@@ -291,7 +248,7 @@ impl MemoryLedger {
     }
 }
 
-/// An on-disk 2D-sharded dataset (format v2).
+/// An on-disk 2D-sharded dataset (format v3).
 ///
 /// Raw stores written by [`ShardStore::create`] hold one adjacency parity
 /// plus feature bands. Preprocessed stores written by
@@ -314,7 +271,7 @@ pub struct ShardStore {
     /// §5.1 scheme baked into the shards (`None` for raw stores).
     pub perm_mode: Option<PermutationMode>,
     pub perm_seed: u64,
-    /// FNV-1a fingerprint of the source dataset's full contents, so
+    /// Digest of the source dataset's full contents, so
     /// incremental re-preprocessing never reuses shards of a different
     /// graph (0 for raw stores and pre-fingerprint manifests).
     pub source_fp: u64,
@@ -322,7 +279,7 @@ pub struct ShardStore {
     /// for raw stores and stores reopened via [`ShardStore::open`]; not
     /// persisted in the manifest).
     pub preprocess: PreprocessSummary,
-    /// filename -> (fnv1a checksum, file length in bytes).
+    /// filename -> (digest, file length in bytes).
     files: BTreeMap<String, (u64, u64)>,
     /// Armed fault-injection plan consulted on every verified read (test
     /// harness only; `None` — the production default — costs nothing).
@@ -460,8 +417,8 @@ impl ShardStore {
                 })
             }
         };
-        // Fingerprints arrived after format v2 shipped; absent means "not
-        // recorded", which disables incremental reuse rather than erroring.
+        // Absent means "not recorded", which disables incremental reuse
+        // rather than erroring.
         let source_fp =
             kv.get("source_fp").and_then(|v| u64::from_str_radix(v, 16).ok()).unwrap_or(0);
         Ok(ShardStore {
@@ -562,61 +519,37 @@ impl ShardStore {
             .ok_or_else(|| LoaderError::BadManifest { reason: format!("{} not in manifest", name) })
     }
 
-    /// Map and checksum-verify a file; returns the read-only mapping plus
-    /// the offset where the payload starts (just past the magic/version
-    /// header), so callers decode in place without copying the file.
-    ///
-    /// A checksum/truncation failure is retried once from disk after a
-    /// short backoff before surfacing the typed error: a mismatch can be a
-    /// transient fault (torn page cache, mid-flight replacement by an
-    /// atomic republish) as easily as real corruption, and a re-read
-    /// distinguishes the two for free.
-    fn read_verified(&self, name: &str) -> LoaderResult<(MappedFile, usize)> {
-        self.read_verified_counted(name).map(|(m, p, _)| (m, p))
-    }
-
-    /// [`read_verified`](Self::read_verified) plus the number of re-reads
-    /// the bounded retry performed (0 on the clean path).
+    /// Map and checksum-verify a file; returns the read-only mapping, the
+    /// offset where the payload starts (just past the magic/version
+    /// header) so callers decode in place without copying the file, and the
+    /// number of re-reads [`with_read_retry`] performed.
     fn read_verified_counted(&self, name: &str) -> LoaderResult<(MappedFile, usize, u64)> {
         let path = self.dir.join(name);
         let &(stored_ck, stored_len) = self.files.get(name).ok_or_else(|| {
             LoaderError::BadManifest { reason: format!("{} not in manifest", name) }
         })?;
-        let mut retries = 0u64;
-        loop {
-            let attempt = (|| {
-                let map = MappedFile::open(&path)?;
-                if let Some(plan) = &self.faults {
-                    if plan.shard_read_fails(name) {
-                        return Err(LoaderError::ChecksumMismatch {
-                            file: path.clone(),
-                            stored: stored_ck,
-                            computed: !stored_ck, // synthetic injected mismatch
-                        });
-                    }
+        with_read_retry(|| {
+            let map = MappedFile::open(&path)?;
+            if let Some(plan) = &self.faults {
+                if plan.shard_read_fails(name) {
+                    return Err(LoaderError::ChecksumMismatch {
+                        file: path.clone(),
+                        stored: stored_ck,
+                        computed: !stored_ck, // synthetic injected mismatch
+                    });
                 }
-                let payload_at = verify_shard_bytes(map.bytes(), &path, stored_ck, stored_len)?;
-                Ok((map, payload_at))
-            })();
-            match attempt {
-                Ok((map, payload_at)) => return Ok((map, payload_at, retries)),
-                Err(e @ (LoaderError::ChecksumMismatch { .. } | LoaderError::Truncated { .. })) => {
-                    if retries >= MAX_READ_RETRIES {
-                        return Err(e);
-                    }
-                    retries += 1;
-                    std::thread::sleep(READ_RETRY_BACKOFF * retries as u32);
-                }
-                Err(e) => return Err(e),
             }
-        }
+            let payload_at = verify_shard_bytes(map.bytes(), &path, stored_ck, stored_len)?;
+            Ok((map, payload_at))
+        })
+        .map(|((map, payload_at), retries)| (map, payload_at, retries))
     }
 
     /// Public form of the verified-map open, for downstream readers (the
     /// serving artifact keeps every adjacency shard mapped for its whole
     /// lifetime and decodes k-hop rows straight out of the mapping).
     pub fn map_verified(&self, name: &str) -> LoaderResult<(MappedFile, usize)> {
-        self.read_verified(name)
+        self.read_verified_counted(name).map(|(m, p, _)| (m, p))
     }
 
     /// Directory this store lives in.
@@ -765,15 +698,14 @@ impl ShardStore {
         stats.note_file_read(&map);
         let path = self.dir.join(&name);
         let mut cur = Cursor { bytes: &map.bytes()[payload_at..], pos: 0, path: &path };
-        let n = cur.u64()? as usize;
-        let mut labels = Vec::with_capacity(n);
-        for _ in 0..n {
-            labels.push(cur.u32()?);
+        // Five bytes per node must be present before anything is allocated.
+        let n = cur.count()?;
+        if n.checked_mul(5).is_none_or(|b| b > cur.bytes.len() - cur.pos) {
+            return Err(LoaderError::Truncated { file: path.clone() });
         }
-        let mut mask = Vec::with_capacity(n);
-        for _ in 0..n {
-            mask.push(cur.u8()? != 0);
-        }
+        let mut labels = vec![0u32; n];
+        cur.u32s_into(&mut labels)?;
+        let mask = cur.take(n)?.iter().map(|&b| b != 0).collect();
         Ok((labels, mask, stats))
     }
 }
@@ -838,7 +770,7 @@ fn preprocess_impl(
     let n = ds.num_nodes();
     let (pr, pc) = crate::setup::build_permutations(mode, perm_seed, n);
     fs::create_dir_all(dir)?;
-    let source_fp = dataset_fingerprint(ds);
+    let source_fp = dataset_fingerprint(ds)?;
     let prior = reusable_prior_files(dir, mode, perm_seed, p, q, n, ds.features.cols(), source_fp);
 
     let mut files = BTreeMap::new();
@@ -1031,8 +963,8 @@ fn verified_prior_entry(
     name: &str,
 ) -> Option<(u64, u64)> {
     let &(ck, len) = prior.get(name)?;
-    match fs::read(dir.join(name)) {
-        Ok(bytes) if bytes.len() as u64 == len && fnv1a(&bytes) == ck => Some((ck, len)),
+    match MappedFile::open(&dir.join(name)) {
+        Ok(map) if map.len() as u64 == len && digest(map.bytes()) == ck => Some((ck, len)),
         _ => None,
     }
 }
@@ -1070,52 +1002,26 @@ fn reusable_prior_files(
     }
 }
 
-/// Running FNV-1a hasher for the dataset fingerprint.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(FNV_OFFSET_BASIS)
-    }
-
-    fn put(&mut self, bytes: &[u8]) {
-        self.0 = bytes.iter().fold(self.0, |h, &b| fnv1a_step(h, b));
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put(&v.to_le_bytes());
-    }
-}
-
 /// Content fingerprint of everything preprocessing consumes: adjacency
 /// structure and values, features, labels, train mask and the shape
 /// constants. Recorded in the manifest so incremental re-preprocessing
 /// never reuses shards of a different graph that happens to share shapes.
-fn dataset_fingerprint(ds: &LoadedDataset) -> u64 {
+fn dataset_fingerprint(ds: &LoadedDataset) -> io::Result<u64> {
     let a = &ds.adjacency;
-    let mut h = Fnv::new();
-    for v in [a.rows(), a.cols(), a.nnz(), ds.features.cols(), ds.num_classes] {
-        h.put_u64(v as u64);
-    }
-    for &ptr in a.row_ptr() {
-        h.put_u64(ptr as u64);
-    }
-    for &c in a.col_idx() {
-        h.put(&c.to_le_bytes());
-    }
-    for &v in a.values() {
-        h.put(&v.to_le_bytes());
-    }
-    for &v in ds.features.as_slice() {
-        h.put(&v.to_le_bytes());
-    }
-    for &l in &ds.labels {
-        h.put(&l.to_le_bytes());
-    }
-    for &m in &ds.split.train {
-        h.put(&[m as u8]);
-    }
-    h.0
+    let mut h = HashingWriter::new(io::sink());
+    h.put_u64s(&[a.rows(), a.cols(), a.nnz(), ds.features.cols(), ds.num_classes])?;
+    h.put_u64s(a.row_ptr())?;
+    h.put_u32s(a.col_idx())?;
+    h.put_f32s(a.values())?;
+    h.put_f32s(ds.features.as_slice())?;
+    h.put_u32s(&ds.labels)?;
+    h.put(&mask_bytes(&ds.split.train))?;
+    Ok(h.finish()?.0)
+}
+
+/// A bool mask as the one-byte-per-entry form the label files store.
+fn mask_bytes(mask: &[bool]) -> Vec<u8> {
+    mask.iter().map(|&m| m as u8).collect()
 }
 
 /// Split a row band into `q` column shards and write them (the raw
@@ -1173,83 +1079,22 @@ fn hstack_blocks(parts: &[(usize, Csr)], total_cols: usize) -> Csr {
 
 // ---------------------------------------------------------------------------
 // Binary encoding: [MAGIC u64][FORMAT_VERSION u64][payload], little-endian,
-// with the whole file's FNV-1a hash recorded in the manifest.
-
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-#[inline]
-fn fnv1a_step(hash: u64, byte: u8) -> u64 {
-    (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// FNV-1a over a byte slice — the manifest checksum.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET_BASIS, |h, &b| fnv1a_step(h, b))
-}
-
-/// BufWriter wrapper that FNV-hashes every byte as it passes through.
-/// Shared with the activation spill path (`crate::activation`) and the
-/// serving artifact freezer, which write the same header + checksum
-/// format.
-pub struct HashingWriter {
-    inner: BufWriter<File>,
-    hash: u64,
-    written: u64,
-}
-
-impl HashingWriter {
-    /// Start a checksummed file at `path`.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(Self { inner: BufWriter::new(File::create(path)?), hash: FNV_OFFSET_BASIS, written: 0 })
-    }
-
-    /// Write `bytes`, folding them into the running FNV-1a hash.
-    pub fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.hash = bytes.iter().fold(self.hash, |h, &b| fnv1a_step(h, b));
-        self.written += bytes.len() as u64;
-        self.inner.write_all(bytes)
-    }
-
-    /// Emit the shared `[MAGIC][FORMAT_VERSION]` header.
-    pub fn header(&mut self) -> io::Result<()> {
-        self.put(&MAGIC.to_le_bytes())?;
-        self.put(&FORMAT_VERSION.to_le_bytes())
-    }
-
-    /// Flush and return `(fnv1a checksum, total bytes written)` — the
-    /// manifest entry for the file.
-    pub fn finish(mut self) -> io::Result<(u64, u64)> {
-        self.inner.flush()?;
-        Ok((self.hash, self.written))
-    }
-}
+// with the whole file's digest recorded in the manifest.
 
 fn write_csr(path: &Path, a: &Csr) -> LoaderResult<(u64, u64)> {
     let mut w = HashingWriter::create(path)?;
     w.header()?;
-    w.put(&(a.rows() as u64).to_le_bytes())?;
-    w.put(&(a.cols() as u64).to_le_bytes())?;
-    w.put(&(a.nnz() as u64).to_le_bytes())?;
-    for &p in a.row_ptr() {
-        w.put(&(p as u64).to_le_bytes())?;
-    }
-    for &c in a.col_idx() {
-        w.put(&c.to_le_bytes())?;
-    }
-    for &v in a.values() {
-        w.put(&v.to_le_bytes())?;
-    }
+    w.put_u64s(&[a.rows(), a.cols(), a.nnz()])?;
+    w.put_u64s(a.row_ptr())?;
+    w.put_u32s(a.col_idx())?;
+    w.put_f32s(a.values())?;
     Ok(w.finish()?)
 }
 
 fn write_matrix(path: &Path, m: &Matrix) -> LoaderResult<(u64, u64)> {
     let mut w = HashingWriter::create(path)?;
     w.header()?;
-    w.put(&(m.rows() as u64).to_le_bytes())?;
-    w.put(&(m.cols() as u64).to_le_bytes())?;
-    for &v in m.as_slice() {
-        w.put(&v.to_le_bytes())?;
-    }
+    w.put_matrix(m)?;
     Ok(w.finish()?)
 }
 
@@ -1257,92 +1102,10 @@ fn write_labels(path: &Path, labels: &[u32], mask: &[bool]) -> LoaderResult<(u64
     assert_eq!(labels.len(), mask.len(), "write_labels: length mismatch");
     let mut w = HashingWriter::create(path)?;
     w.header()?;
-    w.put(&(labels.len() as u64).to_le_bytes())?;
-    for &l in labels {
-        w.put(&l.to_le_bytes())?;
-    }
-    for &m in mask {
-        w.put(&[m as u8])?;
-    }
+    w.put_u64(labels.len() as u64)?;
+    w.put_u32s(labels)?;
+    w.put(&mask_bytes(mask))?;
     Ok(w.finish()?)
-}
-
-/// Bounds-checked little-endian reader over an in-memory payload. Shared
-/// with the activation spill reload path (`crate::activation`) and the
-/// serving artifact reader.
-pub struct Cursor<'a> {
-    pub bytes: &'a [u8],
-    pub pos: usize,
-    pub path: &'a Path,
-}
-
-impl Cursor<'_> {
-    /// The next `n` bytes, or a typed `Truncated` error.
-    pub fn take(&mut self, n: usize) -> LoaderResult<&[u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(LoaderError::Truncated { file: self.path.to_path_buf() });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Decode a little-endian `u64`.
-    pub fn u64(&mut self) -> LoaderResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    /// Decode a little-endian `u32`.
-    pub fn u32(&mut self) -> LoaderResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    /// Decode a little-endian `f32`.
-    pub fn f32(&mut self) -> LoaderResult<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    /// Decode one byte.
-    pub fn u8(&mut self) -> LoaderResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-}
-
-/// Verify a shard-format file's manifest entry (length + FNV-1a checksum)
-/// and its `[MAGIC][FORMAT_VERSION]` header against `bytes`, returning the
-/// payload offset. This is the one gate every mapped or copied shard file
-/// passes through; the serving artifact reuses it for its model files.
-pub fn verify_shard_bytes(
-    bytes: &[u8],
-    path: &Path,
-    stored_ck: u64,
-    stored_len: u64,
-) -> LoaderResult<usize> {
-    if bytes.len() as u64 != stored_len {
-        return Err(LoaderError::Truncated { file: path.to_path_buf() });
-    }
-    let computed = fnv1a(bytes);
-    if computed != stored_ck {
-        return Err(LoaderError::ChecksumMismatch {
-            file: path.to_path_buf(),
-            stored: stored_ck,
-            computed,
-        });
-    }
-    let mut cur = Cursor { bytes, pos: 0, path };
-    let magic = cur.u64()?;
-    if magic != MAGIC {
-        return Err(LoaderError::BadMagic { file: path.to_path_buf() });
-    }
-    let version = cur.u64()?;
-    if version != FORMAT_VERSION {
-        return Err(LoaderError::VersionMismatch {
-            file: path.to_path_buf(),
-            found: version,
-            expected: FORMAT_VERSION,
-        });
-    }
-    Ok(cur.pos)
 }
 
 /// Geometry of a CSR payload: byte offsets of the row-pointer, column and
@@ -1366,19 +1129,25 @@ pub struct CsrPayload {
 impl CsrPayload {
     /// Parse and bounds-check the header of a CSR payload.
     pub fn parse(payload: &[u8], path: &Path) -> LoaderResult<CsrPayload> {
-        if payload.len() < 24 {
-            return Err(LoaderError::Truncated { file: path.to_path_buf() });
-        }
-        let rows = le_u64(payload, 0) as usize;
-        let cols = le_u64(payload, 8) as usize;
-        let nnz = le_u64(payload, 16) as usize;
-        let row_ptr_at = 24;
-        let col_idx_at = row_ptr_at + 8 * (rows + 1);
-        let values_at = col_idx_at + 4 * nnz;
-        if payload.len() < values_at + 4 * nnz {
-            return Err(LoaderError::Truncated { file: path.to_path_buf() });
-        }
-        Ok(CsrPayload { rows, cols, nnz, row_ptr_at, col_idx_at, values_at })
+        let mut cur = Cursor { bytes: payload, pos: 0, path };
+        let (rows, cols, nnz) = (cur.count()?, cur.count()?, cur.count()?);
+        let row_ptr_at = cur.pos;
+        // Every offset is derived from header fields: checked, so a hostile
+        // count is a short file rather than a wrapped offset.
+        let geom = (|| {
+            let col_idx_at = row_ptr_at.checked_add(rows.checked_add(1)?.checked_mul(8)?)?;
+            let values_at = col_idx_at.checked_add(nnz.checked_mul(4)?)?;
+            let end = values_at.checked_add(nnz.checked_mul(4)?)?;
+            (end <= payload.len()).then_some(CsrPayload {
+                rows,
+                cols,
+                nnz,
+                row_ptr_at,
+                col_idx_at,
+                values_at,
+            })
+        })();
+        geom.ok_or_else(|| LoaderError::Truncated { file: path.to_path_buf() })
     }
 
     /// `row_ptr[r]`, decoded from the payload.
@@ -1427,10 +1196,12 @@ pub fn parse_csr_block(
         // window's entry range instead of scanning the whole row.
         let s = lower_bound(p0, p1, |k| geom.col(payload, k) < c0 as u32);
         let e = lower_bound(s, p1, |k| geom.col(payload, k) < c1 as u32);
-        for k in s..e {
-            col_idx.push(geom.col(payload, k) - c0 as u32);
-            values.push(geom.val(payload, k));
-        }
+        // `p1 <= nnz` puts `[s, e)` inside both arrays: one slice each,
+        // then a fixed-width copy per entry.
+        let cols = &payload[geom.col_idx_at + 4 * s..geom.col_idx_at + 4 * e];
+        let vals = &payload[geom.values_at + 4 * s..geom.values_at + 4 * e];
+        col_idx.extend(cols.chunks_exact(4).map(|b| le_u32(b, 0) - c0 as u32));
+        values.extend(vals.chunks_exact(4).map(|b| le_f32(b, 0)));
         row_ptr.push(col_idx.len());
     }
     Ok(Csr::from_raw(r1 - r0, c1 - c0, row_ptr, col_idx, values))
@@ -1444,19 +1215,13 @@ pub fn parse_matrix_rows(
     r0: usize,
     r1: usize,
 ) -> LoaderResult<Matrix> {
-    if payload.len() < 16 {
-        return Err(LoaderError::Truncated { file: path.to_path_buf() });
-    }
-    let rows = le_u64(payload, 0) as usize;
-    let cols = le_u64(payload, 8) as usize;
-    if payload.len() < 16 + 4 * rows * cols {
-        return Err(LoaderError::Truncated { file: path.to_path_buf() });
-    }
+    let mut cur = Cursor { bytes: payload, pos: 0, path };
+    let (rows, cols) = cur.matrix_shape()?;
     assert!(r0 <= r1 && r1 <= rows, "parse_matrix_rows: window out of bounds");
-    let mut data = Vec::with_capacity((r1 - r0) * cols);
-    for k in r0 * cols..r1 * cols {
-        data.push(le_f32(payload, 16 + 4 * k));
-    }
+    // `matrix_shape` vouched for all `rows * cols` values: skip to row `r0`.
+    cur.pos += 4 * r0 * cols;
+    let mut data = vec![0.0; (r1 - r0) * cols];
+    cur.f32s_into(&mut data)?;
     Ok(Matrix::from_vec(r1 - r0, cols, data))
 }
 
@@ -1468,10 +1233,7 @@ pub fn parse_csr(payload: &[u8], path: &Path) -> LoaderResult<Csr> {
 
 /// Decode a full matrix payload.
 pub fn parse_matrix(payload: &[u8], path: &Path) -> LoaderResult<Matrix> {
-    if payload.len() < 16 {
-        return Err(LoaderError::Truncated { file: path.to_path_buf() });
-    }
-    let rows = le_u64(payload, 0) as usize;
+    let rows = Cursor { bytes: payload, pos: 0, path }.count()?;
     parse_matrix_rows(payload, path, 0, rows)
 }
 
@@ -1672,7 +1434,7 @@ mod tests {
         bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         fs::write(&victim, &bytes).unwrap();
         let mut patched = ShardStore::open(&dir).unwrap();
-        patched.files.insert(adj_name(Parity::Even, 0, 0), (fnv1a(&bytes), bytes.len() as u64));
+        patched.files.insert(adj_name(Parity::Even, 0, 0), (digest(&bytes), bytes.len() as u64));
         match patched.load_adjacency_window(0, 16, 0, 16) {
             Err(LoaderError::VersionMismatch { found, expected, .. }) => {
                 assert_eq!(found, FORMAT_VERSION + 1);
@@ -1688,6 +1450,86 @@ mod tests {
             Err(LoaderError::BadManifest { .. } | LoaderError::VersionMismatch { .. })
         ));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v2_store_is_refused_and_never_reused() {
+        use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
+        let ds = LoadedDataset::generate(OGBN_PRODUCTS, 64, Some(4), 37);
+        let dir = temp_dir("v2");
+        let mut store = preprocess_to_store(&ds, &dir, PermutationMode::Double, 5, 2, 2).unwrap();
+        let total_files = store.preprocess.files_written;
+        // Relabel the manifest as format 2: what a directory written by the
+        // previous format looks like to this build.
+        let manifest = fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        assert!(manifest.starts_with("format = 3\n"));
+        fs::write(dir.join("manifest.txt"), manifest.replacen("format = 3", "format = 2", 1))
+            .unwrap();
+        match ShardStore::open(&dir) {
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. }) => {}
+            other => panic!("expected VersionMismatch 2 -> 3, got {:?}", other.map(|_| ())),
+        }
+        // A shard file carrying version word 2 under a v3 manifest entry
+        // that matches its bytes is refused by the header check.
+        let victim = adj_name(Parity::Even, 0, 0);
+        let mut bytes = fs::read(dir.join(&victim)).unwrap();
+        bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
+        store.files.insert(victim.clone(), (digest(&bytes), bytes.len() as u64));
+        fs::write(dir.join(&victim), &bytes).unwrap();
+        match store.map_verified(&victim) {
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. }) => {}
+            other => panic!("expected VersionMismatch 2 -> 3, got {:?}", other.map(|_| ())),
+        }
+        // Re-preprocessing over the v2 directory trusts none of it.
+        let again = preprocess_to_store(&ds, &dir, PermutationMode::Double, 5, 2, 2).unwrap();
+        assert_eq!(again.preprocess.files_skipped, 0, "reused files of a v2 store");
+        assert_eq!(again.preprocess.files_written, total_files);
+        ShardStore::open(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn hostile_shard_headers_are_truncated_not_wraps_or_panics() {
+        let path = Path::new("hostile.plx");
+        let payload = |fields: &[u64]| -> Vec<u8> {
+            let mut b: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
+            b.extend_from_slice(&[0u8; 64]);
+            b
+        };
+        let truncated = |r: LoaderResult<()>| matches!(r, Err(LoaderError::Truncated { .. }));
+        // CSR: `8 * (rows + 1)` and `4 * nnz` must not wrap.
+        for (rows, nnz) in [
+            (u64::MAX, 0),
+            (u64::MAX - 1, 0),
+            (1 << 61, 0),
+            (0, u64::MAX),
+            (0, 1 << 62),
+            (1, 1 << 61),
+        ] {
+            let p = payload(&[rows, 4, nnz]);
+            assert!(
+                truncated(CsrPayload::parse(&p, path).map(|_| ())),
+                "rows {} nnz {}",
+                rows,
+                nnz
+            );
+            assert!(truncated(parse_csr(&p, path).map(|_| ())), "rows {} nnz {}", rows, nnz);
+        }
+        // Matrix: `4 * rows * cols` must not wrap.
+        for (rows, cols) in [(u64::MAX, u64::MAX), (1 << 62, 1), (1 << 31, 1 << 31), (1, u64::MAX)]
+        {
+            let p = payload(&[rows, cols]);
+            assert!(
+                truncated(parse_matrix_rows(&p, path, 0, 0).map(|_| ())),
+                "{} x {}",
+                rows,
+                cols
+            );
+            assert!(truncated(parse_matrix(&p, path).map(|_| ())), "{} x {}", rows, cols);
+        }
+        // An honest header still parses.
+        CsrPayload::parse(&payload(&[3, 4, 2]), path).unwrap();
+        parse_matrix(&payload(&[2, 3]), path).unwrap();
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::checkpoint::{self, Checkpoint, CheckpointPolicy, ParamState, RankStat
 use crate::dist::DistContext;
 use crate::grid::{roles_for_layer, GridConfig, GridSpec};
 use crate::layer::{Aggregation, CommOverlap, CommPlan, DistLayer, GemmTuning, TimeSplit};
-use crate::loader::{fnv1a, LoaderError, LoaderResult, MemoryLedger, ShardStore};
+use crate::loader::{digest, LoaderError, LoaderResult, MemoryLedger, ShardStore};
 use crate::loss::dist_masked_cross_entropy;
 use crate::setup::{GlobalProblem, PermutationMode, ProblemMeta, RankData};
 use plexus_comm::{run_world_faulted, CommEvent, Communicator, FaultPlan, ThreadComm};
@@ -534,7 +534,7 @@ fn config_fingerprint(
     ] {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    fnv1a(&buf)
+    digest(&buf)
 }
 
 /// Extract the originating panic message from a `catch_unwind` payload.

@@ -1,27 +1,16 @@
-//! Minimal matrix spill files for the serial trainer's
-//! [`SerialResidency::Spill`](crate::trainer::SerialResidency) mode:
-//! little-endian f32 payload behind a checksummed header, one file per
-//! spilled matrix. The distributed engine has its own richer spill store;
-//! this one exists so the serial baseline can exercise the same
-//! keep/spill/reload contract without depending on it.
+//! Matrix spill files for the serial trainer's
+//! [`SerialResidency::Spill`](crate::trainer::SerialResidency) mode: one
+//! file per spilled matrix in the shared [`plexus_graph::format`] — header,
+//! shape, little-endian f32 payload — with the file's digest and length
+//! kept on the in-memory handle, as the distributed engine's spill store
+//! keeps them. This one exists so the serial baseline can exercise the same
+//! keep/spill/reload contract without depending on that engine.
 
+use plexus_graph::format::{verify_shard_bytes, Cursor, HashingWriter};
 use plexus_tensor::{KernelWorkspace, Matrix};
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-
-const MAGIC: u64 = 0x504c5853_53504c31; // "PLXS SPL1"
-
-/// FNV-1a over the payload bytes — cheap, deterministic, catches the
-/// truncation/corruption cases a reload must refuse to silently accept.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// One spilled matrix on disk. Created by [`SpillFile::write`]; consumed
 /// (verified, loaded into a workspace buffer, deleted) by
@@ -30,51 +19,34 @@ pub struct SpillFile {
     path: PathBuf,
     rows: usize,
     cols: usize,
+    digest: u64,
+    len: u64,
 }
 
 impl SpillFile {
-    /// Serialize `m` to `dir/tag.spill`: magic, shape, payload checksum,
-    /// then the values as little-endian f32.
+    /// Serialize `m` to `dir/tag.spill`.
     pub fn write(dir: &Path, tag: &str, m: &Matrix) -> io::Result<Self> {
         fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.spill", tag));
-        let mut payload = Vec::with_capacity(m.as_slice().len() * 4);
-        for v in m.as_slice() {
-            payload.extend_from_slice(&v.to_le_bytes());
-        }
-        let mut f = fs::File::create(&path)?;
-        f.write_all(&MAGIC.to_le_bytes())?;
-        f.write_all(&(m.rows() as u64).to_le_bytes())?;
-        f.write_all(&(m.cols() as u64).to_le_bytes())?;
-        f.write_all(&fnv1a(&payload).to_le_bytes())?;
-        f.write_all(&payload)?;
-        f.sync_all()?;
-        Ok(Self { path, rows: m.rows(), cols: m.cols() })
+        let mut w = HashingWriter::create(&path)?;
+        w.header()?;
+        w.put_matrix(m)?;
+        let (digest, len) = w.finish()?;
+        Ok(Self { path, rows: m.rows(), cols: m.cols(), digest, len })
     }
 
     /// Verify, reload into a buffer drawn from `ws`, and delete the file.
-    /// A bad magic, shape or checksum is an `InvalidData` error — a spill
-    /// reload must never hand back silently corrupted activations.
+    /// A bad length, digest, header or shape is an `InvalidData` error — a
+    /// spill reload must never hand back silently corrupted activations.
     pub fn read(self, ws: &mut KernelWorkspace) -> io::Result<Matrix> {
-        let mut f = fs::File::open(&self.path)?;
-        let mut head = [0u8; 32];
-        f.read_exact(&mut head)?;
-        let word = |i: usize| u64::from_le_bytes(head[i * 8..(i + 1) * 8].try_into().unwrap());
-        if word(0) != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "spill file: bad magic"));
-        }
-        if (word(1) as usize, word(2) as usize) != (self.rows, self.cols) {
+        let bytes = fs::read(&self.path)?;
+        let at = verify_shard_bytes(&bytes, &self.path, self.digest, self.len)?;
+        let mut cur = Cursor { bytes: &bytes, pos: at, path: &self.path };
+        if cur.matrix_shape()? != (self.rows, self.cols) {
             return Err(io::Error::new(io::ErrorKind::InvalidData, "spill file: shape mismatch"));
         }
-        let mut payload = vec![0u8; self.rows * self.cols * 4];
-        f.read_exact(&mut payload)?;
-        if fnv1a(&payload) != word(3) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "spill file: bad checksum"));
-        }
         let mut m = ws.take_scratch(self.rows, self.cols);
-        for (dst, src) in m.as_mut_slice().iter_mut().zip(payload.chunks_exact(4)) {
-            *dst = f32::from_le_bytes(src.try_into().unwrap());
-        }
+        cur.f32s_into(m.as_mut_slice())?;
         fs::remove_file(&self.path)?;
         Ok(m)
     }

@@ -20,9 +20,13 @@
 //! property of the graph's structure, so it lives with the graphs) —
 //! plus the serving-side graph machinery: [`mmap::MappedFile`] zero-copy
 //! file views and the [`khop`] receptive-field extraction the inference
-//! engine runs per query batch.
+//! engine runs per query batch — and, beside the mappings, the [`mod@format`]
+//! every on-disk file shares (header, streaming digest, bulk codecs,
+//! bounds-checked cursor), here so that the serial trainer, the engine
+//! and the server can all reach it.
 
 pub mod datasets;
+pub mod format;
 pub mod generators;
 pub mod graph;
 pub mod khop;

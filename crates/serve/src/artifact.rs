@@ -134,44 +134,30 @@ fn write_model(
 ) -> LoaderResult<(u64, u64)> {
     let mut w = HashingWriter::create(&dir.join(model_name(version)))?;
     w.header()?;
-    for v in [
-        model.config.num_layers as u64,
-        model.config.input_dim as u64,
-        model.config.hidden_dim as u64,
-        model.config.num_classes as u64,
-        model.config.seed,
-    ] {
-        w.put(&v.to_le_bytes())?;
-    }
+    let c = &model.config;
+    w.put_u64s(&[c.num_layers, c.input_dim, c.hidden_dim, c.num_classes])?;
+    w.put_u64(c.seed)?;
     for m in model.weights.iter().chain(std::iter::once(features)) {
-        w.put(&(m.rows() as u64).to_le_bytes())?;
-        w.put(&(m.cols() as u64).to_le_bytes())?;
-        for &x in m.as_slice() {
-            w.put(&x.to_le_bytes())?;
-        }
+        w.put_matrix(m)?;
     }
     Ok(w.finish()?)
 }
 
 fn parse_model(payload: &[u8], path: &Path, version: u64) -> LoaderResult<ModelSnapshot> {
     let mut cur = Cursor { bytes: payload, pos: 0, path };
-    let num_layers = cur.u64()? as usize;
-    let input_dim = cur.u64()? as usize;
-    let hidden_dim = cur.u64()? as usize;
-    let num_classes = cur.u64()? as usize;
+    let num_layers = cur.count()?;
+    let input_dim = cur.count()?;
+    let hidden_dim = cur.count()?;
+    let num_classes = cur.count()?;
     let seed = cur.u64()?;
     let config = GcnConfig { input_dim, hidden_dim, num_classes, num_layers, seed };
-    let mut mats = Vec::with_capacity(num_layers + 1);
-    for _ in 0..num_layers + 1 {
-        let rows = cur.u64()? as usize;
-        let cols = cur.u64()? as usize;
-        let mut data = Vec::with_capacity(rows * cols);
-        for _ in 0..rows * cols {
-            data.push(cur.f32()?);
-        }
-        mats.push(Matrix::from_vec(rows, cols, data));
+    // A hostile layer count runs out of payload long before it runs out
+    // of memory: each matrix needs its 16-byte shape.
+    let mut mats = Vec::new();
+    for _ in 0..=num_layers {
+        mats.push(cur.matrix()?);
     }
-    let features = mats.pop().expect("num_layers + 1 matrices decoded");
+    let features = mats.pop().expect("at least one matrix decoded");
     Ok(ModelSnapshot { version, gcn: Gcn::from_parts(config, mats), features })
 }
 
@@ -261,7 +247,7 @@ impl Artifact {
             for j in 0..store.grid_q {
                 let name = ShardStore::shard_name(Parity::Even, i, j);
                 let (map, payload_at) = store.map_verified(&name)?;
-                note_read(&mut stats, &map);
+                stats.note_file_read(&map);
                 let geom = CsrPayload::parse(&map.bytes()[payload_at..], &dir.join(&name))?;
                 let (sc0, sc1) = split_range(store.cols, store.grid_q, j);
                 if geom.rows != sr1 - sr0 || geom.cols != sc1 - sc0 {
@@ -303,7 +289,7 @@ impl Artifact {
         let path = dir.join(model_name(version));
         let map = MappedFile::open(&path)?;
         let payload_at = verify_shard_bytes(map.bytes(), &path, ck, len)?;
-        note_read(stats, &map);
+        stats.note_file_read(&map);
         parse_model(&map.bytes()[payload_at..], &path, version)
     }
 
@@ -368,16 +354,6 @@ impl Artifact {
             }
         }
         (lo, v - self.band_starts[lo])
-    }
-}
-
-fn note_read(stats: &mut LoadStats, map: &MappedFile) {
-    stats.files_read += 1;
-    stats.bytes_read += map.len() as u64;
-    if map.is_mapped() {
-        stats.bytes_mapped += map.len() as u64;
-    } else {
-        stats.bytes_copied += map.len() as u64;
     }
 }
 

@@ -31,6 +31,7 @@
 //! total, and inserts evict least-recently-used entries until the total
 //! is back under budget. A zero budget disables caching outright.
 
+use plexus_graph::format::Digest;
 use plexus_graph::khop::RowSource;
 use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
@@ -299,21 +300,15 @@ fn touch(inner: &mut Inner, key: Key) {
     inner.order.insert(tick, key);
 }
 
-/// FNV-1a over the layer count and the sorted query set.
+/// The format digest of the layer count and the sorted query set (which
+/// folds the set's length in).
 fn block_digest(layers: usize, queries: &[u32]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(layers as u64);
-    mix(queries.len() as u64);
-    for &q in queries {
-        mix(q as u64);
+    let mut d = Digest::new();
+    d.put(&(layers as u64).to_le_bytes());
+    for q in queries {
+        d.put(&q.to_le_bytes());
     }
-    h
+    d.finish()
 }
 
 /// A [`RowSource`] view over the artifact that serves hot per-node 1-hop

@@ -7,7 +7,7 @@
 //! trained features) is [`freeze`]-dried together with its normalized
 //! adjacency into an immutable, versioned, checksummed artifact that
 //! reuses the shard-file format (`MAGIC`/`FORMAT_VERSION` headers,
-//! FNV-1a manifest checksums). [`Artifact::open`] verifies everything
+//! manifest digests). [`Artifact::open`] verifies everything
 //! once and maps the shards read-only; queries are answered by
 //! extracting the batch's k-hop receptive field in place from the
 //! mappings and running it through the trainer's own packed-GEMM/SpMM
@@ -177,13 +177,13 @@ mod tests {
         fs::write(&model, &bytes[..bytes.len() - 9]).unwrap();
         assert!(matches!(Artifact::open(&dir), Err(LoaderError::Truncated { .. })));
         fs::write(&model, &bytes).unwrap();
-        // Bump the manifest format: version mismatch.
+        // A serve manifest of the previous format: version mismatch.
         let manifest = dir.join("serve.txt");
         let text = fs::read_to_string(&manifest).unwrap();
-        fs::write(&manifest, text.replace("format = 2", "format = 3")).unwrap();
+        fs::write(&manifest, text.replace("format = 3", "format = 2")).unwrap();
         assert!(matches!(
             Artifact::open(&dir),
-            Err(LoaderError::VersionMismatch { found: 3, expected: 2, .. })
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. })
         ));
         // Remove it entirely: bad manifest.
         fs::remove_file(&manifest).unwrap();

@@ -292,7 +292,9 @@ pub fn gemm_nt_cached_b(
     }
 }
 
-/// FNV-1a over the raw bits of an f32 slice (cached-B content guard).
+/// Byte-serial hash of an f32 slice's raw bits: the debug-build guard on
+/// cached-B reuse. Never stored; this crate sits below `plexus-graph`, so
+/// the on-disk format's digest is out of its reach.
 #[cfg(debug_assertions)]
 fn fnv_f32(data: &[f32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -7,6 +7,8 @@
 //!   `_into`/accumulate variants, and nnz-balanced partitioning;
 //! * permutation round-trips and nnz conservation;
 //! * shard/unshard identity for arbitrary grids;
+//! * the format digest depends on the byte string alone and changes with
+//!   any byte flip, truncation or extension;
 //! * collective semantics for arbitrary world sizes and payloads;
 //! * 3D-parallel == serial training on random graphs and random grids.
 
@@ -16,6 +18,7 @@ use plexus::setup::{build_permutations, PermutationMode};
 use plexus::trainer::{train_distributed, DistTrainOptions};
 use plexus_comm::{run_world, Communicator, ReduceOp};
 use plexus_gnn::{SerialTrainer, TrainConfig};
+use plexus_graph::format::{digest, Digest, HashingWriter};
 use plexus_graph::{train_val_test_masks, DatasetKind, DatasetSpec, Graph, LoadedDataset};
 use plexus_sparse::permute::{apply_permutation, inverse_permutation, random_permutation};
 use plexus_sparse::shard::{shard_grid, unshard_grid};
@@ -459,6 +462,66 @@ proptest! {
         let s = store.stats();
         prop_assert_eq!(s.spilled_bytes, s.reloaded_bytes);
         prop_assert_eq!(s.spill_events, s.reload_events);
+    }
+}
+
+proptest! {
+    // The digest behind every on-disk format: a function of the bytes
+    // alone, and of every one of them.
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn digest_depends_only_on_the_byte_string(len in 0usize..700, seed in any::<u64>()) {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bytes: Vec<u8> = (0..len).map(|_| rng.random_range(0..256u32) as u8).collect();
+        let whole = digest(&bytes);
+
+        // Any split across `put` calls — 1-, 3- and 31-byte pieces keep
+        // straddling the 8-byte lanes and the 32-byte blocks.
+        let mut d = Digest::new();
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            let piece = [1, 3, 31, rng.random_range(1..80usize)][rng.random_range(0..4usize)];
+            let (now, later) = rest.split_at(piece.min(rest.len()));
+            d.put(now);
+            rest = later;
+        }
+        prop_assert_eq!(d.finish(), whole);
+
+        // Any split across the writer's raw and bulk-f32 paths.
+        let mut w = HashingWriter::new(std::io::sink());
+        let mut rest = &bytes[..];
+        while !rest.is_empty() {
+            let words = rng.random_range(0..20usize).min(rest.len() / 4);
+            if words > 0 && rng.random_range(0..2u32) == 0 {
+                let (now, later) = rest.split_at(4 * words);
+                let vals: Vec<f32> = now
+                    .chunks_exact(4)
+                    .map(|b| f32::from_le_bytes(b.try_into().unwrap()))
+                    .collect();
+                w.put_f32s(&vals).unwrap();
+                rest = later;
+            } else {
+                let piece = [1, 3, 31][rng.random_range(0..3usize)].min(rest.len());
+                w.put(&rest[..piece]).unwrap();
+                rest = &rest[piece..];
+            }
+        }
+        prop_assert_eq!(w.finish().unwrap(), (whole, len as u64));
+
+        // Any one-byte extension, any truncation, any single-byte flip.
+        let mut longer = bytes.clone();
+        longer.push(rng.random_range(0..256u32) as u8);
+        prop_assert!(digest(&longer) != whole, "extension of len {} undetected", len);
+        if len > 0 {
+            let cut = rng.random_range(0..len);
+            prop_assert!(digest(&bytes[..cut]) != whole, "truncation {} -> {} undetected", len, cut);
+            let mut flipped = bytes.clone();
+            let at = rng.random_range(0..len);
+            flipped[at] ^= rng.random_range(1..256u32) as u8;
+            prop_assert!(digest(&flipped) != whole, "flip at {} of {} undetected", at, len);
+        }
     }
 }
 

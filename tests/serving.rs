@@ -11,7 +11,7 @@
 //!   version-mismatched artifacts fail to open with the matching typed
 //!   [`LoaderError`], never a panic or a silently wrong answer.
 
-use plexus::loader::{fnv1a, LoaderError};
+use plexus::loader::{digest, LoaderError};
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::Graph;
 use plexus_serve::{argmax, freeze, publish, Artifact, QueryEngine};
@@ -262,7 +262,7 @@ fn resign_model(dir: &std::path::Path, patch: impl Fn(&mut Vec<u8>)) {
     let model = dir.join("model_0001.plx");
     let mut bytes = fs::read(&model).unwrap();
     patch(&mut bytes);
-    let ck = fnv1a(&bytes);
+    let ck = digest(&bytes);
     fs::write(&model, &bytes).unwrap();
     let manifest = dir.join("serve.txt");
     let text = fs::read_to_string(&manifest)
@@ -300,6 +300,50 @@ fn future_format_version_is_a_version_mismatch() {
         other => panic!("expected VersionMismatch, got {:?}", other.err()),
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn v2_artifact_is_refused_at_every_file() {
+    let expect_v2 = |dir: &std::path::Path, what: &str| match Artifact::open(dir) {
+        Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. }) => {}
+        other => panic!("{}: expected VersionMismatch 2 -> 3, got {:?}", what, other.err()),
+    };
+    // The model file's version word, re-signed.
+    let (dir, ..) = small_artifact("v2_model");
+    resign_model(&dir, |b| b[8..16].copy_from_slice(&2u64.to_le_bytes()));
+    expect_v2(&dir, "model file");
+    fs::remove_dir_all(&dir).unwrap();
+    // The shard store's manifest (the serve manifest's turn is in the
+    // crate's own corrupted-artifact test).
+    let (dir, ..) = small_artifact("v2_store");
+    let text = fs::read_to_string(dir.join("manifest.txt")).unwrap();
+    fs::write(dir.join("manifest.txt"), text.replacen("format = 3", "format = 2", 1)).unwrap();
+    expect_v2(&dir, "manifest.txt");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn hostile_model_lengths_are_truncated_not_wraps_or_panics() {
+    // Payload: five u64 config fields, then the first weight's shape.
+    let (layers_at, rows_at) = (16, 16 + 5 * 8);
+    for (at, value) in [
+        (rows_at, u64::MAX),
+        (rows_at, 1 << 62),
+        (rows_at + 8, u64::MAX),
+        (rows_at + 8, 1 << 61),
+        (layers_at, u64::MAX),
+        (layers_at, 1 << 40),
+    ] {
+        let (dir, ..) = small_artifact("hostile");
+        resign_model(&dir, |b| b[at..at + 8].copy_from_slice(&value.to_le_bytes()));
+        assert!(
+            matches!(Artifact::open(&dir), Err(LoaderError::Truncated { .. })),
+            "field at {} = {} was not refused",
+            at,
+            value
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
