@@ -34,9 +34,9 @@ fn bench_spmm(c: &mut Criterion) {
 
 fn bench_gemm_modes(c: &mut Criterion) {
     // The dW shape: (N_loc x D)^T * (N_loc x D') — the reference strided
-    // TN kernel is the §5.3 slow path, the reordered transpose+NN is the
-    // paper's tuned path, and packed_tn is what the production `gemm` now
-    // does with a TN operand (panel packing absorbs the strided reads).
+    // TN kernel is the §5.3 slow path, and packed_tn is what the production
+    // `gemm` does with a TN operand (panel packing absorbs the strided
+    // reads, which is what the paper's explicit transpose + NN buys).
     let n_loc = 4096;
     let h = uniform_matrix(n_loc, 128, -1.0, 1.0, 3);
     let dq = uniform_matrix(n_loc, 64, -1.0, 1.0, 4);
@@ -46,14 +46,6 @@ fn bench_gemm_modes(c: &mut Criterion) {
         b.iter(|| {
             let mut dw = Matrix::zeros(128, 64);
             gemm_reference_tn(&mut dw, &h, &dq, 1.0, 0.0);
-            dw
-        });
-    });
-    group.bench_function("reordered_transpose_nn", |b| {
-        b.iter(|| {
-            let ht = h.transposed();
-            let mut dw = Matrix::zeros(128, 64);
-            gemm(&mut dw, &ht, Trans::N, &dq, Trans::N, 1.0, 0.0);
             dw
         });
     });

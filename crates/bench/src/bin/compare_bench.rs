@@ -1,14 +1,16 @@
-//! Diff two `BENCH_*.json` baseline files and flag regressions.
+//! Diff a chain of `BENCH_*.json` baseline files and flag regressions.
 //!
 //! ```text
-//! compare_bench <baseline.json> <candidate.json> [--max-regress <pct>]
+//! compare_bench <oldest.json> <next.json> [<next.json> ...] [--max-regress <pct>]
 //! ```
 //!
-//! Compares `median_ms` for every benchmark id present in both files,
-//! prints a speedup table (candidate vs baseline), and exits nonzero if
-//! any shared id regressed by more than the threshold (default 20%).
-//! Ids present in only one file are listed but never fail the run, so
-//! adding benchmarks does not break the gate.
+//! Every consecutive pair of snapshots is one baseline -> candidate gate:
+//! it compares `median_ms` for every benchmark id present in both files,
+//! prints a speedup table (candidate vs baseline), and the run exits
+//! nonzero if any shared id of any pair regressed by more than the
+//! threshold (default 20%). Ids present in only one file of a pair are
+//! listed but never fail the run, so adding benchmarks does not break the
+//! gate.
 //!
 //! The baseline files are the hand-recorded snapshots produced from
 //! `cargo bench -p plexus-bench --bench kernels` output (see
@@ -77,35 +79,62 @@ fn main() -> ExitCode {
             paths.push(a.clone());
         }
     }
-    if paths.len() != 2 {
-        eprintln!("usage: compare_bench <baseline.json> <candidate.json> [--max-regress <pct>]");
-        return ExitCode::from(2);
-    }
-    let read = |p: &str| match std::fs::read_to_string(p) {
-        Ok(t) => Some(t),
-        Err(e) => {
-            eprintln!("cannot read {}: {}", p, e);
-            None
-        }
-    };
-    let (Some(base_text), Some(cand_text)) = (read(&paths[0]), read(&paths[1])) else {
-        return ExitCode::from(2);
-    };
-    let baseline = parse_entries(&base_text);
-    let candidate = parse_entries(&cand_text);
-    if baseline.is_empty() || candidate.is_empty() {
+    if paths.len() < 2 {
         eprintln!(
-            "no parsable results ({} baseline, {} candidate entries)",
-            baseline.len(),
-            candidate.len()
+            "usage: compare_bench <oldest.json> <next.json> [<next.json> ...] [--max-regress <pct>]"
         );
         return ExitCode::from(2);
     }
+    let mut snapshots = Vec::new();
+    for p in &paths {
+        let text = match std::fs::read_to_string(p) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("cannot read {}: {}", p, e);
+                return ExitCode::from(2);
+            }
+        };
+        let entries = parse_entries(&text);
+        if entries.is_empty() {
+            eprintln!("no parsable results in {}", p);
+            return ExitCode::from(2);
+        }
+        snapshots.push((p, entries));
+    }
 
-    println!("comparing {} (baseline) -> {} (candidate)", paths[0], paths[1]);
-    println!("{:<42} {:>12} {:>12} {:>9}", "id", "base ms", "cand ms", "speedup");
+    let mut regressed = false;
+    for pair in snapshots.windows(2) {
+        let ((base_path, baseline), (cand_path, candidate)) = (&pair[0], &pair[1]);
+        println!("comparing {} (baseline) -> {} (candidate)", base_path, cand_path);
+        println!("{:<42} {:>12} {:>12} {:>9}", "id", "base ms", "cand ms", "speedup");
+        let regressions = compare_pair(baseline, candidate, max_regress_pct);
+        if regressions.is_empty() {
+            println!("no shared id regressed by more than {:.0}%", max_regress_pct);
+        }
+        for (id, pct) in &regressions {
+            eprintln!(
+                "REGRESSION: {} is {:.1}% slower in {} than in {}",
+                id, pct, cand_path, base_path
+            );
+            regressed = true;
+        }
+    }
+    if regressed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Print one baseline -> candidate table and return the shared ids that got
+/// slower by more than `max_regress_pct`, with the slowdown in percent.
+fn compare_pair(
+    baseline: &[Entry],
+    candidate: &[Entry],
+    max_regress_pct: f64,
+) -> Vec<(String, f64)> {
     let mut regressions = Vec::new();
-    for b in &baseline {
+    for b in baseline {
         match candidate.iter().find(|c| c.id == b.id) {
             Some(c) => {
                 let speedup = b.median_ms / c.median_ms;
@@ -121,21 +150,12 @@ fn main() -> ExitCode {
             None => println!("{:<42} {:>12.3} {:>12} {:>9}", b.id, b.median_ms, "-", "gone"),
         }
     }
-    for c in &candidate {
+    for c in candidate {
         if !baseline.iter().any(|b| b.id == c.id) {
             println!("{:<42} {:>12} {:>12.3} {:>9}", c.id, "-", c.median_ms, "new");
         }
     }
-
-    if regressions.is_empty() {
-        println!("no shared id regressed by more than {:.0}%", max_regress_pct);
-        ExitCode::SUCCESS
-    } else {
-        for (id, pct) in &regressions {
-            eprintln!("REGRESSION: {} is {:.1}% slower than baseline", id, pct);
-        }
-        ExitCode::FAILURE
-    }
+    regressions
 }
 
 #[cfg(test)]

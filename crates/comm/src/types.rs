@@ -105,22 +105,11 @@ pub struct CommEvent {
 #[derive(Default)]
 pub struct TrafficLedger {
     events: Mutex<Vec<CommEvent>>,
-    enabled: Mutex<bool>,
 }
 
 impl TrafficLedger {
-    pub fn new(enabled: bool) -> Self {
-        Self { events: Mutex::new(Vec::new()), enabled: Mutex::new(enabled) }
-    }
-
     pub fn record(&self, ev: CommEvent) {
-        if *self.enabled.lock() {
-            self.events.lock().push(ev);
-        }
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        *self.enabled.lock() = on;
+        self.events.lock().push(ev);
     }
 
     pub fn take(&self) -> Vec<CommEvent> {
@@ -163,14 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn ledger_records_when_enabled() {
-        let ledger = TrafficLedger::new(true);
+    fn ledger_records_and_drains() {
+        let ledger = TrafficLedger::default();
         ledger.record(CommEvent { op: CollOp::AllReduce, bytes: 1024, group_size: 4, group: "x" });
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger.total_bytes(), 1024);
-        ledger.set_enabled(false);
-        ledger.record(CommEvent { op: CollOp::Barrier, bytes: 0, group_size: 4, group: "x" });
-        assert_eq!(ledger.len(), 1);
         let taken = ledger.take();
         assert_eq!(taken.len(), 1);
         assert!(ledger.is_empty());

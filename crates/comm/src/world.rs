@@ -113,7 +113,7 @@ where
                 let faults = faults.clone();
                 let f = &f;
                 s.spawn(move || {
-                    let ledger = Arc::new(TrafficLedger::new(true));
+                    let ledger = Arc::new(TrafficLedger::default());
                     let comm = ThreadComm::new(
                         rank,
                         root,

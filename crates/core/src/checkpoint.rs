@@ -5,8 +5,8 @@
 //! one — every rank file starts with the shared
 //! `[MAGIC][FORMAT_VERSION]` header, the whole file is digested,
 //! and a per-epoch `manifest.txt` records `(digest, length)` for every
-//! rank file. Everything is written to a temporary name and published with
-//! `fs::rename`, so a crash mid-write can never corrupt the last good
+//! rank file. Everything is written to a temporary name and renamed into
+//! place ([`publish`]), so a crash mid-write can never corrupt the last good
 //! checkpoint: an epoch directory either has a complete manifest or is
 //! ignored, and `latest.txt` either points at a published epoch or at
 //! nothing.
@@ -37,10 +37,11 @@ use crate::loader::{
     FORMAT_VERSION,
 };
 use crate::trainer::DistEpochStats;
+use plexus_graph::format::publish;
 use plexus_tensor::Matrix;
 use std::collections::BTreeMap;
-use std::fs::{self, File};
-use std::io::{BufWriter, Write};
+use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// When and where the trainer snapshots its state.
@@ -197,29 +198,26 @@ pub(crate) fn write_rank_state(
     world: usize,
     state: &RankState,
 ) -> LoaderResult<(u64, u64)> {
-    let name = rank_file_name(rank);
-    let tmp = epoch_dir.join(format!("{}.tmp", name));
-    let mut w = HashingWriter::create(&tmp)?;
-    w.header()?;
-    w.put_u64(state.config_fp)?;
-    w.put_u64s(&[rank, world, state.epochs_done, state.history.len()])?;
-    for s in &state.history {
-        for v in [s.loss, s.train_accuracy, s.timing.compute_s, s.timing.comm_s] {
-            w.put_u64(v.to_bits())?;
+    publish(&epoch_dir.join(rank_file_name(rank)), |w| {
+        w.header()?;
+        w.put_u64(state.config_fp)?;
+        w.put_u64s(&[rank, world, state.epochs_done, state.history.len()])?;
+        for s in &state.history {
+            for v in [s.loss, s.train_accuracy, s.timing.compute_s, s.timing.comm_s] {
+                w.put_u64(v.to_bits())?;
+            }
         }
-    }
-    w.put_u64(state.layers.len() as u64)?;
-    for p in &state.layers {
-        put_param(&mut w, p)?;
-    }
-    put_param(&mut w, &state.features)?;
-    w.put_u64(LEDGER_COUNTERS as u64)?;
-    for c in ledger_counters(&state.ledger) {
-        w.put_u64(c)?;
-    }
-    let entry = w.finish()?;
-    fs::rename(&tmp, epoch_dir.join(&name))?;
-    Ok(entry)
+        w.put_u64(state.layers.len() as u64)?;
+        for p in &state.layers {
+            put_param(w, p)?;
+        }
+        put_param(w, &state.features)?;
+        w.put_u64(LEDGER_COUNTERS as u64)?;
+        for c in ledger_counters(&state.ledger) {
+            w.put_u64(c)?;
+        }
+        Ok(())
+    })
 }
 
 /// Publish the epoch manifest (rank 0 only, after gathering every rank's
@@ -230,26 +228,21 @@ pub(crate) fn publish_manifest(
     epochs_done: usize,
     entries: &[(u64, u64)],
 ) -> LoaderResult<()> {
-    let tmp = epoch_dir.join("manifest.txt.tmp");
-    {
-        let mut f = BufWriter::new(File::create(&tmp)?);
+    publish(&epoch_dir.join("manifest.txt"), |f| {
         writeln!(f, "format = {}", FORMAT_VERSION)?;
         writeln!(f, "epochs_done = {}", epochs_done)?;
         writeln!(f, "world = {}", entries.len())?;
         for (rank, (ck, len)) in entries.iter().enumerate() {
             writeln!(f, "file {} = {:016x} {}", rank_file_name(rank), ck, len)?;
         }
-        f.flush()?;
-    }
-    fs::rename(&tmp, epoch_dir.join("manifest.txt"))?;
+        Ok(())
+    })?;
     Ok(())
 }
 
 /// Atomically repoint `root/latest.txt` at `epoch_dir_name`.
 pub(crate) fn publish_latest(root: &Path, epoch_dir_name: &str) -> LoaderResult<()> {
-    let tmp = root.join("latest.txt.tmp");
-    fs::write(&tmp, format!("{}\n", epoch_dir_name))?;
-    fs::rename(&tmp, root.join("latest.txt"))?;
+    publish(&root.join("latest.txt"), |f| Ok(writeln!(f, "{}", epoch_dir_name)?))?;
     Ok(())
 }
 
@@ -506,6 +499,30 @@ mod tests {
         fs::write(root.join("latest.txt"), "epoch_9\n").unwrap();
         let ck = Checkpoint::latest(&root).unwrap().expect("a valid checkpoint exists");
         assert_eq!(ck.epochs_done(), 4, "must fall back to the newest published epoch");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn leftover_tmp_files_never_mask_a_published_checkpoint() {
+        // A crash between writing `<name>.tmp` and renaming it leaves the
+        // temp file beside the previous good one: readers see the previous
+        // state, and the next publish of each name goes through.
+        let root = tmp_root("leftover_tmp");
+        let state = sample_state(7, 1);
+        let epoch_dir = write_checkpoint(&root, 1, &state);
+        fs::write(epoch_dir.join("manifest.txt.tmp"), "format = 3\nepochs_do").unwrap();
+        fs::write(root.join("latest.txt.tmp"), "epoch_").unwrap();
+        let ck = Checkpoint::latest(&root).unwrap().expect("epoch 1 is published");
+        assert_eq!(ck.epochs_done(), 1);
+        assert_eq!(ck.load_rank(0).unwrap(), state);
+
+        let entry = write_rank_state(&epoch_dir, 0, 1, &state).unwrap();
+        publish_manifest(&epoch_dir, 1, &[entry]).unwrap();
+        write_checkpoint(&root, 2, &sample_state(7, 2));
+        assert_eq!(Checkpoint::latest(&root).unwrap().unwrap().epochs_done(), 2);
+        assert_eq!(Checkpoint::open(&epoch_dir).unwrap().load_rank(0).unwrap(), state);
+        assert!(!epoch_dir.join("manifest.txt.tmp").exists());
+        assert!(!root.join("latest.txt.tmp").exists());
         fs::remove_dir_all(&root).unwrap();
     }
 

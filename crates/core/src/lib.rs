@@ -74,9 +74,8 @@ pub use layer::{
 };
 pub use loader::{
     digest, parse_csr, parse_csr_block, parse_matrix, parse_matrix_rows, preprocess_to_store,
-    preprocess_to_store_serial, verify_shard_bytes, CsrPayload, Cursor, HashingWriter, LoadStats,
-    LoaderError, LoaderResult, MemoryLedger, Parity, PreprocessSummary, ShardStore, FORMAT_VERSION,
-    MAGIC,
+    verify_shard_bytes, CsrPayload, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult,
+    MemoryLedger, Parity, PreprocessSummary, ShardStore, FORMAT_VERSION, MAGIC,
 };
 pub use setup::{build_permutations, GlobalProblem, PermutationMode, ProblemMeta, RankData};
 pub use trainer::{

@@ -31,6 +31,7 @@
 
 use crate::setup::PermutationMode;
 use plexus_comm::fault::FaultPlan;
+use plexus_graph::format::publish;
 pub use plexus_graph::format::{
     digest, verify_shard_bytes, Cursor, HashingWriter, LoaderError, LoaderResult, FORMAT_VERSION,
     MAGIC,
@@ -42,8 +43,8 @@ use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::fs;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -465,29 +466,30 @@ impl ShardStore {
     }
 
     fn write_manifest(&self) -> LoaderResult<()> {
-        let mut f = BufWriter::new(File::create(self.dir.join("manifest.txt"))?);
-        writeln!(f, "format = {}", FORMAT_VERSION)?;
-        writeln!(f, "p = {}", self.grid_p)?;
-        writeln!(f, "q = {}", self.grid_q)?;
-        writeln!(f, "rows = {}", self.rows)?;
-        writeln!(f, "cols = {}", self.cols)?;
-        writeln!(f, "feat_dim = {}", self.feat_dim)?;
-        writeln!(f, "parities = {}", self.parities)?;
-        writeln!(f, "classes = {}", self.num_classes)?;
-        writeln!(f, "total_train = {}", self.total_train)?;
-        let mode = match self.perm_mode {
-            None => "raw",
-            Some(PermutationMode::None) => "none",
-            Some(PermutationMode::Single) => "single",
-            Some(PermutationMode::Double) => "double",
-        };
-        writeln!(f, "perm_mode = {}", mode)?;
-        writeln!(f, "perm_seed = {}", self.perm_seed)?;
-        writeln!(f, "source_fp = {:016x}", self.source_fp)?;
-        for (name, (ck, len)) in &self.files {
-            writeln!(f, "file {} = {:016x} {}", name, ck, len)?;
-        }
-        f.flush()?;
+        publish(&self.dir.join("manifest.txt"), |f| {
+            writeln!(f, "format = {}", FORMAT_VERSION)?;
+            writeln!(f, "p = {}", self.grid_p)?;
+            writeln!(f, "q = {}", self.grid_q)?;
+            writeln!(f, "rows = {}", self.rows)?;
+            writeln!(f, "cols = {}", self.cols)?;
+            writeln!(f, "feat_dim = {}", self.feat_dim)?;
+            writeln!(f, "parities = {}", self.parities)?;
+            writeln!(f, "classes = {}", self.num_classes)?;
+            writeln!(f, "total_train = {}", self.total_train)?;
+            let mode = match self.perm_mode {
+                None => "raw",
+                Some(PermutationMode::None) => "none",
+                Some(PermutationMode::Single) => "single",
+                Some(PermutationMode::Double) => "double",
+            };
+            writeln!(f, "perm_mode = {}", mode)?;
+            writeln!(f, "perm_seed = {}", self.perm_seed)?;
+            writeln!(f, "source_fp = {:016x}", self.source_fp)?;
+            for (name, (ck, len)) in &self.files {
+                writeln!(f, "file {} = {:016x} {}", name, ck, len)?;
+            }
+            Ok(())
+        })?;
         Ok(())
     }
 
@@ -720,8 +722,9 @@ impl ShardStore {
 /// Row bands are processed in parallel (ROADMAP "Parallel store writes"):
 /// each band permutes and writes its shard files under temporary names,
 /// and the coordinator renames them into the final manifest order once
-/// every band has finished — output is byte-for-byte identical to
-/// [`preprocess_to_store_serial`], asserted by the equivalence test.
+/// every band has finished — output is byte-for-byte identical whatever
+/// the pool size (a one-worker pool is the sequential loop), asserted by
+/// the equivalence test.
 ///
 /// Re-preprocessing into a directory that already holds an up-to-date
 /// store with the same parameters and the same source fingerprint skips
@@ -740,32 +743,6 @@ pub fn preprocess_to_store(
     p: usize,
     q: usize,
 ) -> LoaderResult<ShardStore> {
-    preprocess_impl(ds, dir, mode, perm_seed, p, q, true)
-}
-
-/// [`preprocess_to_store`] with the band loop forced sequential — the
-/// reference the parallel writer is checked against (and a debugging aid
-/// when filesystem parallelism is suspect).
-pub fn preprocess_to_store_serial(
-    ds: &LoadedDataset,
-    dir: &Path,
-    mode: PermutationMode,
-    perm_seed: u64,
-    p: usize,
-    q: usize,
-) -> LoaderResult<ShardStore> {
-    preprocess_impl(ds, dir, mode, perm_seed, p, q, false)
-}
-
-fn preprocess_impl(
-    ds: &LoadedDataset,
-    dir: &Path,
-    mode: PermutationMode,
-    perm_seed: u64,
-    p: usize,
-    q: usize,
-    parallel: bool,
-) -> LoaderResult<ShardStore> {
     assert!(p > 0 && q > 0, "preprocess_to_store: empty grid");
     let n = ds.num_nodes();
     let (pr, pc) = crate::setup::build_permutations(mode, perm_seed, n);
@@ -779,15 +756,14 @@ fn preprocess_impl(
     // Adjacency, both parities, band by band.
     for (parity, rowp, colp) in [(Parity::Even, &pr, &pc), (Parity::Odd, &pc, &pr)] {
         let inv_row = inverse_permutation(rowp);
-        let outs = run_bands(p, parallel, |i| {
-            adj_band_files(ds, dir, &prior, &inv_row, colp, parity, i, n, p, q)
-        })?;
+        let outs =
+            run_bands(p, |i| adj_band_files(ds, dir, &prior, &inv_row, colp, parity, i, n, p, q))?;
         collect_band_files(dir, outs, &mut files, &mut summary)?;
     }
 
     // Features in even-layer input order (`P_c` applied), band by band.
     let inv_pc = inverse_permutation(&pc);
-    let outs = run_bands(p, parallel, |i| feat_band_files(ds, dir, &prior, &inv_pc, i, n, p))?;
+    let outs = run_bands(p, |i| feat_band_files(ds, dir, &prior, &inv_pc, i, n, p))?;
     collect_band_files(dir, outs, &mut files, &mut summary)?;
 
     // Labels/masks in both output orders (two small files; serial).
@@ -842,23 +818,18 @@ fn temp_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{}.tmp", name))
 }
 
-/// Run `f` over every row band, in parallel (one task per band on the
-/// persistent worker pool, each writing its own temp files — no shared
-/// mutable state) or sequentially. Under `PLEXUS_THREADS=1` the parallel
-/// flag degenerates to the same sequential loop.
-fn run_bands<F>(p: usize, parallel: bool, f: F) -> LoaderResult<Vec<Vec<BandFile>>>
+/// Run `f` over every row band: one task per band on the persistent
+/// worker pool, each writing its own temp files — no shared mutable state.
+/// On a one-worker pool (`PLEXUS_THREADS=1`) this is the sequential loop.
+fn run_bands<F>(p: usize, f: F) -> LoaderResult<Vec<Vec<BandFile>>>
 where
     F: Fn(usize) -> LoaderResult<Vec<BandFile>> + Sync,
 {
-    if parallel {
-        let mut slots: Vec<Option<LoaderResult<Vec<BandFile>>>> = (0..p).map(|_| None).collect();
-        slots.as_mut_slice().par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
-            slot[0] = Some(f(i));
-        });
-        slots.into_iter().map(|s| s.expect("band slot filled")).collect()
-    } else {
-        (0..p).map(f).collect()
-    }
+    let mut slots: Vec<Option<LoaderResult<Vec<BandFile>>>> = (0..p).map(|_| None).collect();
+    slots.as_mut_slice().par_chunks_mut(1).enumerate().for_each(|(i, slot)| {
+        slot[0] = Some(f(i));
+    });
+    slots.into_iter().map(|s| s.expect("band slot filled")).collect()
 }
 
 /// Land every band's files in deterministic (band-major, then shard) order:
@@ -1583,9 +1554,15 @@ mod tests {
         let ds = LoadedDataset::generate(OGBN_PRODUCTS, 96, Some(6), 23);
         let dir_par = temp_dir("par");
         let dir_ser = temp_dir("ser");
-        let par = preprocess_to_store(&ds, &dir_par, PermutationMode::Double, 9, 4, 3).unwrap();
-        let ser =
-            preprocess_to_store_serial(&ds, &dir_ser, PermutationMode::Double, 9, 4, 3).unwrap();
+        // A one-worker pool is the sequential band loop; four workers
+        // really interleave the four bands.
+        let on_pool = |threads: usize, dir: &Path| {
+            rayon::ThreadPool::new(threads).install(|| {
+                preprocess_to_store(&ds, dir, PermutationMode::Double, 9, 4, 3).unwrap()
+            })
+        };
+        let par = on_pool(4, &dir_par);
+        let ser = on_pool(1, &dir_ser);
         assert_eq!(par.files, ser.files, "manifest entries differ");
         for name in par.files.keys() {
             let a = fs::read(dir_par.join(name)).unwrap();
@@ -1618,11 +1595,17 @@ mod tests {
         assert_eq!(first.preprocess.files_written, total_files);
         assert_eq!(first.preprocess.files_skipped, 0);
 
+        // A re-preprocess that died while writing its manifest leaves a
+        // partial `manifest.txt.tmp`; the published manifest is untouched.
+        fs::write(dir.join("manifest.txt.tmp"), "format = 3\np = ").unwrap();
+        assert_eq!(ShardStore::open(&dir).unwrap().files, first.files);
+
         // Same parameters, same dataset: everything verifies and skips.
         let second = preprocess_to_store(&ds, &dir, PermutationMode::Double, 7, 3, 3).unwrap();
         assert_eq!(second.preprocess.files_written, 0, "rewrote up-to-date files");
         assert_eq!(second.preprocess.files_skipped, total_files);
         assert_eq!(second.files, first.files, "reuse changed the manifest");
+        assert!(!dir.join("manifest.txt.tmp").exists(), "re-publish left its temp file");
 
         // Tamper with one shard: exactly that file is rewritten.
         let victim = adj_name(Parity::Odd, 1, 2);

@@ -953,14 +953,23 @@ mod tests {
     fn single_rank_grid_matches_serial_exactly() {
         let ds = tiny_ds(96, 5);
         let serial = serial_losses(&ds, 8, 4, 7);
-        let opts = DistTrainOptions {
-            hidden_dim: 8,
-            model_seed: 7,
-            permutation: PermutationMode::None,
-            ..Default::default()
-        };
-        let dist = train_distributed(&ds, GridConfig::new(1, 1, 1), &opts, 4);
-        assert_losses_close(&dist.losses(), &serial, 1e-6, "1x1x1 vs serial");
+        // The serial reference pins every engine residency policy at 1x1x1.
+        for residency in [
+            ResidencyPolicy::Resident,
+            ResidencyPolicy::Spill { budget_bytes: 0 },
+            ResidencyPolicy::Recompute,
+        ] {
+            let opts = DistTrainOptions {
+                hidden_dim: 8,
+                model_seed: 7,
+                permutation: PermutationMode::None,
+                residency,
+                ..Default::default()
+            };
+            let dist = train_distributed(&ds, GridConfig::new(1, 1, 1), &opts, 4);
+            let what = format!("1x1x1 {:?} vs serial", residency);
+            assert_losses_close(&dist.losses(), &serial, 1e-6, &what);
+        }
     }
 
     #[test]

@@ -41,10 +41,6 @@ pub fn gcn_layer_forward(a: &Csr, f: &Matrix, w: &Matrix, activated: bool) -> (M
 
 /// [`gcn_layer_forward`] with caller-owned kernel buffers: `h`, `q` and
 /// the output all come from (and can be recycled back into) `ws`.
-///
-/// Composed from [`gcn_layer_recompute_cache_ws`] plus the activation
-/// step, so forward and the recompute-residency rebuild share one code
-/// path and cannot drift apart bitwise.
 pub fn gcn_layer_forward_ws(
     ws: &mut KernelWorkspace,
     a: &Csr,
@@ -52,35 +48,20 @@ pub fn gcn_layer_forward_ws(
     w: &Matrix,
     activated: bool,
 ) -> (Matrix, LayerCache) {
-    // (1)+(2) Aggregation and combination                   [eqs. 2.1–2.2]
-    let cache = gcn_layer_recompute_cache_ws(ws, a, f, w, activated);
-    // (3) Activation: F' = σ(Q)                                  [eq. 2.3]
-    let mut out = ws.take_scratch(cache.q.rows(), cache.q.cols());
-    if activated {
-        relu_into(&cache.q, &mut out);
-    } else {
-        out.as_mut_slice().copy_from_slice(cache.q.as_slice());
-    }
-    (out, cache)
-}
-
-/// Rebuild just the `H`/`Q` intermediates of one layer from its input —
-/// the recompute-residency recipe. Runs the same kernels in the same
-/// accumulation order as [`gcn_layer_forward_ws`], so the rebuilt cache is
-/// bitwise identical to the one forward produced; the activation output
-/// is skipped because backward never reads it.
-pub fn gcn_layer_recompute_cache_ws(
-    ws: &mut KernelWorkspace,
-    a: &Csr,
-    f: &Matrix,
-    w: &Matrix,
-    activated: bool,
-) -> LayerCache {
+    // (1) Aggregation: H = SpMM(A, F)                            [eq. 2.1]
     let mut h = ws.take_scratch(a.rows(), f.cols());
     spmm_into(a, f, &mut h);
+    // (2) Combination: Q = SGEMM(H, W)                           [eq. 2.2]
     let mut q = ws.take_scratch(h.rows(), w.cols());
     gemm_ws(ws, &mut q, &h, Trans::N, w, Trans::N, 1.0, 0.0);
-    LayerCache { h, q, activated }
+    // (3) Activation: F' = σ(Q)                                  [eq. 2.3]
+    let mut out = ws.take_scratch(q.rows(), q.cols());
+    if activated {
+        relu_into(&q, &mut out);
+    } else {
+        out.as_mut_slice().copy_from_slice(q.as_slice());
+    }
+    (out, LayerCache { h, q, activated })
 }
 
 /// Backward pass of one GCN layer given `∂L/∂F'` (the gradient of the

@@ -22,14 +22,13 @@ pub mod gin;
 pub mod layer;
 pub mod loss;
 pub mod model;
-pub mod spill;
 pub mod trainer;
 
 pub use adam::{Adam, AdamConfig};
 pub use layer::{
-    gcn_layer_backward, gcn_layer_backward_ws, gcn_layer_forward, gcn_layer_forward_ws,
-    gcn_layer_recompute_cache_ws, LayerCache, LayerGrads,
+    gcn_layer_backward, gcn_layer_backward_ws, gcn_layer_forward, gcn_layer_forward_ws, LayerCache,
+    LayerGrads,
 };
 pub use loss::{accuracy, masked_cross_entropy, LossOutput};
-pub use model::{Gcn, GcnConfig, InputCaches};
-pub use trainer::{EpochStats, SerialResidency, SerialTrainer, TrainConfig};
+pub use model::{Gcn, GcnConfig};
+pub use trainer::{EpochStats, SerialTrainer, TrainConfig};

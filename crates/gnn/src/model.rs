@@ -2,9 +2,7 @@
 //! GCN layers and a hidden dimension of 128" (paper §6.2). The layer count
 //! and dimensions are configurable; the last layer emits raw logits.
 
-use crate::layer::{
-    gcn_layer_backward_ws, gcn_layer_forward_ws, gcn_layer_recompute_cache_ws, LayerCache,
-};
+use crate::layer::{gcn_layer_backward_ws, gcn_layer_forward_ws, LayerCache};
 use plexus_sparse::{spmm_into, Csr};
 use plexus_tensor::ops::relu_into;
 use plexus_tensor::{gemm_nn_cached_b, glorot_uniform, KernelWorkspace, Matrix};
@@ -20,11 +18,6 @@ pub struct GcnConfig {
 }
 
 impl GcnConfig {
-    /// The paper's standard model: 3 layers, hidden 128.
-    pub fn paper_default(input_dim: usize, num_classes: usize, seed: u64) -> Self {
-        Self { input_dim, hidden_dim: 128, num_classes, num_layers: 3, seed }
-    }
-
     /// Per-layer (in, out) dimensions.
     pub fn layer_dims(&self) -> Vec<(usize, usize)> {
         assert!(self.num_layers >= 1, "GcnConfig: need at least one layer");
@@ -91,9 +84,12 @@ impl Gcn {
     /// Inference forward over per-layer extracted sub-adjacencies — the
     /// serving engine's batch (and single-query) entry point. `subs[l]` is
     /// layer `l`'s k-hop sub-CSR (rows = that layer's output nodes, cols =
-    /// its input nodes) and `x0` holds the gathered input-feature rows for
-    /// `subs[0]`'s columns. Returns the logits, one row per row of the
-    /// last sub-adjacency.
+    /// its input nodes) and `h0` is layer 0's *aggregated* input, the
+    /// `subs[0] · X0` block over the gathered input-feature rows (the
+    /// serving extraction cache stores it per hot query set, since it
+    /// depends only on the frozen graph, the sorted query set, and the
+    /// model version's trained features). Returns the logits, one row per
+    /// row of the last sub-adjacency.
     ///
     /// Uses one workspace per layer so each layer's packed weight panels
     /// stay cached under `weights_version` across batches: at steady state
@@ -103,32 +99,6 @@ impl Gcn {
     /// (which looks only at operand shapes) and the per-row accumulation
     /// order (ascending CSR entries, preserved by the monotone k-hop
     /// column remap) are all identical.
-    pub fn forward_extracted_ws(
-        &self,
-        layer_ws: &mut [KernelWorkspace],
-        subs: &[Csr],
-        x0: &Matrix,
-        weights_version: u64,
-    ) -> Matrix {
-        let num_layers = self.weights.len();
-        assert_eq!(subs.len(), num_layers, "forward_extracted_ws: one sub-CSR per layer");
-        assert_eq!(layer_ws.len(), num_layers, "forward_extracted_ws: one workspace per layer");
-        assert_eq!(subs[0].cols(), x0.rows(), "forward_extracted_ws: layer 0 input mismatch");
-        let mut h0 = layer_ws[0].take_scratch(subs[0].rows(), x0.cols());
-        spmm_into(&subs[0], x0, &mut h0);
-        let logits = self.forward_from_aggregated_ws(layer_ws, subs, &h0, weights_version);
-        layer_ws[0].recycle(h0);
-        logits
-    }
-
-    /// [`Gcn::forward_extracted_ws`] from layer 0's *aggregated* features
-    /// onward: `h0` is the precomputed `subs[0] · X0` block (the serving
-    /// extraction cache stores it per hot query set, since it depends only
-    /// on the frozen graph, the sorted query set, and the model version's
-    /// trained features). The remaining kernel calls are exactly the ones
-    /// the uncached path runs — same shapes, same dispatch, same
-    /// accumulation order — so cached and uncached logits are bitwise
-    /// identical.
     pub fn forward_from_aggregated_ws(
         &self,
         layer_ws: &mut [KernelWorkspace],
@@ -237,82 +207,6 @@ impl ForwardCaches {
             ws.recycle(cache.q);
         }
         ws.recycle(self.logits);
-    }
-}
-
-/// The recompute-residency counterpart of [`ForwardCaches`]: only each
-/// layer's *input* is retained (`inputs[l]` feeds layer `l`); the `H`/`Q`
-/// intermediates were recycled during forward and are re-derived per layer
-/// in [`Gcn::backward_recompute_ws`]. Peak residency drops from
-/// `L x (|H| + |Q|)` to `L x |F|` — for equal-width layers roughly half.
-pub struct InputCaches {
-    pub inputs: Vec<Matrix>,
-    pub logits: Matrix,
-}
-
-impl InputCaches {
-    /// Return every retained buffer to a workspace pool once backward is
-    /// done with them.
-    pub fn recycle_into(self, ws: &mut KernelWorkspace) {
-        for input in self.inputs {
-            ws.recycle(input);
-        }
-        ws.recycle(self.logits);
-    }
-}
-
-impl Gcn {
-    /// [`Gcn::forward_ws`] under recompute residency: identical kernel
-    /// calls (so identical logits bit for bit), but each layer's `H`/`Q`
-    /// go straight back to the pool and the layer *inputs* are retained
-    /// instead for [`Gcn::backward_recompute_ws`] to re-derive from.
-    pub fn forward_recompute_ws(
-        &self,
-        ws: &mut KernelWorkspace,
-        a: &Csr,
-        features: &Matrix,
-    ) -> InputCaches {
-        let num_layers = self.weights.len();
-        let mut inputs = Vec::with_capacity(num_layers);
-        let mut x = ws.take_scratch(features.rows(), features.cols());
-        x.as_mut_slice().copy_from_slice(features.as_slice());
-        for (l, w) in self.weights.iter().enumerate() {
-            let activated = l + 1 < num_layers;
-            let (out, cache) = gcn_layer_forward_ws(ws, a, &x, w, activated);
-            ws.recycle(cache.h);
-            ws.recycle(cache.q);
-            inputs.push(std::mem::replace(&mut x, out));
-        }
-        InputCaches { inputs, logits: x }
-    }
-
-    /// [`Gcn::backward_ws`] driven from retained inputs: each layer's
-    /// `H = SpMM(A, F)` and `Q = SGEMM(H, W)` are recomputed through the
-    /// same kernels the forward pass ran — same shapes, same accumulation
-    /// order, bitwise-identical values — then the standard backward math
-    /// consumes them and the rebuilt buffers return to the pool.
-    pub fn backward_recompute_ws(
-        &self,
-        ws: &mut KernelWorkspace,
-        a: &Csr,
-        a_t: &Csr,
-        caches: &InputCaches,
-        dlogits: Matrix,
-    ) -> Gradients {
-        let num_layers = self.weights.len();
-        let mut dweights = vec![Matrix::zeros(1, 1); num_layers];
-        let mut dout = dlogits;
-        for l in (0..num_layers).rev() {
-            let activated = l + 1 < num_layers;
-            let cache =
-                gcn_layer_recompute_cache_ws(ws, a, &caches.inputs[l], &self.weights[l], activated);
-            let grads = gcn_layer_backward_ws(ws, a_t, &self.weights[l], &cache, dout);
-            ws.recycle(cache.h);
-            ws.recycle(cache.q);
-            dweights[l] = grads.dw;
-            dout = grads.df;
-        }
-        Gradients { dweights, dfeatures: dout }
     }
 }
 

@@ -6,34 +6,12 @@
 //! features. No sampling, no mini-batching, no approximations.
 
 use crate::adam::{Adam, AdamConfig};
-use crate::layer::{gcn_layer_backward_ws, gcn_layer_forward_ws, LayerCache};
 use crate::loss::{accuracy, masked_cross_entropy};
-use crate::model::{Gcn, GcnConfig, Gradients};
-use crate::spill::SpillFile;
+use crate::model::{Gcn, GcnConfig};
 use plexus_graph::LoadedDataset;
 use plexus_sparse::Csr;
 use plexus_tensor::{KernelWorkspace, Matrix};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// How the serial trainer keeps per-layer forward intermediates between
-/// forward and backward. Every setting produces bitwise-identical losses;
-/// `Spill` trades disk I/O and `Recompute` trades one extra forward's
-/// compute for reduced activation residency (the serial counterparts of
-/// the distributed engine's `ResidencyPolicy::Spill`/`Recompute`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SerialResidency {
-    /// Cache every layer's `H`/`Q` until backward consumes them.
-    #[default]
-    Cached,
-    /// Cache `H`/`Q` in RAM up to `budget_bytes`; spill the rest to
-    /// checksummed temp files during forward and reload them during
-    /// backward. `budget_bytes: 0` spills every layer.
-    Spill { budget_bytes: u64 },
-    /// Retain only layer inputs; re-derive `H`/`Q` during backward.
-    Recompute,
-}
 
 /// Trainer hyperparameters.
 #[derive(Clone, Debug)]
@@ -42,18 +20,11 @@ pub struct TrainConfig {
     pub hidden_dim: usize,
     pub num_layers: usize,
     pub seed: u64,
-    pub residency: SerialResidency,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self {
-            adam: AdamConfig::default(),
-            hidden_dim: 128,
-            num_layers: 3,
-            seed: 0,
-            residency: SerialResidency::default(),
-        }
+        Self { adam: AdamConfig::default(), hidden_dim: 128, num_layers: 3, seed: 0 }
     }
 }
 
@@ -76,19 +47,10 @@ pub struct SerialTrainer {
     train_mask: Vec<bool>,
     weight_opts: Vec<Adam>,
     feature_opt: Adam,
-    residency: SerialResidency,
     /// Reusable kernel buffers for the epoch loop; sized by the first
     /// epoch, allocation-free after.
     ws: KernelWorkspace,
-    /// Per-instance directory for `Spill`-mode activation files.
-    spill_dir: PathBuf,
-    /// Matrices written to disk by `Spill` mode so far (reloads mirror it).
-    spill_events: u64,
 }
-
-/// Distinguishes concurrently-live trainers' spill directories within one
-/// process (tests run trainers in parallel).
-static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl SerialTrainer {
     /// Build from a loaded dataset. Model weights use `cfg.seed`; the
@@ -101,16 +63,14 @@ impl SerialTrainer {
             num_layers: cfg.num_layers,
             seed: cfg.seed,
         });
-        let mut t = Self::from_parts(
+        Self::from_parts(
             model,
             ds.features.clone(),
             ds.adjacency.clone(),
             ds.labels.clone(),
             ds.split.train.clone(),
             cfg.adam,
-        );
-        t.residency = cfg.residency;
-        t
+        )
     }
 
     /// Assemble from explicit parts (used by equivalence tests that need
@@ -138,50 +98,19 @@ impl SerialTrainer {
             train_mask,
             weight_opts,
             feature_opt,
-            residency: SerialResidency::Cached,
             ws: KernelWorkspace::new(),
-            spill_dir: std::env::temp_dir().join(format!(
-                "plexus_serial_spill_{}_{}",
-                std::process::id(),
-                SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-            spill_events: 0,
         }
     }
 
     /// One full-graph training epoch. Returns loss/accuracy *before* the
     /// parameter update (the loss of the forward pass just computed).
-    /// Under [`SerialResidency::Recompute`] the epoch runs the
-    /// retain-inputs/re-derive variant — bitwise identical.
     pub fn train_epoch(&mut self) -> EpochStats {
         let start = Instant::now();
-        let (loss, train_accuracy, grads) = match self.residency {
-            SerialResidency::Spill { budget_bytes } => self.spill_epoch(budget_bytes),
-            SerialResidency::Cached => {
-                let fwd = self.model.forward_ws(&mut self.ws, &self.adjacency, &self.features);
-                let loss_out = masked_cross_entropy(&fwd.logits, &self.labels, &self.train_mask);
-                let acc = accuracy(&fwd.logits, &self.labels, &self.train_mask);
-                let grads =
-                    self.model.backward_ws(&mut self.ws, &self.adjacency_t, &fwd, loss_out.dlogits);
-                fwd.recycle_into(&mut self.ws);
-                (loss_out.loss, acc, grads)
-            }
-            SerialResidency::Recompute => {
-                let fwd =
-                    self.model.forward_recompute_ws(&mut self.ws, &self.adjacency, &self.features);
-                let loss_out = masked_cross_entropy(&fwd.logits, &self.labels, &self.train_mask);
-                let acc = accuracy(&fwd.logits, &self.labels, &self.train_mask);
-                let grads = self.model.backward_recompute_ws(
-                    &mut self.ws,
-                    &self.adjacency,
-                    &self.adjacency_t,
-                    &fwd,
-                    loss_out.dlogits,
-                );
-                fwd.recycle_into(&mut self.ws);
-                (loss_out.loss, acc, grads)
-            }
-        };
+        let fwd = self.model.forward_ws(&mut self.ws, &self.adjacency, &self.features);
+        let loss_out = masked_cross_entropy(&fwd.logits, &self.labels, &self.train_mask);
+        let train_accuracy = accuracy(&fwd.logits, &self.labels, &self.train_mask);
+        let grads = self.model.backward_ws(&mut self.ws, &self.adjacency_t, &fwd, loss_out.dlogits);
+        fwd.recycle_into(&mut self.ws);
         for ((w, opt), dw) in
             self.model.weights.iter_mut().zip(&mut self.weight_opts).zip(&grads.dweights)
         {
@@ -189,82 +118,7 @@ impl SerialTrainer {
         }
         self.feature_opt.step(&mut self.features, &grads.dfeatures);
         grads.recycle_into(&mut self.ws);
-        EpochStats { loss, train_accuracy, seconds: start.elapsed().as_secs_f64() }
-    }
-
-    /// The [`SerialResidency::Spill`] epoch body: forward keeps each
-    /// layer's `H`/`Q` in RAM while the running total fits `budget_bytes`
-    /// and writes the overflow to checksummed temp files; backward reloads
-    /// (or takes) each cache in reverse order. Same kernels, same values —
-    /// bitwise identical to `Cached`.
-    fn spill_epoch(&mut self, budget_bytes: u64) -> (f64, f64, Gradients) {
-        enum Slot {
-            Ram(LayerCache),
-            Disk { h: SpillFile, q: SpillFile, activated: bool },
-        }
-        let num_layers = self.model.weights.len();
-        let mut x = self.ws.take_scratch(self.features.rows(), self.features.cols());
-        x.as_mut_slice().copy_from_slice(self.features.as_slice());
-        let mut slots: Vec<Slot> = Vec::with_capacity(num_layers);
-        let mut resident = 0u64;
-        for (l, w) in self.model.weights.iter().enumerate() {
-            let activated = l + 1 < num_layers;
-            let (out, cache) =
-                gcn_layer_forward_ws(&mut self.ws, &self.adjacency, &x, w, activated);
-            self.ws.recycle(std::mem::replace(&mut x, out));
-            let bytes = (cache.h.as_slice().len() + cache.q.as_slice().len()) as u64 * 4;
-            if resident + bytes <= budget_bytes {
-                resident += bytes;
-                slots.push(Slot::Ram(cache));
-            } else {
-                let h = SpillFile::write(&self.spill_dir, &format!("l{}_h", l), &cache.h)
-                    .unwrap_or_else(|e| panic!("serial spill of layer {} H failed: {}", l, e));
-                let q = SpillFile::write(&self.spill_dir, &format!("l{}_q", l), &cache.q)
-                    .unwrap_or_else(|e| panic!("serial spill of layer {} Q failed: {}", l, e));
-                self.ws.recycle(cache.h);
-                self.ws.recycle(cache.q);
-                self.spill_events += 2;
-                slots.push(Slot::Disk { h, q, activated: cache.activated });
-            }
-        }
-        let logits = x;
-        let loss_out = masked_cross_entropy(&logits, &self.labels, &self.train_mask);
-        let acc = accuracy(&logits, &self.labels, &self.train_mask);
-        self.ws.recycle(logits);
-
-        let mut dweights = vec![Matrix::zeros(1, 1); num_layers];
-        let mut dout = loss_out.dlogits;
-        for l in (0..num_layers).rev() {
-            let cache = match slots.pop().expect("one slot per layer") {
-                Slot::Ram(c) => c,
-                Slot::Disk { h, q, activated } => LayerCache {
-                    h: h.read(&mut self.ws).unwrap_or_else(|e| {
-                        panic!("serial spill reload of layer {} H failed: {}", l, e)
-                    }),
-                    q: q.read(&mut self.ws).unwrap_or_else(|e| {
-                        panic!("serial spill reload of layer {} Q failed: {}", l, e)
-                    }),
-                    activated,
-                },
-            };
-            let grads = gcn_layer_backward_ws(
-                &mut self.ws,
-                &self.adjacency_t,
-                &self.model.weights[l],
-                &cache,
-                dout,
-            );
-            self.ws.recycle(cache.h);
-            self.ws.recycle(cache.q);
-            dweights[l] = grads.dw;
-            dout = grads.df;
-        }
-        (loss_out.loss, acc, Gradients { dweights, dfeatures: dout })
-    }
-
-    /// Matrices `Spill` mode has written to disk so far.
-    pub fn spill_events(&self) -> u64 {
-        self.spill_events
+        EpochStats { loss: loss_out.loss, train_accuracy, seconds: start.elapsed().as_secs_f64() }
     }
 
     /// Train for `epochs`, returning per-epoch stats.
@@ -278,22 +132,6 @@ impl SerialTrainer {
         let loss = masked_cross_entropy(&fwd.logits, &self.labels, mask).loss;
         let acc = accuracy(&fwd.logits, &self.labels, mask);
         (loss, acc)
-    }
-
-    pub fn labels(&self) -> &[u32] {
-        &self.labels
-    }
-
-    pub fn train_mask(&self) -> &[bool] {
-        &self.train_mask
-    }
-}
-
-impl Drop for SerialTrainer {
-    fn drop(&mut self) {
-        // Spill reloads delete their files; this clears the directory
-        // itself (and anything a panic left behind).
-        let _ = std::fs::remove_dir_all(&self.spill_dir);
     }
 }
 
@@ -339,47 +177,6 @@ mod tests {
         let stats = trainer.train(40);
         let final_acc = stats.last().unwrap().train_accuracy;
         assert!(final_acc > 0.4, "final train accuracy only {:.3}", final_acc);
-    }
-
-    #[test]
-    fn recompute_residency_is_bitwise_identical() {
-        // The serial counterpart of the distributed residency contract:
-        // dropping H/Q and re-deriving them in backward replays the exact
-        // kernels, so the loss trajectory matches bit for bit.
-        let ds = tiny_dataset();
-        let losses = |residency: SerialResidency| {
-            let cfg = TrainConfig { hidden_dim: 16, residency, ..Default::default() };
-            let mut t = SerialTrainer::new(&ds, &cfg);
-            t.train(5).iter().map(|s| s.loss).collect::<Vec<_>>()
-        };
-        assert_eq!(losses(SerialResidency::Cached), losses(SerialResidency::Recompute));
-    }
-
-    #[test]
-    fn spill_residency_is_bitwise_identical() {
-        // Same contract as Recompute, for the disk path: caches written to
-        // checksummed files and reloaded in backward reproduce the Cached
-        // loss trajectory bit for bit. budget 0 spills every layer; a
-        // partial budget keeps what fits and spills the rest.
-        let ds = tiny_dataset();
-        let run = |residency: SerialResidency| {
-            let cfg = TrainConfig { hidden_dim: 16, residency, ..Default::default() };
-            let mut t = SerialTrainer::new(&ds, &cfg);
-            let losses = t.train(5).iter().map(|s| s.loss).collect::<Vec<_>>();
-            (losses, t.spill_events())
-        };
-        let (cached, none) = run(SerialResidency::Cached);
-        assert_eq!(none, 0);
-        let (all_spilled, full) = run(SerialResidency::Spill { budget_bytes: 0 });
-        assert_eq!(cached, all_spilled);
-        // 3 layers x (H, Q) x 5 epochs, everything over budget.
-        assert_eq!(full, 30);
-        // Budget sized to hold roughly one layer's H+Q (256 nodes x 16
-        // wide x 2 matrices x 4 bytes = 32 KiB): some layers stay in RAM,
-        // at least one spills.
-        let (partial, some) = run(SerialResidency::Spill { budget_bytes: 40 * 1024 });
-        assert_eq!(cached, partial);
-        assert!(some > 0 && some < full, "partial budget spilled {} of {}", some, full);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use plexus_tensor::Matrix;
 use std::fmt;
-use std::fs::File;
+use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -334,6 +334,40 @@ impl<W: Write> HashingWriter<W> {
         self.inner.flush()?;
         Ok((self.digest.finish(), self.digest.len))
     }
+}
+
+/// Text files (manifests, pointers) go through the same writer with
+/// `writeln!`.
+impl<W: Write> Write for HashingWriter<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.put(buf)?;
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.flush_stage()?;
+        self.inner.flush()
+    }
+}
+
+/// Atomically create or replace the file at `path`: `write` fills
+/// `<path>.tmp`, which is then renamed over `path`, so a reader — or a
+/// crash at any point — sees the previous complete file or the new one,
+/// never a partial one. Returns the new file's `(digest, length)` manifest
+/// entry. A `.tmp` left behind by an interrupted call is overwritten by
+/// the next.
+pub fn publish(
+    path: &Path,
+    write: impl FnOnce(&mut HashingWriter) -> LoaderResult<()>,
+) -> LoaderResult<(u64, u64)> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut w = HashingWriter::create(&tmp)?;
+    write(&mut w)?;
+    let entry = w.finish()?;
+    fs::rename(&tmp, path)?;
+    Ok(entry)
 }
 
 // ---------------------------------------------------------------------------

@@ -26,16 +26,16 @@
 //!   merges the segments through a pooled cursor heap. Total work is
 //!   `O(S + U log k)` for `U` unique nodes over `k` contributing rows,
 //!   and the output is born sorted-unique.
-//! * **Extraction scatters a remap table.** [`extract_sub_csr`] used to
-//!   `binary_search` the column set per entry (`O(nnz · log |cols|)`);
-//!   the workspace instead scatters `col_set[i] → i` into an
-//!   epoch-stamped global→local table once per block and remaps each
-//!   entry in `O(1)`.
+//! * **Extraction scatters a remap table.** Instead of a
+//!   `binary_search` of the column set per entry
+//!   (`O(nnz · log |cols|)`), [`KhopWorkspace::extract_sub_csr`] scatters
+//!   `col_set[i] → i` into an epoch-stamped global→local table once per
+//!   block and remaps each entry in `O(1)`.
 //!
-//! Both kernels produce exactly the sets and blocks the previous
-//! sort+dedup/binary-search implementation did — same sorted order, same
-//! `f32` bit patterns — so the monotone-remap bitwise contract is
-//! untouched (asserted by the equivalence proptest below).
+//! Both kernels produce exactly the sets and blocks a sort+dedup /
+//! binary-search implementation does — same sorted order, same `f32` bit
+//! patterns — so the monotone-remap bitwise contract holds (asserted
+//! against that reference in the tests below).
 //!
 //! Adjacency rows are pulled through the [`RowSource`] trait: an
 //! in-memory [`Csr`] implements it directly, and the serving artifact
@@ -202,8 +202,14 @@ impl KhopWorkspace {
     }
 
     /// Computes the per-layer node sets of the `layers`-hop receptive
-    /// field of `queries` — the pooled kernel behind [`khop_node_sets`],
-    /// which documents the returned structure.
+    /// field of `queries`.
+    ///
+    /// Returns `layers + 1` sorted, deduplicated sets: `sets[layers]` is
+    /// the sorted query set (the rows of the last layer's sub-adjacency),
+    /// and for `l < layers`, `sets[l]` is the union of the column supports
+    /// of `sets[l + 1]` — simultaneously the columns of layer `l`'s
+    /// sub-adjacency and the rows of layer `l - 1`'s. `sets[0]` is the set
+    /// of input-feature rows the forward pass gathers.
     pub fn khop_node_sets(
         &mut self,
         src: &impl RowSource,
@@ -227,10 +233,15 @@ impl KhopWorkspace {
         sets
     }
 
-    /// Builds the sub-CSR with rows `row_set` and columns `col_set` — the
-    /// pooled kernel behind [`extract_sub_csr`], which documents the
-    /// contract. The global→local remap is scattered into the stamped
-    /// table once, then every entry remaps in `O(1)`.
+    /// Builds the sub-CSR with rows `row_set` and columns `col_set` (both
+    /// sorted ascending), pulling each row's entries from `src`.
+    ///
+    /// Every column appearing in a fetched row must be present in
+    /// `col_set`; with the sets produced by
+    /// [`KhopWorkspace::khop_node_sets`] this holds by construction. The
+    /// monotone remap keeps each row's entries in ascending local-column
+    /// order, so [`Csr::from_raw`]'s invariants hold and downstream SpMM
+    /// accumulation order matches the full graph.
     pub fn extract_sub_csr(
         &mut self,
         src: &impl RowSource,
@@ -303,37 +314,6 @@ fn heap_pop(heap: &mut Vec<(u32, u32)>) -> Option<(u32, u32)> {
     top
 }
 
-/// Computes the per-layer node sets of the `layers`-hop receptive field
-/// of `queries`.
-///
-/// Returns `layers + 1` sorted, deduplicated sets: `sets[layers]` is the
-/// sorted query set (the rows of the last layer's sub-adjacency), and
-/// for `l < layers`, `sets[l]` is the union of the column supports of
-/// `sets[l + 1]` — simultaneously the columns of layer `l`'s
-/// sub-adjacency and the rows of layer `l - 1`'s. `sets[0]` is the set
-/// of input-feature rows the forward pass gathers.
-///
-/// Convenience wrapper over a throwaway [`KhopWorkspace`]; hot callers
-/// (the serving engine, the serve bench) keep a workspace instead.
-pub fn khop_node_sets(src: &impl RowSource, queries: &[u32], layers: usize) -> Vec<Vec<u32>> {
-    KhopWorkspace::new().khop_node_sets(src, queries, layers)
-}
-
-/// Builds the sub-CSR with rows `row_set` and columns `col_set` (both
-/// sorted ascending), pulling each row's entries from `src`.
-///
-/// Every column appearing in a fetched row must be present in
-/// `col_set`; with the sets produced by [`khop_node_sets`] this holds by
-/// construction. The monotone remap keeps each row's entries in
-/// ascending local-column order, so [`Csr::from_raw`]'s invariants hold
-/// and downstream SpMM accumulation order matches the full graph.
-///
-/// Convenience wrapper over a throwaway [`KhopWorkspace`]; hot callers
-/// keep a workspace instead.
-pub fn extract_sub_csr(src: &impl RowSource, row_set: &[u32], col_set: &[u32]) -> Csr {
-    KhopWorkspace::new().extract_sub_csr(src, row_set, col_set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,7 +326,7 @@ mod tests {
     #[test]
     fn khop_sets_are_sorted_unique_and_nested_by_support() {
         let a = test_adjacency();
-        let sets = khop_node_sets(&a, &[5, 200, 5, 17], 3);
+        let sets = KhopWorkspace::new().khop_node_sets(&a, &[5, 200, 5, 17], 3);
         assert_eq!(sets.len(), 4);
         assert_eq!(sets[3], vec![5, 17, 200]);
         for l in 0..3 {
@@ -364,8 +344,9 @@ mod tests {
     #[test]
     fn extracted_block_matches_dense_gather() {
         let a = test_adjacency();
-        let sets = khop_node_sets(&a, &[3, 99], 2);
-        let sub = extract_sub_csr(&a, &sets[2], &sets[1]);
+        let mut ws = KhopWorkspace::new();
+        let sets = ws.khop_node_sets(&a, &[3, 99], 2);
+        let sub = ws.extract_sub_csr(&a, &sets[2], &sets[1]);
         assert_eq!(sub.shape(), (sets[2].len(), sets[1].len()));
         for (lr, &gr) in sets[2].iter().enumerate() {
             let (gcols, gvals) = a.row_entries(gr as usize);
@@ -380,15 +361,16 @@ mod tests {
     #[test]
     fn single_query_single_layer_is_one_row() {
         let a = test_adjacency();
-        let sets = khop_node_sets(&a, &[7], 1);
-        let sub = extract_sub_csr(&a, &sets[1], &sets[0]);
+        let mut ws = KhopWorkspace::new();
+        let sets = ws.khop_node_sets(&a, &[7], 1);
+        let sub = ws.extract_sub_csr(&a, &sets[1], &sets[0]);
         assert_eq!(sub.rows(), 1);
         assert_eq!(sub.nnz(), a.row_nnz(7));
     }
 
-    /// The pre-workspace reference implementations: concatenate + sort +
-    /// dedup unions, per-entry binary-search remap. The pooled kernels
-    /// must reproduce them exactly.
+    /// The reference implementations: concatenate + sort + dedup unions,
+    /// per-entry binary-search remap. The pooled kernels must reproduce
+    /// them exactly.
     fn khop_node_sets_reference(
         src: &impl RowSource,
         queries: &[u32],
@@ -457,11 +439,12 @@ mod tests {
     #[should_panic(expected = "outside the extracted k-hop column set")]
     fn extraction_rejects_columns_outside_the_set() {
         let a = test_adjacency();
-        let sets = khop_node_sets(&a, &[3], 1);
+        let mut ws = KhopWorkspace::new();
+        let sets = ws.khop_node_sets(&a, &[3], 1);
         // Drop one required column from the set: the remap must refuse.
         let mut cols = sets[0].clone();
         cols.pop();
-        extract_sub_csr(&a, &sets[1], &cols);
+        ws.extract_sub_csr(&a, &sets[1], &cols);
     }
 
     /// Dense epoch wraparound: force the visited epoch to the edge and

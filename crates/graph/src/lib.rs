@@ -39,7 +39,7 @@ pub use generators::{
     community_graph, erdos_renyi, rmat_edge_chunks, rmat_graph, road_network, RmatEdgeChunks,
 };
 pub use graph::Graph;
-pub use khop::{extract_sub_csr, khop_node_sets, KhopWorkspace, RowSource};
+pub use khop::{KhopWorkspace, RowSource};
 pub use labels::{degree_based_labels, train_val_test_masks, Split};
 pub use mmap::MappedFile;
 pub use rowplan::RowRequestPlan;

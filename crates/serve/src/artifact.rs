@@ -28,6 +28,7 @@ use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
@@ -113,13 +114,13 @@ impl ServeManifest {
     /// Write via temp file + rename, so a concurrently reloading server
     /// only ever sees a complete manifest.
     fn write(&self, dir: &Path) -> LoaderResult<()> {
-        let tmp = dir.join(format!("{}.tmp", SERVE_MANIFEST));
-        let mut text = format!("format = {}\ncurrent = {}\n", FORMAT_VERSION, self.current);
-        for (v, (ck, len)) in &self.models {
-            text.push_str(&format!("model {} = {:016x} {}\n", v, ck, len));
-        }
-        fs::write(&tmp, text)?;
-        fs::rename(&tmp, Self::path(dir))?;
+        plexus_graph::format::publish(&Self::path(dir), |f| {
+            writeln!(f, "format = {}\ncurrent = {}", FORMAT_VERSION, self.current)?;
+            for (v, (ck, len)) in &self.models {
+                writeln!(f, "model {} = {:016x} {}", v, ck, len)?;
+            }
+            Ok(())
+        })?;
         Ok(())
     }
 }

@@ -47,7 +47,8 @@ pub const DEFAULT_EXTRACTION_CACHE_BYTES: usize = 32 << 20;
 pub struct Extraction {
     /// The sorted-unique query set this block was built for.
     pub queries: Vec<u32>,
-    /// `layers + 1` sorted node sets (see `khop_node_sets`).
+    /// `layers + 1` sorted node sets (see
+    /// [`KhopWorkspace::khop_node_sets`](plexus_graph::KhopWorkspace::khop_node_sets)).
     pub sets: Vec<Vec<u32>>,
     /// Per-layer sub-CSR blocks.
     pub subs: Vec<Csr>,

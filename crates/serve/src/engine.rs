@@ -7,7 +7,7 @@
 //! that depends only on the operand *row contents* — SpMM accumulates
 //! per-row in ascending-entry order, GEMM dispatch looks only at `k·n`.
 //! K-hop node sets are kept sorted ascending, so the column remap in
-//! [`extract_sub_csr`](plexus_graph::extract_sub_csr) is monotone and
+//! [`KhopWorkspace::extract_sub_csr`] is monotone and
 //! preserves entry order; every extracted row is therefore elementwise
 //! identical to the corresponding full-graph row, and the served logits
 //! come out bitwise equal to the trainer's forward on the same nodes.

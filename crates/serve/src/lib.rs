@@ -40,7 +40,7 @@ pub mod server;
 pub use artifact::{freeze, publish, Artifact, ModelSnapshot};
 pub use cache::{Extraction, ExtractionCache, ExtractionStats, DEFAULT_EXTRACTION_CACHE_BYTES};
 pub use engine::{argmax, Prediction, QueryEngine};
-pub use server::{shard_count, ServeConfig, ServeError, Server, ServerStats, SubmitPolicy};
+pub use server::{ServeConfig, ServeError, Server, ServerStats, SubmitPolicy};
 
 #[cfg(test)]
 mod tests {
@@ -142,7 +142,13 @@ mod tests {
         assert_eq!(art.reload_latest().unwrap(), None, "already current");
         // Retrain stand-in: same shapes, different weights.
         let gcn2 = Gcn::new(GcnConfig { seed: 999, ..gcn.config.clone() });
+        // A publish that died before its rename leaves `serve.txt.tmp`
+        // beside the live manifest: readers stay on version 1 and the next
+        // publish replaces it.
+        fs::write(dir.join("serve.txt.tmp"), "format = 3\ncurrent = 2\n").unwrap();
+        assert_eq!(art.reload_latest().unwrap(), None, "a temp manifest is not a publish");
         assert_eq!(publish(&dir, &gcn2, &ds.features).unwrap(), 2);
+        assert!(!dir.join("serve.txt.tmp").exists());
         assert_eq!(art.snapshot().version, 1, "reload is explicit, not implicit");
         assert_eq!(art.reload_latest().unwrap(), Some(2));
         let snap = art.snapshot();
@@ -201,7 +207,6 @@ mod tests {
             max_batch: 8,
             max_wait: Duration::from_millis(2),
             queue_cap: 64,
-            cache_shards: 4,
             ..Default::default()
         };
         let server = Server::start(&dir, cfg).unwrap();
@@ -246,7 +251,6 @@ mod tests {
             max_batch: 1,
             max_wait: Duration::from_micros(50),
             queue_cap: 1,
-            cache_shards: 2,
             submit: SubmitPolicy::Shed,
             ..Default::default()
         };
@@ -264,6 +268,7 @@ mod tests {
                     shed_seen = true;
                     break;
                 }
+                Err(e) => panic!("in-range nodes refused: {e}"),
                 Ok(preds) => assert_eq!(preds.len(), nodes.len()),
             }
         }
@@ -286,6 +291,31 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_node_is_a_typed_error_before_any_work() {
+        let dir = temp_dir("invalid_node");
+        let (ds, gcn) = small_setup(83);
+        freeze(&dir, &ds.adjacency, &gcn, &ds.features, 2, 2).unwrap();
+        let server = Server::start(&dir, ServeConfig::default()).unwrap();
+        let num_nodes = ds.adjacency.rows();
+        let bad = num_nodes as u32;
+        let counters = |s: ServerStats| (s.served, s.batches, s.cache_hits);
+        // Node 3 is cached, so a lookup before validation would count a hit.
+        server.query(3);
+        let before = counters(server.stats());
+        let invalid = Some(ServeError::InvalidNode { node: bad, num_nodes });
+        for batch in [[bad, 3, 4, 5], [3, 4, bad, 5], [3, 4, 5, bad]] {
+            assert_eq!(server.try_query_many(&batch).err(), invalid);
+            assert_eq!(counters(server.stats()), before, "batch {batch:?} did work");
+        }
+        assert_eq!(server.try_query(bad).err(), invalid);
+        assert_eq!(counters(server.stats()), before);
+        let nodes: Vec<u32> = server.query_many(&[3, 4, 5]).iter().map(|p| p.node).collect();
+        assert_eq!(nodes, [3, 4, 5]);
+        drop(server);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn block_policy_never_sheds_under_saturation() {
         let dir = temp_dir("block");
         let (ds, gcn) = small_setup(79);
@@ -295,7 +325,6 @@ mod tests {
             max_batch: 2,
             max_wait: Duration::from_micros(50),
             queue_cap: 2,
-            cache_shards: 2,
             submit: SubmitPolicy::Block,
             ..Default::default()
         };

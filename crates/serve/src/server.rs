@@ -10,10 +10,10 @@
 //! `Arc` they captured, the next batch picks up the new weights.
 
 use crate::artifact::Artifact;
-use crate::cache::{ExtractionCache, ExtractionStats, DEFAULT_EXTRACTION_CACHE_BYTES};
+use crate::cache::{ExtractionCache, DEFAULT_EXTRACTION_CACHE_BYTES};
 use crate::engine::{Prediction, QueryEngine};
 use parking_lot::{Condvar, Mutex};
-use plexus::loader::{LoaderResult, ShardStore};
+use plexus::loader::LoaderResult;
 use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,12 +38,18 @@ pub enum ServeError {
     /// The submission queue was full and the server is configured with
     /// [`SubmitPolicy::Shed`].
     Overloaded,
+    /// A queried node id is not a node of the served graph. The whole
+    /// call is refused before any cache lookup or enqueue.
+    InvalidNode { node: u32, num_nodes: usize },
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Overloaded => write!(f, "submission queue full (load shed)"),
+            ServeError::InvalidNode { node, num_nodes } => {
+                write!(f, "query node {node} out of range (graph has {num_nodes} nodes)")
+            }
         }
     }
 }
@@ -62,8 +68,6 @@ pub struct ServeConfig {
     /// Bounded submission-queue capacity; what happens when it fills is
     /// decided by `submit`.
     pub queue_cap: usize,
-    /// Shards of the prediction cache (reduces write contention).
-    pub cache_shards: usize,
     /// Byte budget of the shared k-hop extraction cache (node sets,
     /// sub-CSR blocks, layer-0 aggregates, per-node 1-hop slices). `0`
     /// disables extraction caching entirely.
@@ -79,12 +83,14 @@ impl Default for ServeConfig {
             max_batch: 64,
             max_wait: Duration::from_micros(500),
             queue_cap: 1024,
-            cache_shards: 16,
             extraction_cache_bytes: DEFAULT_EXTRACTION_CACHE_BYTES,
             submit: SubmitPolicy::Block,
         }
     }
 }
+
+/// Shards of the prediction cache (reduces write contention).
+const CACHE_SHARDS: usize = 16;
 
 /// Counters exported by [`Server::stats`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -143,7 +149,7 @@ impl Server {
     /// Open (and fully verify) the artifact at `dir` and start the worker
     /// pool.
     pub fn start(dir: &Path, cfg: ServeConfig) -> LoaderResult<Server> {
-        assert!(cfg.workers > 0 && cfg.max_batch > 0 && cfg.queue_cap > 0 && cfg.cache_shards > 0);
+        assert!(cfg.workers > 0 && cfg.max_batch > 0 && cfg.queue_cap > 0);
         let artifact = Artifact::open(dir)?;
         let shared = Arc::new(Shared {
             artifact,
@@ -151,7 +157,7 @@ impl Server {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             closed: AtomicBool::new(false),
-            cache: (0..cfg.cache_shards).map(|_| RwLock::new(HashMap::new())).collect(),
+            cache: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             extraction: Arc::new(ExtractionCache::new(cfg.extraction_cache_bytes)),
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -179,18 +185,19 @@ impl Server {
 
     /// Answer one query, blocking until a worker flushes the batch it
     /// lands in (or a cache entry from the current model version hits).
-    /// Panics if `node` is out of range, or on [`ServeError::Overloaded`]
-    /// under [`SubmitPolicy::Shed`] — use [`Server::try_query`] when the
-    /// server sheds load.
+    /// Panics on any [`ServeError`] — an out-of-range `node`, or a shed
+    /// submission under [`SubmitPolicy::Shed`]; use [`Server::try_query`]
+    /// for ids from outside the program or when the server sheds load.
     pub fn query(&self, node: u32) -> Prediction {
-        self.try_query(node).expect("submission shed under SubmitPolicy::Shed; use try_query")
+        self.try_query(node).unwrap_or_else(|e| panic!("Server::query: {e}; use try_query"))
     }
 
-    /// [`Server::query`], but surfaces admission control as a typed
-    /// error: under [`SubmitPolicy::Shed`], a full queue returns
-    /// [`ServeError::Overloaded`] immediately instead of blocking.
+    /// [`Server::query`] with typed errors: an out-of-range id returns
+    /// [`ServeError::InvalidNode`], and under [`SubmitPolicy::Shed`] a
+    /// full queue returns [`ServeError::Overloaded`] immediately instead
+    /// of blocking.
     pub fn try_query(&self, node: u32) -> Result<Prediction, ServeError> {
-        assert!((node as usize) < self.shared.artifact.num_nodes(), "query node out of range");
+        self.validate(&[node])?;
         if let Some(hit) = self.cache_lookup(node) {
             return Ok(hit);
         }
@@ -201,23 +208,26 @@ impl Server {
 
     /// Submit a group of queries at once and collect the answers in
     /// order. All cache misses enter the queue together, so they tend to
-    /// be batched together. Panics on [`ServeError::Overloaded`] under
-    /// [`SubmitPolicy::Shed`] — use [`Server::try_query_many`] then.
+    /// be batched together. Panics on any [`ServeError`] — use
+    /// [`Server::try_query_many`] for ids from outside the program or when
+    /// the server sheds load.
     pub fn query_many(&self, nodes: &[u32]) -> Vec<Prediction> {
         self.try_query_many(nodes)
-            .expect("submission shed under SubmitPolicy::Shed; use try_query_many")
+            .unwrap_or_else(|e| panic!("Server::query_many: {e}; use try_query_many"))
     }
 
-    /// [`Server::query_many`] with typed admission control: the first
-    /// shed submission aborts the call with [`ServeError::Overloaded`].
-    /// Requests already enqueued still run (their answers warm the
-    /// prediction cache); their receivers are simply dropped.
+    /// [`Server::query_many`] with typed errors. The whole slice is
+    /// validated first: one out-of-range id refuses the call with
+    /// [`ServeError::InvalidNode`] before anything is looked up or
+    /// enqueued. After that, the first shed submission aborts the call
+    /// with [`ServeError::Overloaded`]; requests already enqueued still
+    /// run (their answers warm the prediction cache), their receivers are
+    /// simply dropped.
     pub fn try_query_many(&self, nodes: &[u32]) -> Result<Vec<Prediction>, ServeError> {
-        let n = self.shared.artifact.num_nodes();
+        self.validate(nodes)?;
         let mut pending: Vec<(usize, mpsc::Receiver<Prediction>)> = Vec::new();
         let mut out: Vec<Option<Prediction>> = Vec::with_capacity(nodes.len());
         for (i, &node) in nodes.iter().enumerate() {
-            assert!((node as usize) < n, "query node out of range");
             if let Some(hit) = self.cache_lookup(node) {
                 out.push(Some(hit));
             } else {
@@ -268,10 +278,12 @@ impl Server {
         }
     }
 
-    /// Detailed extraction-cache counters (block vs per-node slice
-    /// breakdown); [`Server::stats`] carries the aggregates.
-    pub fn extraction_stats(&self) -> ExtractionStats {
-        self.shared.extraction.stats()
+    fn validate(&self, nodes: &[u32]) -> Result<(), ServeError> {
+        let num_nodes = self.shared.artifact.num_nodes();
+        match nodes.iter().find(|&&node| node as usize >= num_nodes) {
+            Some(&node) => Err(ServeError::InvalidNode { node, num_nodes }),
+            None => Ok(()),
+        }
     }
 
     fn cache_lookup(&self, node: u32) -> Option<Prediction> {
@@ -387,11 +399,4 @@ fn worker_loop(shared: &Shared) {
             let _ = req.tx.send(pred);
         }
     }
-}
-
-/// Convenience for smoke tests and examples: how many adjacency shard
-/// files an artifact at `dir` has (`p*q`, Even parity).
-pub fn shard_count(dir: &Path) -> LoaderResult<usize> {
-    let store = ShardStore::open(dir)?;
-    Ok(store.grid_p * store.grid_q)
 }

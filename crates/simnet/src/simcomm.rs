@@ -124,7 +124,7 @@ impl SimComm {
             label: "world",
             cost: Arc::new(cost),
             clock: Arc::new(SimClock::default()),
-            ledger: Arc::new(TrafficLedger::new(true)),
+            ledger: Arc::new(TrafficLedger::default()),
         }
     }
 
