@@ -12,27 +12,23 @@
 //! * ogbn-papers100M keeps scaling to 2048 with diminishing returns at
 //!   the end ("scaling starts to slow down at 2048 GPUs").
 
-use plexus::perfmodel::{rank_configs, Workload};
-use plexus_bench::Table;
+use crate::{paper_workload, Table};
+use plexus::perfmodel::rank_configs;
 use plexus_graph::paper_datasets;
 use plexus_simnet::{frontier, perlmutter, MachineSpec};
 
 fn sweep(machine: &MachineSpec, unit: &str) -> Table {
     let gpus = [4usize, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
+    let mut headers = vec![unit];
+    headers.extend(paper_datasets().iter().map(|spec| spec.name));
     let mut t = Table::new(
         &format!("Fig. 10: Plexus strong scaling on {} (time per epoch, ms)", machine.name),
-        &{
-            let mut h = vec![unit];
-            for spec in paper_datasets() {
-                h.push(Box::leak(spec.name.to_string().into_boxed_str()));
-            }
-            h
-        },
+        &headers,
     );
     for &g in &gpus {
         let mut row = vec![format!("{}", g)];
         for spec in paper_datasets() {
-            let w = Workload::new(spec.nodes, spec.nonzeros, spec.features, 128, spec.classes, 3);
+            let w = paper_workload(spec);
             // Respect memory feasibility the way the paper's plots start
             // at different GPU counts: adjacency shards (CSR + transpose,
             // ~16 B/nnz) plus ~10 activation/gradient copies of the node
@@ -63,13 +59,11 @@ fn parallel_efficiency(series: &[f64]) -> f64 {
     ideal / series[series.len() - 1]
 }
 
-fn main() {
+pub(crate) fn run() {
     let perl = sweep(&perlmutter(), "GPUs");
     perl.print();
-    perl.write_csv("fig10_perlmutter");
     let fron = sweep(&frontier(), "GCDs");
     fron.print();
-    fron.write_csv("fig10_frontier");
 
     // Shape checks.
     let reddit_p = column(&perl, "Reddit");

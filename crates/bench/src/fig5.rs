@@ -9,33 +9,22 @@
 //! configurations beating 2D and 1D, and the predicted-best config landing
 //! among the truly-best.
 
+use crate::{jitter, paper_workload, permuted, r_squared, Table};
 use plexus::grid::GridConfig;
-use plexus::perfmodel::{epoch_time, Workload};
+use plexus::perfmodel::epoch_time;
 use plexus::setup::PermutationMode;
-use plexus_bench::{jitter, r_squared, Table};
 use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
 use plexus_simnet::perlmutter;
 use plexus_sparse::nnz_balance;
-use plexus_sparse::permute::{apply_permutation, random_permutation};
 
-fn main() {
+pub(crate) fn run() {
     let m = perlmutter();
-    let w = Workload::new(
-        OGBN_PRODUCTS.nodes,
-        OGBN_PRODUCTS.nonzeros,
-        OGBN_PRODUCTS.features,
-        128,
-        OGBN_PRODUCTS.classes,
-        3,
-    );
+    let w = paper_workload(OGBN_PRODUCTS);
 
     // Measured shard imbalance per config from a scaled instance with the
     // engine's double permutation applied.
     let ds = LoadedDataset::generate(OGBN_PRODUCTS, 1 << 14, Some(16), 3);
-    let pr = random_permutation(ds.num_nodes(), 0x5eed);
-    let pc = random_permutation(ds.num_nodes(), 0x5eed ^ 0x9e3779b97f4a7c15);
-    let _ = PermutationMode::Double; // documented: this mirrors the engine default
-    let a_perm = apply_permutation(&ds.adjacency, &pr, &pc);
+    let a_perm = permuted(&ds.adjacency, PermutationMode::Double, 0x5eed);
 
     let mut table = Table::new(
         "Fig. 5: predicted vs observed epoch time, ogbn-products on 64 GPUs (Perlmutter)",
@@ -62,7 +51,6 @@ fn main() {
         table.row(vec![g.label(), class, format!("{:.1}", p), format!("{:.1}", o)]);
     }
     table.print();
-    table.write_csv("fig5_perfmodel_validation");
 
     let r2 = r_squared(&pred, &obs);
     println!("\nPredicted/observed R^2 over {} configs: {:.3}", rows.len(), r2);

@@ -13,9 +13,9 @@
 //! absolute epoch times; SA and SA+GVB absent on Isolate-3-8M (OOM in the
 //! paper).
 
-use plexus::perfmodel::{rank_configs, Workload};
+use crate::{fit_power_law, paper_workload, Table};
+use plexus::perfmodel::rank_configs;
 use plexus_baselines::{bns_epoch_time, paper_boundary_frac, partition_graph, sa_epoch_time};
-use plexus_bench::{fit_power_law, Table};
 use plexus_graph::{
     datasets::{ISOLATE_3_8M, PRODUCTS_14M, REDDIT},
     DatasetKind, DatasetSpec, LoadedDataset,
@@ -62,7 +62,7 @@ fn sa_needed_law(ds: &LoadedDataset) -> (f64, f64) {
 
 fn run_dataset(spec: DatasetSpec, gpus: &[usize], sa_available: bool) {
     let m = perlmutter();
-    let w = Workload::new(spec.nodes, spec.nonzeros, spec.features, 128, spec.classes, 3);
+    let w = paper_workload(spec);
     let ds = LoadedDataset::generate(spec, 1 << 14, Some(16), 17);
     let density = boundary_density_scale(&ds);
     let (sa_a, sa_b) = sa_needed_law(&ds);
@@ -112,7 +112,6 @@ fn run_dataset(spec: DatasetSpec, gpus: &[usize], sa_available: bool) {
         last_plexus = plexus;
     }
     t.print();
-    t.write_csv(&format!("fig8_{}", spec.name.replace('-', "_")));
     match crossover {
         Some(g) => println!("Plexus overtakes BNS-GCN at {} GPUs.", g),
         None => println!("WARNING: no Plexus/BNS crossover observed in this range."),
@@ -120,7 +119,7 @@ fn run_dataset(spec: DatasetSpec, gpus: &[usize], sa_available: bool) {
     assert!(last_plexus.is_finite());
 }
 
-fn main() {
+pub(crate) fn run() {
     run_dataset(REDDIT, &[4, 8, 16, 32, 64, 128], true);
     run_dataset(ISOLATE_3_8M, &[16, 32, 64, 128, 256, 512, 1024], false);
     run_dataset(PRODUCTS_14M, &[8, 16, 32, 64, 128, 256, 512, 1024], true);

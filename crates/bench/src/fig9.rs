@@ -6,16 +6,15 @@
 //! growing boundary work flip the ordering; BNS computation *increases*
 //! with GPU count while Plexus computation keeps scaling down.
 
-use plexus::perfmodel::{rank_configs, Workload};
+use crate::{paper_workload, Table};
+use plexus::perfmodel::rank_configs;
 use plexus_baselines::{bns_epoch_time, paper_boundary_frac};
-use plexus_bench::Table;
 use plexus_graph::datasets::PRODUCTS_14M;
 use plexus_simnet::perlmutter;
 
-fn main() {
+pub(crate) fn run() {
     let m = perlmutter();
-    let spec = PRODUCTS_14M;
-    let w = Workload::new(spec.nodes, spec.nonzeros, spec.features, 128, spec.classes, 3);
+    let w = paper_workload(PRODUCTS_14M);
 
     let mut t = Table::new(
         "Fig. 9: epoch breakdown, BNS-GCN vs Plexus, products-14M (Perlmutter, ms)",
@@ -49,7 +48,6 @@ fn main() {
         totals.push((g, bns.total(), plexus.total()));
     }
     t.print();
-    t.write_csv("fig9_breakdown");
 
     // §7.1's two observations.
     let (g0, bns0, plexus0) = totals[0];

@@ -8,18 +8,15 @@
 //! materialized from a scaled ogbn-products instance and timed — then the
 //! same regression methodology runs.
 
+use crate::Table;
 use plexus::grid::GridConfig;
-use plexus::perfmodel::comp_cost_features;
-use plexus::perfmodel::Workload;
-use plexus_bench::Table;
+use plexus::perfmodel::{comp_cost_features, Workload};
 use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
-use plexus_simnet::LinearModel;
-use plexus_simnet::RegressionReport;
-use plexus_sparse::spmm;
+use plexus_simnet::{LinearModel, RegressionReport};
 use plexus_tensor::uniform_matrix;
 use std::time::Instant;
 
-fn main() {
+pub(crate) fn run() {
     // The paper pools 67 points "across various datasets, configurations,
     // and GPU counts": the √flops term only varies across datasets, so a
     // single-dataset sweep cannot be fit. Three scaled instances of
@@ -76,7 +73,6 @@ fn main() {
             }
         }
     }
-    let _ = spmm; // the parallel kernel is benchmarked in `kernels`
     println!("Collected {} (dataset, GPU count, config) sample points.", count);
 
     // Primary fit: real measured times, exactly the paper's methodology.
@@ -106,7 +102,6 @@ fn main() {
         "n/a".into(),
     ]);
     t.print();
-    t.write_csv("sec41_model_fit");
 
     assert!(
         report.train_r2 > 0.55,

@@ -10,14 +10,13 @@
 //! shapes, which shows the same asymmetry (the paper observed V ~8x
 //! slower end to end).
 
-use plexus_bench::Table;
+use crate::Table;
 use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
 use plexus_simnet::simulate_spmm_kernel;
-use plexus_sparse::spmm;
 use plexus_tensor::uniform_matrix;
 use std::time::Instant;
 
-fn main() {
+pub(crate) fn run() {
     let scale_nodes = 1 << 15; // 32k-node scaled ogbn-products
     let ds = LoadedDataset::generate(OGBN_PRODUCTS, scale_nodes, Some(128), 42);
     let n = ds.num_nodes();
@@ -51,7 +50,6 @@ fn main() {
     let t0 = Instant::now();
     let _ = plexus_sparse::spmm_seq(&a_v, &bv);
     let t_v = t0.elapsed().as_secs_f64() * 1e3;
-    let _ = spmm; // parallel kernel exercised elsewhere
 
     let mut t = Table::new(
         "Table 2: SpMM kernel metrics, config U (Gx=64) vs V (Gy=64), scaled ogbn-products",
@@ -94,7 +92,6 @@ fn main() {
         "~8x slower (V)".into(),
     ]);
     t.print();
-    t.write_csv("table2_spmm_configs");
 
     // The CPU wall-clock row is informational: a deep CPU cache hierarchy
     // mutes the GPU asymmetry; the simulator metrics are the Table 2

@@ -7,30 +7,12 @@
 //! on the instance, but the ordering and the "double permutation is
 //! near-perfect" endpoint must reproduce.
 
+use crate::{permuted, Table};
 use plexus::setup::PermutationMode;
-use plexus_bench::Table;
 use plexus_graph::{datasets::EUROPE_OSM, LoadedDataset};
-use plexus_sparse::permute::{apply_permutation, random_permutation};
-use plexus_sparse::{nnz_balance, Csr};
+use plexus_sparse::nnz_balance;
 
-fn balance_for(a: &Csr, mode: PermutationMode, seed: u64) -> f64 {
-    let n = a.rows();
-    let permuted = match mode {
-        PermutationMode::None => a.clone(),
-        PermutationMode::Single => {
-            let p = random_permutation(n, seed);
-            apply_permutation(a, &p, &p)
-        }
-        PermutationMode::Double => {
-            let pr = random_permutation(n, seed);
-            let pc = random_permutation(n, seed.wrapping_add(0x9e3779b97f4a7c15));
-            apply_permutation(a, &pr, &pc)
-        }
-    };
-    nnz_balance(&permuted, 8, 8).max_over_mean
-}
-
-fn main() {
+pub(crate) fn run() {
     let ds = LoadedDataset::generate(EUROPE_OSM, 1 << 16, Some(8), 7);
     let a = &ds.adjacency;
     println!(
@@ -40,9 +22,10 @@ fn main() {
         ds.graph.avg_degree()
     );
 
-    let original = balance_for(a, PermutationMode::None, 11);
-    let single = balance_for(a, PermutationMode::Single, 11);
-    let double = balance_for(a, PermutationMode::Double, 11);
+    let balance = |mode| nnz_balance(&permuted(a, mode, 11), 8, 8).max_over_mean;
+    let original = balance(PermutationMode::None);
+    let single = balance(PermutationMode::Single);
+    let double = balance(PermutationMode::Double);
 
     let mut t = Table::new(
         "Table 3: max/mean nonzeros across 8x8 shards, europe_osm",
@@ -52,7 +35,6 @@ fn main() {
     t.row(vec!["Single permutation".into(), format!("{:.3}", single), "3.24".into()]);
     t.row(vec!["Double permutation".into(), format!("{:.3}", double), "1.001".into()]);
     t.print();
-    t.write_csv("table3_permutation_balance");
 
     assert!(original > single, "single permutation must improve on the original order");
     assert!(single > double, "double permutation must improve on single");

@@ -2,10 +2,10 @@
 //! (used analytically by the scaling models) alongside the statistics of
 //! the scaled synthetic instances the functional experiments run on.
 
-use plexus_bench::Table;
+use crate::Table;
 use plexus_graph::{paper_datasets, LoadedDataset};
 
-fn main() {
+pub(crate) fn run() {
     let mut t = Table::new(
         "Table 4: graph datasets (paper statistics)",
         &["Dataset", "# Nodes", "# Edges", "# Non-zeros", "# Features", "# Classes", "Sparsity %"],
@@ -22,7 +22,6 @@ fn main() {
         ]);
     }
     t.print();
-    t.write_csv("table4_datasets_paper");
 
     let mut s = Table::new(
         "Table 4b: scaled synthetic instances used by functional experiments",
@@ -39,7 +38,6 @@ fn main() {
         ]);
     }
     s.print();
-    s.write_csv("table4_datasets_scaled");
     println!("\nNote: dense graphs (Reddit: avg degree 246) are capped at edge factor 16 when");
     println!("scaled down, as documented in plexus-graph::datasets.");
 }

@@ -15,7 +15,6 @@
 //! re-kills the rank.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One injectable failure mode. Ranks are always *world* ranks, even when
 /// the fault fires inside a subgroup collective.
@@ -52,7 +51,7 @@ impl Armed {
     }
 }
 
-/// A deterministic, seedable set of armed faults. See the module docs for
+/// A deterministic set of armed faults. See the module docs for
 /// the consumption semantics.
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -78,79 +77,6 @@ impl FaultPlan {
     /// Convenience: kill `rank` at the start of `epoch`, once.
     pub fn kill_rank(rank: usize, epoch: usize) -> Self {
         Self::new().with(Fault::RankPanic { rank, epoch })
-    }
-
-    /// Seed-derived rank kill: picks `(rank, epoch)` from `seed` via
-    /// splitmix64 so property tests can draw reproducible fault points.
-    pub fn seeded_kill(seed: u64, world: usize, epochs: usize) -> Self {
-        assert!(world > 0 && epochs > 0, "seeded_kill: empty world or run");
-        let a = splitmix64(seed);
-        let b = splitmix64(a);
-        Self::kill_rank((a % world as u64) as usize, (b % epochs as u64) as usize)
-    }
-
-    /// Parse a plan from the `PLEXUS_FAULT` environment variable. The spec
-    /// is a comma-separated list of:
-    ///
-    /// * `kill:<rank>@<epoch>` — [`Fault::RankPanic`]
-    /// * `layer:<rank>@<layer>` — [`Fault::LayerPanic`]
-    /// * `coll:<rank>@<nth>` — [`Fault::CollectiveAbort`]
-    /// * `shard:<substr>` — [`Fault::ShardRead`], optionally `xN` for a
-    ///   firing budget (`shard:feat x2` → fails two reads).
-    ///
-    /// Returns `None` when unset or empty; panics on a malformed spec so a
-    /// typo'd injection never silently tests nothing.
-    pub fn from_env() -> Option<Arc<Self>> {
-        let spec = std::env::var("PLEXUS_FAULT").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        Some(Arc::new(Self::parse(&spec)))
-    }
-
-    /// Parse a `PLEXUS_FAULT`-format spec (see [`FaultPlan::from_env`]).
-    pub fn parse(spec: &str) -> Self {
-        let mut plan = Self::new();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (kind, rest) = part
-                .split_once(':')
-                .unwrap_or_else(|| panic!("FaultPlan: bad fault spec '{part}'"));
-            let at = |s: &str| -> (usize, usize) {
-                let (a, b) = s
-                    .split_once('@')
-                    .unwrap_or_else(|| panic!("FaultPlan: '{part}' needs <a>@<b>"));
-                let parse = |v: &str| {
-                    v.trim().parse().unwrap_or_else(|_| panic!("FaultPlan: bad number in '{part}'"))
-                };
-                (parse(a), parse(b))
-            };
-            match kind.trim() {
-                "kill" => {
-                    let (rank, epoch) = at(rest);
-                    plan = plan.with(Fault::RankPanic { rank, epoch });
-                }
-                "layer" => {
-                    let (rank, layer) = at(rest);
-                    plan = plan.with(Fault::LayerPanic { rank, layer });
-                }
-                "coll" => {
-                    let (rank, nth) = at(rest);
-                    plan = plan.with(Fault::CollectiveAbort { rank, nth: nth as u64 });
-                }
-                "shard" => {
-                    let (substr, times) = match rest.rsplit_once('x') {
-                        Some((s, n)) if n.chars().all(|c| c.is_ascii_digit()) && !n.is_empty() => {
-                            (s.trim(), n.parse().unwrap())
-                        }
-                        _ => (rest.trim(), 1),
-                    };
-                    plan = plan
-                        .with_times(Fault::ShardRead { file_substr: substr.to_string() }, times);
-                }
-                other => panic!("FaultPlan: unknown fault kind '{other}' in '{part}'"),
-            }
-        }
-        plan
     }
 
     /// Trainer hook: called by each rank at the start of every epoch.
@@ -221,13 +147,6 @@ impl FaultPlan {
     }
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,30 +185,5 @@ mod tests {
         let r = catch_unwind(AssertUnwindSafe(|| plan.collective_tick(0, "Barrier", "world")));
         assert!(r.is_err(), "3rd collective on rank 0 must abort");
         plan.collective_tick(0, "Barrier", "world"); // spent
-    }
-
-    #[test]
-    fn env_spec_round_trips() {
-        let plan = FaultPlan::parse("kill:1@2, coll:0@5, shard:feat x2, layer:3@1");
-        assert_eq!(plan.armed.len(), 4);
-        assert_eq!(plan.armed[0].fault, Fault::RankPanic { rank: 1, epoch: 2 });
-        assert_eq!(plan.armed[1].fault, Fault::CollectiveAbort { rank: 0, nth: 5 });
-        assert_eq!(plan.armed[2].fault, Fault::ShardRead { file_substr: "feat".into() });
-        assert_eq!(plan.armed[2].remaining.load(Ordering::Acquire), 2);
-        assert_eq!(plan.armed[3].fault, Fault::LayerPanic { rank: 3, layer: 1 });
-    }
-
-    #[test]
-    fn seeded_kill_is_deterministic_and_in_range() {
-        for seed in 0..32u64 {
-            let a = FaultPlan::seeded_kill(seed, 4, 6);
-            let b = FaultPlan::seeded_kill(seed, 4, 6);
-            assert_eq!(a.armed[0].fault, b.armed[0].fault);
-            if let Fault::RankPanic { rank, epoch } = a.armed[0].fault {
-                assert!(rank < 4 && epoch < 6);
-            } else {
-                panic!("seeded_kill must arm a RankPanic");
-            }
-        }
     }
 }

@@ -119,18 +119,6 @@ impl TrafficLedger {
     pub fn snapshot(&self) -> Vec<CommEvent> {
         self.events.lock().clone()
     }
-
-    pub fn total_bytes(&self) -> usize {
-        self.events.lock().iter().map(|e| e.bytes).sum()
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -155,10 +143,10 @@ mod tests {
     fn ledger_records_and_drains() {
         let ledger = TrafficLedger::default();
         ledger.record(CommEvent { op: CollOp::AllReduce, bytes: 1024, group_size: 4, group: "x" });
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger.total_bytes(), 1024);
+        assert_eq!(ledger.snapshot().len(), 1);
         let taken = ledger.take();
         assert_eq!(taken.len(), 1);
-        assert!(ledger.is_empty());
+        assert_eq!(taken[0].bytes, 1024);
+        assert!(ledger.take().is_empty());
     }
 }

@@ -125,14 +125,6 @@ impl SerialTrainer {
     pub fn train(&mut self, epochs: usize) -> Vec<EpochStats> {
         (0..epochs).map(|_| self.train_epoch()).collect()
     }
-
-    /// Loss/accuracy of the current parameters without updating them.
-    pub fn evaluate(&self, mask: &[bool]) -> (f64, f64) {
-        let fwd = self.model.forward(&self.adjacency, &self.features);
-        let loss = masked_cross_entropy(&fwd.logits, &self.labels, mask).loss;
-        let acc = accuracy(&fwd.logits, &self.labels, mask);
-        (loss, acc)
-    }
 }
 
 #[cfg(test)]
@@ -204,16 +196,5 @@ mod tests {
             s.loss,
             lnc
         );
-    }
-
-    #[test]
-    fn evaluate_does_not_mutate() {
-        let ds = tiny_dataset();
-        let cfg = TrainConfig { hidden_dim: 8, ..Default::default() };
-        let mut trainer = SerialTrainer::new(&ds, &cfg);
-        trainer.train(2);
-        let (l1, _) = trainer.evaluate(&ds.split.val);
-        let (l2, _) = trainer.evaluate(&ds.split.val);
-        assert_eq!(l1, l2);
     }
 }

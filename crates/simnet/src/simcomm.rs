@@ -498,7 +498,7 @@ mod tests {
             x.all_reduce(&mut buf, ReduceOp::Sum);
         }
         assert!(w.elapsed() > 0.0);
-        assert_eq!(w.ledger().len(), 100);
+        assert_eq!(w.ledger().snapshot().len(), 100);
     }
 
     #[test]

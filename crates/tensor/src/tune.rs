@@ -25,9 +25,8 @@
 //!   timer can pick differently run to run and results never change.
 //!
 //! Calibration runs lazily, once per process per class, on a small
-//! synthetic problem shaped like the class (a few ms); `PLEXUS_GEMM_TILE`
-//! (`"MRxNR"`, e.g. `6x16`) skips it and pins every class, which is how
-//! tests and perf runs get reproducible tiles. Scalar builds (no AVX2+FMA)
+//! synthetic problem shaped like the class (a few ms); tests that need a
+//! fixed tile call `gemm_packed_with_tile`. Scalar builds (no AVX2+FMA)
 //! pin the SSE2-sized [`SCALAR_TILE`] — the candidate set is tuned for the
 //! FMA register file and timing scalar variants of it buys nothing.
 
@@ -100,9 +99,8 @@ pub fn kc_for(class: ShapeClass) -> usize {
 }
 
 /// The tile a `(k, n)`-shaped GEMM should run with in this process.
-/// `kc` comes from the fixed class table; `mr`/`nr` come from the
-/// `PLEXUS_GEMM_TILE` override when set, the pinned scalar tile on
-/// non-FMA processes, or the per-class calibration cache.
+/// `kc` comes from the fixed class table; `mr`/`nr` are the pinned scalar
+/// tile on non-FMA processes, else the per-class calibration cache.
 pub fn tile_for(k: usize, n: usize) -> Tile {
     let class = classify(k, n);
     let (mr, nr) = mr_nr_for(class);
@@ -110,9 +108,6 @@ pub fn tile_for(k: usize, n: usize) -> Tile {
 }
 
 fn mr_nr_for(class: ShapeClass) -> (usize, usize) {
-    if let Some(pinned) = env_override() {
-        return pinned;
-    }
     if !crate::cpu::fma_available() {
         return SCALAR_TILE;
     }
@@ -127,26 +122,6 @@ fn class_index(class: ShapeClass) -> usize {
         ShapeClass::DeepK => 1,
         ShapeClass::Square => 2,
     }
-}
-
-/// `PLEXUS_GEMM_TILE="MRxNR"`, parsed once. Invalid values panic rather
-/// than silently falling back: a pinned-tile run that is not actually
-/// pinned would poison a perf comparison.
-fn env_override() -> Option<(usize, usize)> {
-    static OVERRIDE: OnceLock<Option<(usize, usize)>> = OnceLock::new();
-    *OVERRIDE.get_or_init(|| {
-        let raw = std::env::var("PLEXUS_GEMM_TILE").ok()?;
-        let parsed = raw
-            .split_once('x')
-            .and_then(|(mr, nr)| Some((mr.parse().ok()?, nr.parse().ok()?)))
-            .filter(|t| FMA_CANDIDATES.contains(t) || *t == SCALAR_TILE);
-        match parsed {
-            Some(t) => Some(t),
-            None => {
-                panic!("PLEXUS_GEMM_TILE must be MRxNR from {:?}, got {:?}", FMA_CANDIDATES, raw)
-            }
-        }
-    })
 }
 
 /// A small synthetic problem shaped like the class, for calibration. Kept

@@ -45,8 +45,10 @@ fn all_systems_reproduce_serial_training() {
     let ds = dataset();
     let serial = serial_losses(&ds);
 
-    // 3D engine across representative grid shapes and both optimizations.
-    for (gx, gy, gz) in [(2, 2, 2), (4, 2, 1), (1, 2, 4)] {
+    // 3D engine across representative grid shapes and both optimizations,
+    // then the seven 16-rank configurations the paper's Fig. 7 sweeps.
+    let fig7 = [(1, 2, 8), (1, 16, 1), (2, 8, 1), (2, 4, 2), (4, 1, 4), (1, 1, 16), (8, 1, 2)];
+    for (gx, gy, gz) in [(2, 2, 2), (4, 2, 1), (1, 2, 4)].into_iter().chain(fig7) {
         let opts = DistTrainOptions {
             hidden_dim: 8,
             model_seed: SEED,
