@@ -28,7 +28,7 @@
 //! # Workspace discipline
 //!
 //! Every kernel output in both passes (`H`, `Q`, the activation, `∂L/∂W`,
-//! `∂L/∂H`, `∂L/∂F`, the `Hᵀ` scratch, SpMM partials and GEMM tiles) is
+//! `∂L/∂H`, `∂L/∂F`, SpMM partials and GEMM tiles) is
 //! taken from the layer's [`KernelWorkspace`] and recycled as soon as its
 //! last reader is done — [`DistLayer::backward`] consumes the forward
 //! cache by value for exactly that reason. After the first epoch has
@@ -54,12 +54,14 @@ use std::time::Instant;
 pub enum GemmTuning {
     /// The straightforward strided TN kernel ([`gemm_reference_tn`] — the
     /// behaviour the paper observed on Frontier at ≥512 GCDs). Since the
-    /// production [`gemm`](plexus_tensor::gemm::gemm) now routes TN through
+    /// production [`gemm`](plexus_tensor::gemm::gemm) routes TN through
     /// operand packing, the reference kernel is what keeps this arm an
     /// honest reproduction of the §5.3 effect.
     Default,
-    /// Reorder so only fast-mode kernels run: materialize Hᵀ once
-    /// (O(N·D) copy) and use the NN kernel (O(N·D²) work). This is this
+    /// The packed kernel's TN: packing *is* the reorder. Each strip of
+    /// `Hᵀ` is read once into a contiguous panel and the same microkernel
+    /// as NN does the O(N·D²) work — bitwise what materializing `Hᵀ` and
+    /// calling NN computes, without the O(N·D) copy. This is this
     /// codebase's equivalent of the paper's
     /// `∂L/∂W = (SGEMM(∂L/∂Qᵀ, H))ᵀ` trick — both replace a
     /// transposed-operand kernel with a fast-path one.
@@ -557,10 +559,7 @@ impl DistLayer {
                 gemm_reference_tn(&mut dw_full, &h, &dq, 1.0, 0.0);
             }
             GemmTuning::Reordered => {
-                let mut ht = ws.take_scratch(h.cols(), h.rows());
-                h.transpose_into(&mut ht);
-                gemm_ws(ws, &mut dw_full, &ht, Trans::N, &dq, Trans::N, 1.0, 0.0);
-                ws.recycle(ht);
+                gemm_ws(ws, &mut dw_full, &h, Trans::T, &dq, Trans::N, 1.0, 0.0);
             }
         }
         ws.recycle(h);

@@ -1028,7 +1028,7 @@ mod tests {
     }
 
     #[test]
-    fn gemm_tuning_is_bitwise_identical() {
+    fn gemm_tuning_reassociates_nothing() {
         let ds = tiny_ds(96, 17);
         let base = DistTrainOptions {
             hidden_dim: 8,
@@ -1040,10 +1040,14 @@ mod tests {
         let plain = train_distributed(&ds, GridConfig::new(2, 2, 1), &base, 3);
         let tuned_opts = DistTrainOptions { tuning: GemmTuning::Reordered, ..base.clone() };
         let tuned = train_distributed(&ds, GridConfig::new(2, 2, 1), &tuned_opts, 3);
-        for (a, b) in plain.losses().iter().zip(tuned.losses()) {
-            // Reordered GEMM reassociates nothing: the inner loop order is
-            // identical, so results must match bitwise.
-            assert_eq!(*a, b, "GEMM tuning changed the result");
+        // Both arms sum each dW element in ascending-k order. The strided
+        // reference kernel is never fused, so against the packed scalar
+        // microkernel that is bitwise; against the FMA one it is the same
+        // sum with one rounding per step instead of two.
+        if plexus_tensor::fma_available() {
+            assert_losses_close(&plain.losses(), &tuned.losses(), 1e-5, "GEMM tuning");
+        } else {
+            assert_eq!(plain.losses(), tuned.losses(), "GEMM tuning changed the result");
         }
     }
 

@@ -87,10 +87,8 @@ pub fn gcn_layer_backward_ws(
     }
     let dq = dout;
     // (2) ∂L/∂W = SGEMM(Hᵀ, ∂L/∂Q)  [eq. 2.5] — the packed kernel routes
-    // the transposed operand through panel packing, so this runs at the
-    // same speed as the reordered dW trick in the distributed engine (and
-    // produces bitwise-identical values to it: the packed panels contain
-    // the same operand values in the same accumulation order).
+    // the transposed operand through panel packing; the distributed
+    // engine's `GemmTuning::Reordered` arm is this same call.
     let mut dw = ws.take_scratch(w.rows(), w.cols());
     gemm_ws(ws, &mut dw, &cache.h, Trans::T, &dq, Trans::N, 1.0, 0.0);
     // (3) ∂L/∂H = SGEMM(∂L/∂Q, Wᵀ)                               [eq. 2.6]

@@ -1,8 +1,8 @@
 //! The k-hop extraction cache: the serve-side fast path for hot query
 //! sets and hot nodes.
 //!
-//! BENCH_serve showed extraction, not the forward, dominates serving
-//! (`khop_extract_32` was 8.2ms of `predict_batch_32`'s 11.2ms, and a
+//! Extraction, not the forward, dominates serving (the repo benchmark's
+//! `graph.khop_extract_ms` is over half of `serve.predict_cold_ms`, and a
 //! single hub query costs as much as a 32-batch because its 3-hop field
 //! reaches most of the graph). This cache removes that cost for repeated
 //! work:

@@ -5,7 +5,8 @@
 //! Bitwise parity with training is the core contract. The packed GEMM and
 //! the CSR SpMM both produce output row `i` through an operation sequence
 //! that depends only on the operand *row contents* — SpMM accumulates
-//! per-row in ascending-entry order, GEMM dispatch looks only at `k·n`.
+//! per-row in ascending-entry order, the GEMM has one kernel whose
+//! per-row order is a function of `(k, n)` alone, never of the row count.
 //! K-hop node sets are kept sorted ascending, so the column remap in
 //! [`KhopWorkspace::extract_sub_csr`] is monotone and
 //! preserves entry order; every extracted row is therefore elementwise

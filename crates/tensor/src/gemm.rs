@@ -1,50 +1,47 @@
 //! SGEMM: `C = alpha * op(A) * op(B) + beta * C` with all transpose modes.
 //!
-//! Large problems run through a cache-blocked, panel-packed kernel
-//! ([`gemm_packed_into`]): `op(B)` is packed once per K-panel into
+//! Every shape runs one data path, the cache-blocked, panel-packed kernel
+//! ([`gemm_packed_with_tile`]): `op(B)` is packed once per K-panel into
 //! `nr`-wide column strips, each `mr`-row strip of `op(A)` is packed into
 //! a thread-resident interleaved panel, and an `mr x nr`
 //! widened-accumulator microkernel does the flops. Because *all four*
 //! transpose modes route through the packing step, TN/TT pay their strided
 //! reads once per panel (amortized over `n / nr` reuses) and then hit the
-//! same contiguous inner kernel as NN.
+//! same contiguous inner kernel as NN. There is no small-problem kernel:
+//! packing a `k x n` operand costs `k * n` copies against `2 * m * k * n`
+//! flops, and measured on the shapes the trainer and the server produce
+//! (down to `m = 8`) the packed kernel is never slower than unpacked
+//! loops — so nothing dispatches on size.
 //!
-//! Two things are decided at runtime rather than compile time:
-//!
-//! * **The microkernel implementation.** On x86-64 with AVX2+FMA (checked
-//!   once per process through [`crate::cpu`], the same dispatch policy the
-//!   SpMM band kernel uses) the inner tile runs 8-wide
-//!   `_mm256_fmadd_ps` accumulators; otherwise the portable
-//!   const-generic scalar tile. FMA fuses each multiply-add without
-//!   intermediate rounding, so values can differ from the scalar kernel in
-//!   the last ulp — dispatch is per-process, never per-shape, so every
-//!   bitwise invariant in the engine is untouched.
-//! * **The tile parameters.** [`crate::tune`] classifies each `(k, n)`
-//!   shape (wide / deep-k / square) and supplies `mr`/`nr` from a short
-//!   per-class startup calibration plus a *fixed* per-class `kc` table.
-//!   `kc` is deterministic because K-panel boundaries change f32 results
-//!   for `k > kc`; `mr`/`nr` are free because every candidate accumulates
-//!   each output element in the same ascending-`k` order (see the tune
-//!   module docs for the full argument).
+//! One thing is decided at runtime rather than compile time, once per
+//! process: **the microkernel implementation.** On x86-64 with AVX2+FMA
+//! (checked through [`crate::cpu`], the same dispatch policy the SpMM band
+//! kernel uses) the inner tile runs 8-wide `_mm256_fmadd_ps` accumulators;
+//! otherwise the portable const-generic scalar tile. FMA fuses each
+//! multiply-add without intermediate rounding, so values can differ from
+//! the scalar kernel in the last ulp — dispatch is per-process, never
+//! per-shape, so every bitwise invariant in the engine is untouched. The
+//! tile is a constant of that dispatch and `kc` a fixed function of
+//! `(k, n)`; both come from the table in [`crate::tune`].
 //!
 //! The deliberately-strided TN kernel survives as [`gemm_reference_tn`]:
 //! on GPUs the analogous generic kernel is what makes the paper's
 //! `dW = SGEMM(Hᵀ, dQ)` slow on Frontier (§5.3), and the tuning in
 //! `plexus-core` — replacing the TN GEMM with a fast-path kernel — is only
 //! an honest experiment if a TN path that really is slower stays
-//! measurable. It never routes through the FMA microkernel.
+//! measurable. It never routes through the packed or FMA kernels.
 //!
 //! # Determinism contract
 //!
 //! The engine's bitwise-identity tests (blocked aggregation, tiled
 //! combination GEMM, overlapped collectives) rely on one property: **the
-//! f32 operation sequence that produces output row `i` depends only on
-//! `(k, n)` and the row's operand values — never on `m`, on which row tile
-//! the row landed in, or on how many threads ran.** Every kernel here
-//! honors that: kernel dispatch looks only at `k * n`, the shape class
-//! (and through it `kc`) looks only at `(k, n)`, K-panels split `k`
-//! identically for every row, each row's accumulator is private, and the
-//! parallel path partitions rows without changing per-row math.
+//! f32 operation sequence that produces output row `i` is a function of
+//! `(k, n)`, the process's SIMD dispatch, and the row's operand values —
+//! never of `m`, of which row tile the row landed in, or of how many
+//! threads ran.** There is no dispatch on size at all: `kc` looks only at
+//! `(k, n)`, K-panels split `k` identically for every row, each row's
+//! accumulator is private, and the parallel path partitions rows without
+//! changing per-row math.
 
 use crate::matrix::Matrix;
 use crate::tune::{self, Tile};
@@ -72,16 +69,10 @@ impl Trans {
     }
 }
 
-/// Below this `k * n` the packing overhead outweighs the reuse and the
-/// unpacked kernel wins. Deliberately independent of `m` — see the
-/// module-level determinism contract.
-const PACK_KN_THRESHOLD: usize = 64 * 64;
-
-/// Minimum work (in multiply-adds) before the unpacked kernel and
-/// [`gemm_reference_tn`] use their row-parallel variants; below this the
-/// fork/join overhead dominates. Only `m` varies under this threshold on
-/// any given `(k, n)` shape, and the parallel variants keep per-row math
-/// identical to [`gemm_seq`], so crossing it never changes results.
+/// Minimum work (in multiply-adds) before [`gemm_reference_tn`] splits
+/// rows across workers; below this the fork/join overhead dominates. The
+/// parallel variant keeps per-row math identical to [`gemm_seq`], so
+/// crossing it never changes results.
 const PAR_THRESHOLD: usize = 64 * 64 * 64;
 
 thread_local! {
@@ -118,18 +109,18 @@ impl Micro {
     }
 }
 
-/// `C = alpha * op(A) * op(B) + beta * C`. Dispatches to the packed
-/// blocked kernel when `k * n` justifies packing, and to the plain
-/// sequential kernel otherwise.
+/// The process's tile for `op(A) * op(B)`.
+fn tile_of(a: &Matrix, ta: Trans, b: &Matrix, tb: Trans) -> Tile {
+    tune::tile_for(ta.shape_of(a).1, tb.shape_of(b).1)
+}
+
+/// `C = alpha * op(A) * op(B) + beta * C` through the packed kernel, with
+/// the packed panel in thread-local storage.
 pub fn gemm(c: &mut Matrix, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans, alpha: f32, beta: f32) {
-    check_shapes(c, a, ta, b, tb);
-    let (_, k) = ta.shape_of(a);
-    let (_, n) = tb.shape_of(b);
-    if k * n >= PACK_KN_THRESHOLD {
-        BPACK.with(|buf| gemm_packed_into(&mut buf.borrow_mut(), c, a, ta, b, tb, alpha, beta));
-    } else {
-        gemm_unpacked(c, a, ta, b, tb, alpha, beta);
-    }
+    let tile = tile_of(a, ta, b, tb);
+    BPACK.with(|buf| {
+        gemm_packed_with_tile(&mut buf.borrow_mut(), c, a, ta, b, tb, alpha, beta, tile, false)
+    });
 }
 
 /// [`gemm`] with an explicit workspace: the packed panel lives in `ws`
@@ -145,16 +136,10 @@ pub fn gemm_ws(
     alpha: f32,
     beta: f32,
 ) {
-    check_shapes(c, a, ta, b, tb);
-    let (_, k) = ta.shape_of(a);
-    let (_, n) = tb.shape_of(b);
-    if k * n >= PACK_KN_THRESHOLD {
-        let before = ws.b_pack.capacity();
-        gemm_packed_into(&mut ws.b_pack, c, a, ta, b, tb, alpha, beta);
-        ws.note_grown(before, ws.b_pack.capacity());
-    } else {
-        gemm_unpacked(c, a, ta, b, tb, alpha, beta);
-    }
+    let tile = tile_of(a, ta, b, tb);
+    let before = ws.b_pack.capacity();
+    gemm_packed_with_tile(&mut ws.b_pack, c, a, ta, b, tb, alpha, beta, tile, false);
+    ws.note_grown(before, ws.b_pack.capacity());
 }
 
 /// `C = alpha * A * B + beta * C` (both operands untransposed) with the
@@ -171,9 +156,7 @@ pub fn gemm_ws(
 ///
 /// Results are bitwise identical to [`gemm_ws`] / [`gemm`] on the same
 /// operands: the cached panels hold the same values in the same layout,
-/// and the same microkernel consumes them. Problems below the packing
-/// threshold route to the unpacked kernel exactly as [`gemm`] does (no
-/// caching — packing would not pay there anyway).
+/// and the same microkernel consumes them.
 pub fn gemm_nn_cached_b(
     ws: &mut KernelWorkspace,
     c: &mut Matrix,
@@ -183,63 +166,19 @@ pub fn gemm_nn_cached_b(
     alpha: f32,
     beta: f32,
 ) {
-    check_shapes(c, a, Trans::N, b, Trans::N);
-    let (m, k) = Trans::N.shape_of(a);
-    let (_, n) = Trans::N.shape_of(b);
-    if k * n < PACK_KN_THRESHOLD {
-        gemm_unpacked(c, a, Trans::N, b, Trans::N, alpha, beta);
-        return;
-    }
-    let tile = tune::tile_for(k, n);
-    // The strip width is part of the cached layout, so it keys the cache
-    // alongside the shape (a tile override between calls must repack).
-    let key = (b_version, b.rows(), b.cols(), tile.nr);
-    if ws.cached_b_key != Some(key) {
-        let before = ws.cached_b.capacity();
-        pack_b_all_panels(&mut ws.cached_b, b, Trans::N, k, n, tile);
-        ws.note_grown(before, ws.cached_b.capacity());
-        ws.cached_b_key = Some(key);
-        #[cfg(debug_assertions)]
-        {
-            ws.cached_b_fnv = fnv_f32(b.as_slice());
-        }
-    }
-    #[cfg(debug_assertions)]
-    debug_assert_eq!(
-        ws.cached_b_fnv,
-        fnv_f32(b.as_slice()),
-        "gemm_nn_cached_b: version {} reused for different operand contents",
-        b_version
-    );
-    scale_output(c, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let micro = Micro::select(false);
-    let nstrips = n.div_ceil(tile.nr);
-    let mut pc = 0;
-    let mut offset = 0;
-    while pc < k {
-        let kc = tile.kc.min(k - pc);
-        let panel = &ws.cached_b[offset..offset + nstrips * kc * tile.nr];
-        packed_strip_pass(panel, c, a, Trans::N, pc, kc, alpha, tile, micro);
-        offset += nstrips * kc * tile.nr;
-        pc += kc;
-    }
+    gemm_cached_b(ws, c, a, b, Trans::N, b_version, alpha, beta);
 }
 
 /// `C = alpha * A * Bᵀ + beta * C` with the packed `Bᵀ` panels cached in
 /// `ws` under `b_version` — the transposed-layout sibling of
-/// [`gemm_nn_cached_b`], closing the packed-B reuse leak in backward's
-/// `∂L/∂H = dQ·Wᵀ`: before this existed, every backward call repacked the
-/// transposed weights even though they only change at the optimizer step.
+/// [`gemm_nn_cached_b`] for backward's `∂L/∂H = dQ·Wᵀ`, whose transposed
+/// weights only change at the optimizer step.
 ///
-/// The cache lives in its own workspace slot (`cached_bt`), keyed by the
-/// same per-layer weight version the forward cache uses, so forward (`N`
-/// pack) and backward (`T` pack) of one step never evict each other.
-/// Version discipline, the debug content-hash guard, the below-threshold
-/// unpacked route and bitwise equality with [`gemm_ws`] on the same
-/// operands all match the `N` variant.
+/// The cache lives in its own workspace slot, keyed by the same per-layer
+/// weight version the forward cache uses, so forward (`N` pack) and
+/// backward (`T` pack) of one step never evict each other. Version
+/// discipline, the debug content-hash guard and bitwise equality with
+/// [`gemm_ws`] on the same operands all match the `N` variant.
 pub fn gemm_nt_cached_b(
     ws: &mut KernelWorkspace,
     c: &mut Matrix,
@@ -249,47 +188,62 @@ pub fn gemm_nt_cached_b(
     alpha: f32,
     beta: f32,
 ) {
-    check_shapes(c, a, Trans::N, b, Trans::T);
-    let (m, k) = Trans::N.shape_of(a);
-    let (_, n) = Trans::T.shape_of(b);
-    if k * n < PACK_KN_THRESHOLD {
-        gemm_unpacked(c, a, Trans::N, b, Trans::T, alpha, beta);
-        return;
-    }
+    gemm_cached_b(ws, c, a, b, Trans::T, b_version, alpha, beta);
+}
+
+/// The cached-panel routine behind [`gemm_nn_cached_b`] (`tb = N`) and
+/// [`gemm_nt_cached_b`] (`tb = T`): pack all of `op(B)` into the slot for
+/// `tb` unless `(b_version, shape)` is already there, then run the same
+/// strip passes [`gemm_packed_with_tile`] runs, one per cached panel.
+fn gemm_cached_b(
+    ws: &mut KernelWorkspace,
+    c: &mut Matrix,
+    a: &Matrix,
+    b: &Matrix,
+    tb: Trans,
+    b_version: u64,
+    alpha: f32,
+    beta: f32,
+) {
+    check_shapes(c, a, Trans::N, b, tb);
+    let k = a.cols();
+    let n = c.cols();
     let tile = tune::tile_for(k, n);
-    let key = (b_version, b.rows(), b.cols(), tile.nr);
-    if ws.cached_bt_key != Some(key) {
-        let before = ws.cached_bt.capacity();
-        pack_b_all_panels(&mut ws.cached_bt, b, Trans::T, k, n, tile);
-        ws.note_grown(before, ws.cached_bt.capacity());
-        ws.cached_bt_key = Some(key);
+    let slot = match tb {
+        Trans::N => &mut ws.cached_b,
+        Trans::T => &mut ws.cached_bt,
+    };
+    let cap_before = slot.buf.capacity();
+    let key = (b_version, b.rows(), b.cols());
+    if slot.key != Some(key) {
+        pack_b_all_panels(&mut slot.buf, b, tb, k, n, tile);
+        slot.key = Some(key);
         #[cfg(debug_assertions)]
         {
-            ws.cached_bt_fnv = fnv_f32(b.as_slice());
+            slot.fnv = fnv_f32(b.as_slice());
         }
     }
     #[cfg(debug_assertions)]
     debug_assert_eq!(
-        ws.cached_bt_fnv,
+        slot.fnv,
         fnv_f32(b.as_slice()),
-        "gemm_nt_cached_b: version {} reused for different operand contents",
+        "cached-B gemm: version {} reused for different operand contents",
         b_version
     );
     scale_output(c, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
     let micro = Micro::select(false);
     let nstrips = n.div_ceil(tile.nr);
     let mut pc = 0;
     let mut offset = 0;
     while pc < k {
         let kc = tile.kc.min(k - pc);
-        let panel = &ws.cached_bt[offset..offset + nstrips * kc * tile.nr];
+        let panel = &slot.buf[offset..offset + nstrips * kc * tile.nr];
         packed_strip_pass(panel, c, a, Trans::N, pc, kc, alpha, tile, micro);
         offset += nstrips * kc * tile.nr;
         pc += kc;
     }
+    let cap_after = slot.buf.capacity();
+    ws.note_grown(cap_before, cap_after);
 }
 
 /// Byte-serial hash of an f32 slice's raw bits: the debug-build guard on
@@ -304,78 +258,6 @@ fn fnv_f32(data: &[f32]) -> u64 {
         }
     }
     h
-}
-
-/// The small-`k*n` path: tall-skinny products (huge `m`, tiny `k*n`) still
-/// have plenty of row parallelism even though packing would not pay, so
-/// split rows across workers above [`PAR_THRESHOLD`] and run [`gemm_seq`]
-/// otherwise. Per-row math is identical in both variants.
-fn gemm_unpacked(
-    c: &mut Matrix,
-    a: &Matrix,
-    ta: Trans,
-    b: &Matrix,
-    tb: Trans,
-    alpha: f32,
-    beta: f32,
-) {
-    let (m, k) = ta.shape_of(a);
-    let (_, n) = tb.shape_of(b);
-    if m * n * k >= PAR_THRESHOLD && n > 0 {
-        let lda = a.cols();
-        let adata = a.as_slice();
-        let ldb = b.cols();
-        let bdata = b.as_slice();
-        c.as_mut_slice().par_chunks_mut(n).enumerate().for_each(|(i, crow)| {
-            scale_row(crow, beta);
-            match (ta, tb) {
-                (Trans::N, Trans::N) => {
-                    let arow = a.row(i);
-                    for kk in 0..k {
-                        let aik = alpha * arow[kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = b.row(kk);
-                        for j in 0..n {
-                            crow[j] += aik * brow[j];
-                        }
-                    }
-                }
-                (Trans::N, Trans::T) => {
-                    let arow = a.row(i);
-                    for (j, cx) in crow.iter_mut().enumerate() {
-                        let brow = b.row(j);
-                        let mut acc = 0.0f32;
-                        for kk in 0..k {
-                            acc += arow[kk] * brow[kk];
-                        }
-                        *cx += alpha * acc;
-                    }
-                }
-                (Trans::T, Trans::N) => {
-                    for (j, cx) in crow.iter_mut().enumerate() {
-                        let mut acc = 0.0f32;
-                        for kk in 0..k {
-                            acc += adata[kk * lda + i] * b.row(kk)[j];
-                        }
-                        *cx += alpha * acc;
-                    }
-                }
-                (Trans::T, Trans::T) => {
-                    for (j, cx) in crow.iter_mut().enumerate() {
-                        let mut acc = 0.0f32;
-                        for kk in 0..k {
-                            acc += adata[kk * lda + i] * bdata[j * ldb + kk];
-                        }
-                        *cx += alpha * acc;
-                    }
-                }
-            }
-        });
-    } else {
-        gemm_seq(c, a, ta, b, tb, alpha, beta);
-    }
 }
 
 fn check_shapes(c: &Matrix, a: &Matrix, ta: Trans, b: &Matrix, tb: Trans) {
@@ -401,9 +283,13 @@ pub fn matmul(a: &Matrix, ta: Trans, b: &Matrix, tb: Trans) -> Matrix {
     c
 }
 
-/// Plain sequential GEMM, all modes, no packing. Public both as the small-
-/// problem fast path and as the naive reference the property tests compare
-/// the packed kernel against.
+/// Plain sequential GEMM, all modes, no packing: the naive reference the
+/// tests compare the packed kernel against, and the small-problem arm of
+/// [`gemm_reference_tn`]. No production path dispatches to it. It spells
+/// out the per-element op order the determinism contract promises — scale
+/// by `beta`, sum `op(A)[i][kk] * op(B)[kk][j]` over ascending `kk` from
+/// zero, add `alpha` times the sum — which the scalar microkernel matches
+/// bitwise while one K-panel covers `k`.
 pub fn gemm_seq(
     c: &mut Matrix,
     a: &Matrix,
@@ -414,74 +300,16 @@ pub fn gemm_seq(
     beta: f32,
 ) {
     let (m, k) = ta.shape_of(a);
-    let (_, n) = tb.shape_of(b);
     scale_output(c, beta);
-    match (ta, tb) {
-        (Trans::N, Trans::N) => {
-            // ikj: stream rows of B, accumulate into the C row — fully
-            // sequential memory access on both B and C.
-            for i in 0..m {
-                let arow = a.row(i);
-                for kk in 0..k {
-                    let aik = alpha * arow[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = b.row(kk);
-                    let crow = c.row_mut(i);
-                    for j in 0..n {
-                        crow[j] += aik * brow[j];
-                    }
-                }
+    for i in 0..m {
+        for (j, cx) in c.row_mut(i).iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                let av = if ta == Trans::N { a[(i, kk)] } else { a[(kk, i)] };
+                let bv = if tb == Trans::N { b[(kk, j)] } else { b[(j, kk)] };
+                acc += av * bv;
             }
-        }
-        (Trans::N, Trans::T) => {
-            // Row-dot: C[i][j] = A.row(i) . B.row(j) — both contiguous.
-            // The C row borrow is hoisted out of the j loop.
-            for i in 0..m {
-                let arow = a.row(i);
-                let crow = c.row_mut(i);
-                for (j, cx) in crow.iter_mut().enumerate().take(n) {
-                    let brow = b.row(j);
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += arow[kk] * brow[kk];
-                    }
-                    *cx += alpha * acc;
-                }
-            }
-        }
-        (Trans::T, Trans::N) => {
-            // Generic strided kernel: A is read down a column (stride =
-            // a.cols()). The C row borrow is hoisted out of the j loop.
-            let lda = a.cols();
-            let adata = a.as_slice();
-            for i in 0..m {
-                let crow = c.row_mut(i);
-                for (j, cx) in crow.iter_mut().enumerate().take(n) {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += adata[kk * lda + i] * b.row(kk)[j];
-                    }
-                    *cx += alpha * acc;
-                }
-            }
-        }
-        (Trans::T, Trans::T) => {
-            let lda = a.cols();
-            let ldb = b.cols();
-            let adata = a.as_slice();
-            let bdata = b.as_slice();
-            for i in 0..m {
-                let crow = c.row_mut(i);
-                for (j, cx) in crow.iter_mut().enumerate().take(n) {
-                    let mut acc = 0.0f32;
-                    for kk in 0..k {
-                        acc += adata[kk * lda + i] * bdata[j * ldb + kk];
-                    }
-                    *cx += alpha * acc;
-                }
-            }
+            *cx += alpha * acc;
         }
     }
 }
@@ -489,9 +317,9 @@ pub fn gemm_seq(
 /// The deliberately-strided TN kernel, preserved verbatim from the
 /// pre-packing implementation: `C = alpha * Aᵀ * B + beta * C` with A read
 /// down columns at stride `a.cols()`. This is the honest slow path behind
-/// `GemmTuning::Default` and the `gemm_dw/tn_default` bench — the CPU
-/// stand-in for the generic GPU kernel the paper measures in §5.3. It
-/// never routes through the packed or FMA kernels.
+/// `GemmTuning::Default` and the Fig. 6 right panel — the CPU stand-in for
+/// the generic GPU kernel the paper measures in §5.3. It never routes
+/// through the packed or FMA kernels.
 pub fn gemm_reference_tn(c: &mut Matrix, a: &Matrix, b: &Matrix, alpha: f32, beta: f32) {
     let (m, k) = Trans::T.shape_of(a);
     let (k2, n) = Trans::N.shape_of(b);
@@ -519,8 +347,11 @@ pub fn gemm_reference_tn(c: &mut Matrix, a: &Matrix, b: &Matrix, alpha: f32, bet
     }
 }
 
-/// The packed blocked kernel with the process's tuned tile. `b_pack`
-/// holds the packed `op(B)` panel (grown as needed, contents scratch).
+/// The packed blocked kernel — the one driver behind [`gemm`] and
+/// [`gemm_ws`], which pass the process's tile from [`tune::tile_for`].
+/// `b_pack` holds the packed `op(B)` panel (grown as needed, contents
+/// scratch). The explicit tile and the scalar-microkernel pin are the
+/// tests' lever for comparing tiles / FMA-vs-scalar inside one process.
 ///
 /// Loop structure (BLIS-style, without the NC loop because every dense
 /// operand in this workspace has `n` small enough for one panel):
@@ -533,27 +364,6 @@ pub fn gemm_reference_tn(c: &mut Matrix, a: &Matrix, b: &Matrix, alpha: f32, bet
 ///         pack op(A)[strip, pc..] into a thread panel  (amortized n/nr x)
 ///         for each nr strip: mr x nr microkernel over the panel depth
 /// ```
-pub fn gemm_packed_into(
-    b_pack: &mut Vec<f32>,
-    c: &mut Matrix,
-    a: &Matrix,
-    ta: Trans,
-    b: &Matrix,
-    tb: Trans,
-    alpha: f32,
-    beta: f32,
-) {
-    let (_, k) = ta.shape_of(a);
-    let (_, n) = tb.shape_of(b);
-    let tile = tune::tile_for(k, n);
-    gemm_packed_with_tile(b_pack, c, a, ta, b, tb, alpha, beta, tile, false);
-}
-
-/// [`gemm_packed_into`] with an explicit tile and an optional scalar-
-/// microkernel pin. This is the autotuner's calibration entry and the
-/// property tests' lever for comparing tiles / FMA-vs-scalar inside one
-/// process; production callers go through [`gemm_packed_into`] so the
-/// per-process dispatch policy stays intact.
 #[doc(hidden)]
 pub fn gemm_packed_with_tile(
     b_pack: &mut Vec<f32>,
@@ -567,13 +377,10 @@ pub fn gemm_packed_with_tile(
     tile: Tile,
     force_scalar: bool,
 ) {
-    let (m, k) = ta.shape_of(a);
-    let (_, n) = tb.shape_of(b);
-    debug_assert_eq!(c.shape(), (m, n));
+    check_shapes(c, a, ta, b, tb);
+    let (_, k) = ta.shape_of(a);
+    let n = c.cols();
     scale_output(c, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
     let micro = Micro::select(force_scalar);
     let mut pc = 0;
     while pc < k {
@@ -584,30 +391,10 @@ pub fn gemm_packed_with_tile(
     }
 }
 
-/// Calibration probe for [`crate::tune`]: nanoseconds for one packed GEMM
-/// on an `m x k x n` synthetic problem with the candidate tile. Uses the
-/// normal FMA dispatch (calibration only runs when FMA is available) and
-/// the explicit-tile entry, so no `tile_for` re-entry can occur.
-pub(crate) fn time_candidate(m: usize, k: usize, n: usize, tile: Tile) -> u64 {
-    let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j) as f32 * 0.001).sin());
-    let b = Matrix::from_fn(k, n, |i, j| ((i + j * 3) as f32 * 0.001).cos());
-    let mut c = Matrix::zeros(m, n);
-    let mut pack = Vec::new();
-    // One warm rep pages in the pack buffers, then best-of-2 timed reps.
-    gemm_packed_with_tile(&mut pack, &mut c, &a, Trans::N, &b, Trans::N, 1.0, 0.0, tile, false);
-    let mut best = u64::MAX;
-    for _ in 0..2 {
-        let t0 = std::time::Instant::now();
-        gemm_packed_with_tile(&mut pack, &mut c, &a, Trans::N, &b, Trans::N, 1.0, 0.0, tile, false);
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
 /// One K-panel's worth of the packed kernel: every `mr`-row strip of `C`
 /// packs its `op(A)` slice and streams over the packed `op(B)` panel `bp`.
-/// Shared by the per-call packing path ([`gemm_packed_into`]) and the
-/// cached-B path ([`gemm_nn_cached_b`]) so both produce identical bits.
+/// Shared by the per-call packing path ([`gemm_packed_with_tile`]) and the
+/// cached-B path ([`gemm_cached_b`]) so both produce identical bits.
 fn packed_strip_pass(
     bp: &[f32],
     c: &mut Matrix,
@@ -619,8 +406,10 @@ fn packed_strip_pass(
     tile: Tile,
     micro: Micro,
 ) {
-    let (m, _) = ta.shape_of(a);
-    let n = c.cols();
+    let (m, n) = c.shape();
+    if m == 0 || n == 0 {
+        return;
+    }
     let nstrips = n.div_ceil(tile.nr);
     c.as_mut_slice().par_chunks_mut(tile.mr * n).enumerate().for_each(|(si, crows)| {
         let i0 = si * tile.mr;
@@ -667,7 +456,7 @@ fn pack_b_panel(
 }
 
 /// Pack every K-panel of `op(B)` back to back into `buf` — the layout
-/// [`gemm_nn_cached_b`] walks with a running offset. Each panel's interior
+/// [`gemm_cached_b`] walks with a running offset. Each panel's interior
 /// layout is exactly what [`pack_b_panel`] produces for that `pc`.
 fn pack_b_all_panels(buf: &mut Vec<f32>, b: &Matrix, tb: Trans, k: usize, n: usize, tile: Tile) {
     let nstrips = n.div_ceil(tile.nr);
@@ -811,11 +600,8 @@ fn microkernel(
     let _ = micro;
     match (tile.mr, tile.nr) {
         (4, 8) => mk_scalar::<4, 8>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-        (6, 8) => mk_scalar::<6, 8>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-        (8, 8) => mk_scalar::<8, 8>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-        (4, 16) => mk_scalar::<4, 16>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
         (6, 16) => mk_scalar::<6, 16>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-        (mr_t, nr_t) => unreachable!("tile {mr_t}x{nr_t} is not in the candidate set"),
+        (mr_t, nr_t) => unreachable!("tile {mr_t}x{nr_t} is not in the tile table"),
     }
 }
 
@@ -859,7 +645,7 @@ fn mk_scalar<const MR: usize, const NR: usize>(
 /// boundary plus the SIMD load/store intrinsics, every pointer derived
 /// from a bounds-checked slice immediately before use.
 ///
-/// Each candidate tile is `MR` accumulator rows of `NCOL` ymm columns
+/// Each tile is `MR` accumulator rows of `NCOL` ymm columns
 /// (`nr = 8 * NCOL`); the B strip is broadcast-FMA'd into the block one
 /// `kk` at a time, which is the same per-element ascending-`k` order as
 /// the scalar kernel — fused per step, so values can differ from scalar in
@@ -910,11 +696,8 @@ mod x86 {
     ) {
         match (mr_t, nr_t) {
             (4, 8) => mk_fma::<4, 1>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-            (6, 8) => mk_fma::<6, 1>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-            (8, 8) => mk_fma::<8, 1>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-            (4, 16) => mk_fma::<4, 2>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
             (6, 16) => mk_fma::<6, 2>(ap, bstrip, kc, alpha, crows, n, j0, mr, nr),
-            _ => unreachable!("tile {mr_t}x{nr_t} is not in the candidate set"),
+            _ => unreachable!("tile {mr_t}x{nr_t} is not in the tile table"),
         }
     }
 
@@ -983,19 +766,11 @@ fn scale_row(row: &mut [f32], beta: f32) {
 mod tests {
     use super::*;
     use crate::compare::assert_close;
-    use crate::tune::{kc_for, tile_for, ShapeClass, FMA_CANDIDATES};
+    use crate::tune::{kc_for, tile_for, ShapeClass, FMA_TILE, SCALAR_TILE};
 
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for j in 0..b.cols() {
-                let mut acc = 0.0;
-                for kk in 0..a.cols() {
-                    acc += a[(i, kk)] * b[(kk, j)];
-                }
-                c[(i, j)] = acc;
-            }
-        }
+        gemm_seq(&mut c, a, Trans::N, b, Trans::N, 1.0, 0.0);
         c
     }
 
@@ -1018,8 +793,8 @@ mod tests {
 
     #[test]
     fn packed_path_all_modes_agree_with_naive() {
-        // 70x130 operands: k*n exceeds the packing threshold and spans
-        // multiple nr strips plus an edge strip; alpha/beta exercised too.
+        // 70x130 operands span multiple nr strips plus an edge strip;
+        // alpha/beta exercised too.
         let a = test_mat(70, 130, 0.3);
         let b = test_mat(130, 70, 0.4);
         let reference = naive(&a, &b);
@@ -1053,7 +828,6 @@ mod tests {
 
     #[test]
     fn packed_path_close_to_sequential() {
-        // 80*80 >= the packing threshold so gemm() takes the packed path.
         // FMA fuses multiply-adds, so packed-vs-seq is a tolerance check;
         // the bitwise guarantees live within each kernel path (see
         // scalar_packed_matches_sequential_bitwise and
@@ -1071,12 +845,12 @@ mod tests {
     fn scalar_packed_matches_sequential_bitwise() {
         // With the scalar microkernel pinned, k <= kc and alpha = 1, the
         // packed path performs exactly the naive ascending-k accumulation
-        // per element — bitwise, for every candidate tile.
+        // per element — bitwise, for every tile in the table.
         let a = test_mat(80, 80, 0.3);
         let b = test_mat(80, 80, 0.4);
         let mut c_seq = Matrix::zeros(80, 80);
         gemm_seq(&mut c_seq, &a, Trans::N, &b, Trans::N, 1.0, 0.0);
-        for &(mr, nr) in FMA_CANDIDATES {
+        for (mr, nr) in [FMA_TILE, SCALAR_TILE] {
             let tile = Tile { mr, nr, kc: 512 };
             let mut c = Matrix::zeros(80, 80);
             let mut pack = Vec::new();
@@ -1098,15 +872,16 @@ mod tests {
 
     #[test]
     fn every_candidate_tile_is_bitwise_identical() {
-        // The autotuner's license to pick mr/nr by timing: every candidate
-        // (and both kernel implementations against themselves) must give
-        // identical bits, including across K-panels and edge strips.
+        // Why the table's mr/nr constants are free to change: every tile
+        // it can return (on both kernel implementations, each against
+        // itself) must give identical bits, including across K-panels and
+        // edge strips.
         let a = test_mat(37, 700, 0.3);
         let b = test_mat(700, 43, 0.4);
         let kc = tile_for(700, 43).kc;
         for force_scalar in [false, true] {
             let mut reference: Option<Matrix> = None;
-            for &(mr, nr) in FMA_CANDIDATES {
+            for (mr, nr) in [FMA_TILE, SCALAR_TILE] {
                 let mut c = Matrix::full(37, 43, 0.5);
                 let mut pack = Vec::new();
                 gemm_packed_with_tile(
@@ -1239,9 +1014,9 @@ mod tests {
 
     #[test]
     fn cached_b_matches_gemm_ws_bitwise() {
-        // 120x90: k*n above the packing threshold, multiple nr strips plus
-        // an edge strip. Repeated calls, row tiles and version bumps must
-        // all agree bitwise with the per-call packing path.
+        // 120x90: multiple nr strips plus an edge strip. Repeated calls,
+        // row tiles and version bumps must all agree bitwise with the
+        // per-call packing path.
         let b = test_mat(120, 90, 0.2);
         let mut ws = KernelWorkspace::new();
         for (version, rows) in [(1u64, 50usize), (1, 50), (1, 33), (2, 50)] {
@@ -1252,14 +1027,17 @@ mod tests {
             gemm_nn_cached_b(&mut ws, &mut c, &a, &b, version, 1.0, 0.0);
             assert_eq!(c.as_slice(), expect.as_slice(), "cached-B diverged (v{})", version);
         }
-        // Multi-panel k (> kc) through the cached path.
-        let a = test_mat(20, 700, 0.4);
-        let b = test_mat(700, 40, 0.5);
-        let mut expect = Matrix::zeros(20, 40);
-        gemm_ws(&mut ws, &mut expect, &a, Trans::N, &b, Trans::N, 1.0, 0.0);
-        let mut c = Matrix::zeros(20, 40);
-        gemm_nn_cached_b(&mut ws, &mut c, &a, &b, 7, 1.0, 0.0);
-        assert_eq!(c.as_slice(), expect.as_slice(), "multi-panel cached-B diverged");
+        // Multi-panel k (> kc), then a small-model shape (one partial
+        // strip), through the same workspace.
+        for (version, (m, k, n)) in [(7u64, (20usize, 700usize, 40usize)), (8, (30, 8, 8))] {
+            let a = test_mat(m, k, 0.4);
+            let b = test_mat(k, n, 0.5);
+            let mut expect = Matrix::zeros(m, n);
+            gemm_ws(&mut ws, &mut expect, &a, Trans::N, &b, Trans::N, 1.0, 0.0);
+            let mut c = Matrix::zeros(m, n);
+            gemm_nn_cached_b(&mut ws, &mut c, &a, &b, version, 1.0, 0.0);
+            assert_eq!(c.as_slice(), expect.as_slice(), "cached-B diverged at {m}x{k}x{n}");
+        }
     }
 
     #[test]
@@ -1281,20 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_b_below_threshold_matches_unpacked() {
-        // Tiny k*n dispatches to the unpacked kernel — exactly like gemm —
-        // so small-model configs see no behavior change.
-        let a = test_mat(30, 8, 0.7);
-        let b = test_mat(8, 8, 0.8);
-        let mut expect = Matrix::zeros(30, 8);
-        gemm(&mut expect, &a, Trans::N, &b, Trans::N, 1.0, 0.0);
-        let mut ws = KernelWorkspace::new();
-        let mut c = Matrix::zeros(30, 8);
-        gemm_nn_cached_b(&mut ws, &mut c, &a, &b, 3, 1.0, 0.0);
-        assert_eq!(c.as_slice(), expect.as_slice());
-    }
-
-    #[test]
     fn cached_bt_matches_gemm_ws_bitwise() {
         // The backward shape: dH = dQ · Wᵀ with W of shape (k_in, n_out).
         // Repeated calls, row tiles and version bumps through the
@@ -1309,14 +1073,17 @@ mod tests {
             gemm_nt_cached_b(&mut ws, &mut c, &dq, &w, version, 1.0, 0.0);
             assert_eq!(c.as_slice(), expect.as_slice(), "cached-Bᵀ diverged (v{})", version);
         }
-        // Multi-panel k (> kc) through the transposed cache.
-        let dq = test_mat(20, 700, 0.4);
-        let w = test_mat(40, 700, 0.5);
-        let mut expect = Matrix::zeros(20, 40);
-        gemm_ws(&mut ws, &mut expect, &dq, Trans::N, &w, Trans::T, 1.0, 0.0);
-        let mut c = Matrix::zeros(20, 40);
-        gemm_nt_cached_b(&mut ws, &mut c, &dq, &w, 7, 1.0, 0.0);
-        assert_eq!(c.as_slice(), expect.as_slice(), "multi-panel cached-Bᵀ diverged");
+        // Multi-panel k (> kc), then a small-model shape, through the
+        // transposed cache.
+        for (version, (m, k, n)) in [(7u64, (20usize, 700usize, 40usize)), (8, (30, 8, 8))] {
+            let dq = test_mat(m, k, 0.4);
+            let w = test_mat(n, k, 0.5);
+            let mut expect = Matrix::zeros(m, n);
+            gemm_ws(&mut ws, &mut expect, &dq, Trans::N, &w, Trans::T, 1.0, 0.0);
+            let mut c = Matrix::zeros(m, n);
+            gemm_nt_cached_b(&mut ws, &mut c, &dq, &w, version, 1.0, 0.0);
+            assert_eq!(c.as_slice(), expect.as_slice(), "cached-Bᵀ diverged at {m}x{k}x{n}");
+        }
     }
 
     #[test]
@@ -1348,18 +1115,6 @@ mod tests {
             gemm_nt_cached_b(&mut ws, &mut dh, &dq, &w2, v, 1.0, 0.0);
         }
         assert_eq!(ws.alloc_events(), warmed, "version repacks allocated");
-    }
-
-    #[test]
-    fn cached_bt_below_threshold_matches_unpacked() {
-        let dq = test_mat(30, 8, 0.7);
-        let w = test_mat(8, 8, 0.8);
-        let mut expect = Matrix::zeros(30, 8);
-        gemm(&mut expect, &dq, Trans::N, &w, Trans::T, 1.0, 0.0);
-        let mut ws = KernelWorkspace::new();
-        let mut c = Matrix::zeros(30, 8);
-        gemm_nt_cached_b(&mut ws, &mut c, &dq, &w, 3, 1.0, 0.0);
-        assert_eq!(c.as_slice(), expect.as_slice());
     }
 
     #[test]
@@ -1397,14 +1152,101 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_dimensions_are_noops() {
-        let a = Matrix::zeros(0, 5);
-        let b = Matrix::zeros(5, 128);
-        assert_eq!(matmul(&a, Trans::N, &b, Trans::N).shape(), (0, 128));
-        let a = Matrix::zeros(4, 0);
-        let b = Matrix::zeros(0, 128);
-        let mut c = Matrix::full(4, 128, 3.0);
-        gemm(&mut c, &a, Trans::N, &b, Trans::N, 1.0, 2.0);
-        assert!(c.as_slice().iter().all(|&x| x == 6.0), "k=0 must only apply beta");
+    fn every_entry_point_matches_seq_on_every_shape_and_mode() {
+        // The packed kernel serves every shape, so it is checked on the
+        // ones the old small-problem kernel used to hide: empty and
+        // one-element dimensions, partial strips and tiles, a multi-panel
+        // `k` per shape class (which also sits above the retired 64*64
+        // `k*n` line). `k = 0` must leave exactly `beta * c`.
+        let dims = [0usize, 1, 2, 7, 8, 9, 17];
+        let mut shapes = vec![(30, 8, 8), (4, 0, 128), (0, 5, 128), (9, 80, 90)];
+        shapes.extend([(5, 300, 256), (5, 1100, 16), (5, 600, 100)]); // Wide, DeepK, Square
+        for &m in &dims {
+            for &k in &dims {
+                shapes.extend(dims.iter().map(|&n| (m, k, n)));
+            }
+        }
+        let mut ws = KernelWorkspace::new();
+        let mut version = 0u64;
+        for (m, k, n) in shapes {
+            let tile = tile_for(k, n);
+            let one_panel = k <= tile.kc;
+            for (ta, tb) in [
+                (Trans::N, Trans::N),
+                (Trans::N, Trans::T),
+                (Trans::T, Trans::N),
+                (Trans::T, Trans::T),
+            ] {
+                let a = if ta == Trans::N { test_mat(m, k, 0.1) } else { test_mat(k, m, 0.1) };
+                let b = if tb == Trans::N { test_mat(k, n, 0.2) } else { test_mat(n, k, 0.2) };
+                let c0 = test_mat(m, n, 0.3);
+                for (alpha, beta) in [(1.0f32, 0.0f32), (1.0, 1.0), (0.5, 2.0)] {
+                    let what = format!("{m}x{k}x{n} {ta:?}{tb:?} alpha {alpha} beta {beta}");
+                    let mut expect = c0.clone();
+                    gemm_seq(&mut expect, &a, ta, &b, tb, alpha, beta);
+                    let check = |got: &Matrix, bitwise: bool| {
+                        if bitwise {
+                            assert_eq!(got.as_slice(), expect.as_slice(), "{what}");
+                        } else {
+                            assert_close(got, &expect, 2e-4, &what);
+                        }
+                    };
+                    // Scalar microkernel pinned: exactly the sequential
+                    // ascending-k sum while one panel covers k.
+                    let mut pinned = c0.clone();
+                    let mut bp = Vec::new();
+                    gemm_packed_with_tile(
+                        &mut bp,
+                        &mut pinned,
+                        &a,
+                        ta,
+                        &b,
+                        tb,
+                        alpha,
+                        beta,
+                        tile,
+                        true,
+                    );
+                    check(&pinned, one_panel);
+                    // The public entry points run the process's dispatch
+                    // and agree with one another bitwise.
+                    let mut got = c0.clone();
+                    gemm(&mut got, &a, ta, &b, tb, alpha, beta);
+                    check(&got, one_panel && !crate::cpu::fma_available());
+                    let mut via_ws = c0.clone();
+                    gemm_ws(&mut ws, &mut via_ws, &a, ta, &b, tb, alpha, beta);
+                    assert_eq!(via_ws.as_slice(), got.as_slice(), "gemm_ws {what}");
+                    if ta == Trans::N {
+                        version += 1;
+                        let mut cached = c0.clone();
+                        match tb {
+                            Trans::N => {
+                                gemm_nn_cached_b(&mut ws, &mut cached, &a, &b, version, alpha, beta)
+                            }
+                            Trans::T => {
+                                gemm_nt_cached_b(&mut ws, &mut cached, &a, &b, version, alpha, beta)
+                            }
+                        }
+                        assert_eq!(cached.as_slice(), got.as_slice(), "cached-B {what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_tn_equals_transpose_then_nn_bitwise() {
+        // What lets `GemmTuning::Reordered` be the plain TN call: packing
+        // op(A) = Hᵀ strip by strip reads the same values into the same
+        // panel layout as packing a materialized Hᵀ, so `dW` comes out
+        // bit for bit what transpose + NN computed. The last two shapes
+        // have k = rows(H) > kc.
+        for (rows, d, n) in [(512, 32, 16), (2048, 128, 64), (1500, 24, 40)] {
+            let h = test_mat(rows, d, 0.7);
+            let dq = test_mat(rows, n, 0.8);
+            let via_copy = matmul(&h.transposed(), Trans::N, &dq, Trans::N);
+            let direct = matmul(&h, Trans::T, &dq, Trans::N);
+            assert_eq!(direct.as_slice(), via_copy.as_slice(), "H {rows}x{d}, dQ {rows}x{n}");
+        }
     }
 }

@@ -1,8 +1,7 @@
 //! Reusable kernel buffers: the packed-panel scratch for [`gemm_ws`] and a
 //! capacity-keyed pool of output buffers, so the training engine's
-//! per-epoch kernel outputs (`H`, `Q`, activations, gradients, transpose
-//! scratch) stop hitting the allocator once the first epoch has sized
-//! everything.
+//! per-epoch kernel outputs (`H`, `Q`, activations, gradients) stop
+//! hitting the allocator once the first epoch has sized everything.
 //!
 //! The pool is shape-agnostic: [`KernelWorkspace::take`] hands out any
 //! recycled buffer whose *capacity* covers the requested element count
@@ -28,36 +27,33 @@ use crate::matrix::Matrix;
 /// Maximum pooled buffers; beyond this, recycling evicts the smallest.
 const POOL_CAP: usize = 24;
 
-/// Reusable packed-panel + output + transpose buffers for the compute
-/// kernels. One long-lived workspace per layer (or per trainer) is the
-/// intended ownership.
+/// A version-keyed packed `op(B)` spanning every K-panel, for operands
+/// that survive across calls (the combination GEMM's gathered weight
+/// matrix). See [`gemm_nn_cached_b`](crate::gemm::gemm_nn_cached_b).
+#[derive(Debug, Default)]
+pub(crate) struct CachedPanels {
+    pub(crate) buf: Vec<f32>,
+    /// `(version, rows, cols)` of the operand packed in `buf`.
+    pub(crate) key: Option<(u64, usize, usize)>,
+    /// Content hash of the cached operand; guards against a caller reusing
+    /// a version number for different bits (debug builds only).
+    #[cfg(debug_assertions)]
+    pub(crate) fnv: u64,
+}
+
+/// Reusable packed-panel + output buffers for the compute kernels. One
+/// long-lived workspace per layer (or per trainer) is the intended
+/// ownership.
 #[derive(Debug, Default)]
 pub struct KernelWorkspace {
     /// Packed `op(B)` panel for the blocked GEMM.
     pub(crate) b_pack: Vec<f32>,
-    /// Version-keyed packed `B` spanning every K-panel, for operands that
-    /// survive across calls (the combination GEMM's gathered weight
-    /// matrix). See [`gemm_nn_cached_b`](crate::gemm::gemm_nn_cached_b).
-    pub(crate) cached_b: Vec<f32>,
-    /// `(version, rows, cols, nr)` of the operand packed in `cached_b` —
-    /// `nr` because the strip width is part of the packed layout, so a
-    /// tile change between calls must repack.
-    pub(crate) cached_b_key: Option<(u64, usize, usize, usize)>,
-    /// Content hash of the cached operand; guards against a caller reusing
-    /// a version number for different bits (debug builds only).
-    #[cfg(debug_assertions)]
-    pub(crate) cached_b_fnv: u64,
-    /// Transposed-layout sibling of `cached_b`: the same operand packed as
-    /// `op(B) = Bᵀ`, so backward's `∂L/∂H = dQ·Wᵀ` reuses its pack across
-    /// calls instead of repacking the transposed weights every time. A
+    /// The operand cached as `op(B) = B` (forward's `Q = H·W`).
+    pub(crate) cached_b: CachedPanels,
+    /// The operand cached as `op(B) = Bᵀ` (backward's `∂L/∂H = dQ·Wᵀ`). A
     /// separate slot because forward (`N`) and backward (`T`) alternate
     /// within one step and would thrash a shared one.
-    pub(crate) cached_bt: Vec<f32>,
-    /// `(version, rows, cols, nr)` of the operand packed in `cached_bt`.
-    pub(crate) cached_bt_key: Option<(u64, usize, usize, usize)>,
-    /// Content hash of the transposed-cached operand (debug builds only).
-    #[cfg(debug_assertions)]
-    pub(crate) cached_bt_fnv: u64,
+    pub(crate) cached_bt: CachedPanels,
     /// Recycled output buffers, reused by capacity.
     pool: Vec<Vec<f32>>,
     alloc_events: u64,

@@ -24,7 +24,7 @@ use plexus_sparse::permute::{apply_permutation, inverse_permutation, random_perm
 use plexus_sparse::shard::{shard_grid, unshard_grid};
 use plexus_sparse::{nnz_balanced_bounds, spmm, spmm_acc_into, spmm_into, Coo, Csr};
 use plexus_tensor::gemm::gemm_packed_with_tile;
-use plexus_tensor::tune::{self, FMA_CANDIDATES};
+use plexus_tensor::tune::{self, FMA_TILE, SCALAR_TILE};
 use plexus_tensor::{assert_close, gemm, gemm_seq, gemm_ws, KernelWorkspace, Matrix, Trans};
 use proptest::prelude::*;
 
@@ -101,12 +101,12 @@ proptest! {
         let seed_c = seeded_matrix(m, n, seed ^ 2);
         let mut expect = seed_c.clone();
         naive_gemm(&a, ta, &b, tb, alpha, beta, &mut expect);
-        // The dispatching entry point (packed or small-problem kernel).
+        // The public entry point (the packed kernel, whatever the shape).
         let mut got = seed_c.clone();
         gemm(&mut got, &a, ta, &b, tb, alpha, beta);
         assert_close(&got, &expect, 2e-4, "gemm vs f64 naive");
         // The plain sequential kernel agrees too (par-vs-seq equivalence:
-        // the dispatcher may parallelize, gemm_seq never does).
+        // the packed kernel may parallelize, gemm_seq never does).
         let mut seq = seed_c.clone();
         gemm_seq(&mut seq, &a, ta, &b, tb, alpha, beta);
         assert_close(&got, &seq, 2e-4, "dispatched vs sequential");
@@ -153,12 +153,13 @@ proptest! {
         beta in -2.0f32..2.0,
         seed in any::<u64>(),
     ) {
-        // The microkernel contract behind the autotuner: MR/NR are
-        // bits-neutral (any candidate tile produces identical bits on a
-        // given arithmetic path), and the FMA path agrees with the scalar
-        // path within rounding across all four transpose modes, alpha/beta
-        // and multi-panel k. On machines without AVX2+FMA the "fma" run
-        // falls back to scalar and the tolerance check is trivially exact.
+        // The microkernel contract behind the tile table: MR/NR are
+        // bits-neutral (every tile the table can return produces identical
+        // bits on a given arithmetic path), and the FMA path agrees with
+        // the scalar path within rounding across all four transpose modes,
+        // alpha/beta and multi-panel k. On machines without AVX2+FMA the
+        // "fma" run falls back to scalar and the tolerance check is
+        // trivially exact.
         let (ta, tb) = [(Trans::N, Trans::N), (Trans::N, Trans::T),
                         (Trans::T, Trans::N), (Trans::T, Trans::T)][mode];
         let a = match ta {
@@ -180,16 +181,13 @@ proptest! {
             );
             c
         };
-        let (mr0, nr0) = FMA_CANDIDATES[0];
-        let scalar = run(mr0, nr0, true);
-        let fma = run(mr0, nr0, false);
+        let scalar = run(FMA_TILE.0, FMA_TILE.1, true);
+        let fma = run(FMA_TILE.0, FMA_TILE.1, false);
         assert_close(&fma, &scalar, 2e-4, "fma vs scalar microkernel");
-        for &(mr, nr) in &FMA_CANDIDATES[1..] {
-            let other_scalar = run(mr, nr, true);
-            let other_fma = run(mr, nr, false);
-            prop_assert_eq!(other_scalar.as_slice(), scalar.as_slice());
-            prop_assert_eq!(other_fma.as_slice(), fma.as_slice());
-        }
+        let other_scalar = run(SCALAR_TILE.0, SCALAR_TILE.1, true);
+        let other_fma = run(SCALAR_TILE.0, SCALAR_TILE.1, false);
+        prop_assert_eq!(other_scalar.as_slice(), scalar.as_slice());
+        prop_assert_eq!(other_fma.as_slice(), fma.as_slice());
     }
 
     #[test]
