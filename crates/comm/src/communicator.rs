@@ -18,37 +18,31 @@
 //! Each reduction/gather collective exists in two forms:
 //!
 //! * the nonblocking form (`start_all_reduce`, `start_all_gather`,
-//!   `start_reduce_scatter`, `start_all_gather_rows`,
-//!   `start_all_to_all_rows`) *launches* the collective and returns a
-//!   [`PendingCollective`] immediately; the caller overlaps local compute
-//!   with the in-flight collective and calls [`PendingCollective::wait`]
-//!   when it needs the result. This is the §5.2 comm/compute-overlap seam:
-//!   `DistLayer` launches the axis all-reduce of one tile while the next
-//!   tile's GEMM/SpMM is still running.
+//!   `start_reduce_scatter`, `start_all_gather_rows`) *launches* the
+//!   collective and returns a [`PendingCollective`] immediately; the
+//!   caller overlaps local compute with the in-flight collective and calls
+//!   [`PendingCollective::wait`] when it needs the result. This is the
+//!   §5.2 comm/compute-overlap seam: `DistLayer` launches the axis
+//!   all-reduce of one tile while the next tile's GEMM/SpMM is still
+//!   running.
 //! * the blocking form (`all_reduce`, `all_gather`, `reduce_scatter`,
-//!   `all_gather_rows`, `all_to_all_rows`) returns only when the result is
-//!   available on this rank. Blocking forms are default-implemented as
-//!   `start_*(...).wait()`, so a backend implements exactly one data path
-//!   per collective — the nonblocking one.
+//!   `all_gather_rows`) returns only when the result is available on this
+//!   rank. Blocking forms are default-implemented as `start_*(...).wait()`,
+//!   so a backend implements exactly one data path per collective — the
+//!   nonblocking one.
 //!
-//! # Sparse (row-indexed) collectives
+//! # The sparse (row-indexed) gather
 //!
 //! Dense all-gathers ship every rank's full padded block even when the
-//! consumer only reads a few rows of it. The sparse collectives carry only
-//! the rows the adjacency structure demands (the CAGNET/"reducing
-//! communication in GNN training" observation):
-//!
-//! * [`all_gather_rows`](Communicator::all_gather_rows) is a *pull*
-//!   gather over a row space sharded equally across the group: each rank
-//!   names the global rows it wants and receives exactly those, in request
-//!   order. Different ranks may request different row sets.
-//! * [`all_to_all_rows`](Communicator::all_to_all_rows) is the
-//!   request-driven exchange underneath: per-peer row-index lists (built
-//!   once per epoch by a `RowRequestPlan`) select which of each owner's
-//!   local rows travel to this rank.
-//!
-//! Both record ledger events with their *indexed* sizes — the rows this
-//! rank actually served plus the index upload — so cost-model replay and
+//! consumer only reads a few rows of it.
+//! [`all_gather_rows`](Communicator::all_gather_rows) carries only the
+//! rows the adjacency structure demands (the CAGNET/"reducing
+//! communication in GNN training" observation): it is a *pull* gather over
+//! a row space sharded equally across the group, where each rank names the
+//! global rows it wants (a `RowRequestPlan`'s column support) and receives
+//! exactly those, in request order. Different ranks may request different
+//! row sets. Its ledger events record the *indexed* size — the rows this
+//! rank actually served plus its index upload — so cost-model replay and
 //! the simulated studies see honest sparse message volumes, directly
 //! comparable with the dense events' contributed-payload convention.
 //!
@@ -176,9 +170,6 @@ pub trait Communicator: Sized {
         self.start_all_gather(src).wait()
     }
 
-    /// All-gather with per-rank lengths preserved (ragged).
-    fn all_gather_varlen<T: CommElem>(&self, src: &[T]) -> Vec<Vec<T>>;
-
     /// Reduce all ranks' equal-length buffers elementwise, then return
     /// this rank's `1/size()` chunk of the result. `buf.len()` must be
     /// divisible by the group size.
@@ -209,29 +200,6 @@ pub trait Communicator: Sized {
     fn all_gather_rows<T: CommElem>(&self, src: &[T], row_ids: &[u32], row_width: usize) -> Vec<T> {
         self.start_all_gather_rows(src, row_ids, row_width).wait()
     }
-
-    /// Request-driven sparse all-to-all: `requests[p]` lists the *local*
-    /// row indices of rank `p`'s `src` this rank wants (`requests.len() ==
-    /// size()`; self-requests allowed). Returns the rows flattened
-    /// owner-major — rank 0's rows in `requests[0]` order, then rank 1's,
-    /// and so on (`sum(requests[p].len()) * row_width` elements).
-    ///
-    /// Unlike [`all_gather_rows`](Communicator::all_gather_rows) the `src`
-    /// blocks need not be equal-sized across ranks; indices are validated
-    /// against each owner's actual block.
-    ///
-    /// Default: `start_all_to_all_rows(...).wait()`.
-    fn all_to_all_rows<T: CommElem>(
-        &self,
-        src: &[T],
-        requests: &[Vec<u32>],
-        row_width: usize,
-    ) -> Vec<T> {
-        self.start_all_to_all_rows(src, requests, row_width).wait()
-    }
-
-    /// Broadcast `buf` from `root` to every rank.
-    fn broadcast<T: CommElem>(&self, buf: &mut Vec<T>, root: usize);
 
     /// All-to-all: `sends[d]` goes to rank `d`; returns `recv` where
     /// `recv[s]` came from rank `s`. Chunks may be ragged (the BNS-GCN
@@ -282,15 +250,6 @@ pub trait Communicator: Sized {
         &'c self,
         src: &[T],
         row_ids: &[u32],
-        row_width: usize,
-    ) -> PendingCollective<'c, T>;
-
-    /// Nonblocking [`all_to_all_rows`](Communicator::all_to_all_rows); the
-    /// blocking form is derived from it.
-    fn start_all_to_all_rows<'c, T: CommElem>(
-        &'c self,
-        src: &[T],
-        requests: &[Vec<u32>],
         row_width: usize,
     ) -> PendingCollective<'c, T>;
 }

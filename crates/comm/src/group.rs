@@ -20,13 +20,12 @@
 //! `start_*(..).wait()`, so this backend implements exactly one data path
 //! per collective.
 //!
-//! The sparse collectives (`start_all_gather_rows`,
-//! `start_all_to_all_rows`) run the protocol *twice* inside one
-//! collective: phase one exchanges the row-index requests (posted at start
-//! time), phase two ships only the requested rows. Their ledger events
-//! record the indexed sizes — the rows this rank actually served plus its
-//! index upload — which is what makes the dense-vs-sparse volume studies
-//! honest.
+//! The sparse row gather (`start_all_gather_rows`) runs the protocol
+//! *twice* inside one collective: phase one exchanges the row-index
+//! requests (posted at start time), phase two ships only the requested
+//! rows. Its ledger event records the indexed size — the rows this rank
+//! actually served plus its index upload — which is what makes the
+//! dense-vs-sparse volume studies honest.
 //!
 //! This is O(G·M) per rank instead of a ring's O(M), which is irrelevant
 //! for correctness runs (G ≤ 64 threads) — the *cost* of the real ring
@@ -340,67 +339,6 @@ impl ThreadComm {
         out
     }
 
-    /// Completion of an in-flight request-driven row exchange. The request
-    /// table (`requests[p]` = local rows of rank `p` this rank wants) was
-    /// posted at start time; each owner reads what every peer wants *from
-    /// it*, reposts per-requester row chunks, and each requester takes its
-    /// chunk from every owner in ascending owner order.
-    fn finish_all_to_all_rows<T: CommElem>(
-        &self,
-        src: Vec<T>,
-        requests: Vec<Vec<u32>>,
-        row_width: usize,
-    ) -> Vec<T> {
-        let local_rows = src.len() / row_width;
-        self.shared.barrier.wait();
-        let wants_from_me =
-            self.read_all::<Vec<Vec<u32>>, Vec<u32>>(|_, per_owner| per_owner[self.rank].clone());
-        self.shared.barrier.wait();
-        self.clear_own_slot();
-        let chunks: Vec<Vec<T>> = wants_from_me
-            .iter()
-            .enumerate()
-            .map(|(r, ids)| {
-                let mut rows = Vec::with_capacity(ids.len() * row_width);
-                for &l in ids {
-                    assert!(
-                        (l as usize) < local_rows,
-                        "all_to_all_rows on group '{}': rank {} requested local row {} of a \
-                         {}-row block",
-                        self.shared.label,
-                        r,
-                        l,
-                        local_rows
-                    );
-                    rows.extend_from_slice(&src[l as usize * row_width..][..row_width]);
-                }
-                rows
-            })
-            .collect();
-        let outgoing_rows: usize = chunks.iter().map(|c| c.len() * T::BYTES).sum();
-        let outgoing_ids: usize =
-            requests.iter().map(|r| r.len() * std::mem::size_of::<u32>()).sum();
-        self.record(CollOp::AllToAllRows, outgoing_rows + outgoing_ids);
-        self.post(Box::new(chunks));
-        self.shared.barrier.wait();
-        let out_len: usize = requests.iter().map(|r| r.len() * row_width).sum();
-        let mut out: Vec<T> = Vec::with_capacity(out_len);
-        {
-            let slots = self.shared.slots.lock();
-            for owner in 0..self.size {
-                let per_requester = slots[owner]
-                    .as_ref()
-                    .expect("all_to_all_rows: owner posted no rows")
-                    .downcast_ref::<Vec<Vec<T>>>()
-                    .expect("all_to_all_rows row-phase type mismatch");
-                out.extend_from_slice(&per_requester[self.rank]);
-            }
-        }
-        self.shared.barrier.wait();
-        self.clear_own_slot();
-        out
-    }
-
     /// MPI_Comm_split with this rank's concrete color/key pair: ranks with
     /// equal `color` form a new group, ordered by `(key, parent rank)`.
     /// Must be called collectively. The returned communicator shares this
@@ -496,39 +434,6 @@ impl Communicator for ThreadComm {
         });
     }
 
-    fn all_gather_varlen<T: CommElem>(&self, src: &[T]) -> Vec<Vec<T>> {
-        self.record(CollOp::AllGather, src.len() * T::BYTES);
-        self.post(Box::new(src.to_vec()));
-        self.shared.barrier.wait();
-        let out = self.read_all::<Vec<T>, Vec<T>>(|_, v| v.clone());
-        self.shared.barrier.wait();
-        self.clear_own_slot();
-        out
-    }
-
-    fn broadcast<T: CommElem>(&self, buf: &mut Vec<T>, root: usize) {
-        assert!(root < self.size, "broadcast: root {} out of {}", root, self.size);
-        self.record(CollOp::Broadcast, buf.len() * T::BYTES);
-        if self.rank == root {
-            self.post(Box::new(buf.clone()));
-        }
-        self.shared.barrier.wait();
-        if self.rank != root {
-            let slots = self.shared.slots.lock();
-            let v = slots[root]
-                .as_ref()
-                .expect("broadcast: root posted nothing")
-                .downcast_ref::<Vec<T>>()
-                .expect("broadcast type mismatch");
-            buf.clear();
-            buf.extend_from_slice(v);
-        }
-        self.shared.barrier.wait();
-        if self.rank == root {
-            self.clear_own_slot();
-        }
-    }
-
     fn all_to_all<T: CommElem>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
             sends.len(),
@@ -611,32 +516,5 @@ impl Communicator for ThreadComm {
         let src = src.to_vec();
         let row_ids = row_ids.to_vec();
         PendingCollective::deferred(move || self.finish_all_gather_rows(src, row_ids, row_width))
-    }
-
-    fn start_all_to_all_rows<'c, T: CommElem>(
-        &'c self,
-        src: &[T],
-        requests: &[Vec<u32>],
-        row_width: usize,
-    ) -> PendingCollective<'c, T> {
-        assert!(row_width > 0, "all_to_all_rows: row_width must be positive");
-        assert_eq!(
-            src.len() % row_width,
-            0,
-            "all_to_all_rows: src length {} not a multiple of row_width {}",
-            src.len(),
-            row_width
-        );
-        assert_eq!(
-            requests.len(),
-            self.size,
-            "all_to_all_rows: expected {} per-owner request lists, got {}",
-            self.size,
-            requests.len()
-        );
-        self.post(Box::new(requests.to_vec()));
-        let src = src.to_vec();
-        let requests = requests.to_vec();
-        PendingCollective::deferred(move || self.finish_all_to_all_rows(src, requests, row_width))
     }
 }

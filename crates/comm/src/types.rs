@@ -60,13 +60,10 @@ pub enum CollOp {
     AllGather,
     AllReduce,
     ReduceScatter,
-    Broadcast,
     AllToAll,
     Barrier,
     /// Row-indexed sparse all-gather: only requested rows travel.
     AllGatherRows,
-    /// Request-driven sparse all-to-all over row indices.
-    AllToAllRows,
 }
 
 impl CollOp {
@@ -76,11 +73,9 @@ impl CollOp {
             CollOp::AllGather => "all_gather",
             CollOp::AllReduce => "all_reduce",
             CollOp::ReduceScatter => "reduce_scatter",
-            CollOp::Broadcast => "broadcast",
             CollOp::AllToAll => "all_to_all",
             CollOp::Barrier => "barrier",
             CollOp::AllGatherRows => "all_gather_rows",
-            CollOp::AllToAllRows => "all_to_all_rows",
         }
     }
 }

@@ -111,8 +111,8 @@ impl GridConfig {
 /// trading `c`× feature/optimizer memory for an epoch feature gather that
 /// runs over `Gz / c` owners instead of `Gz` — fewer, larger blocks, so a
 /// ring moves `(G/c-1)/(G/c)` of the volume instead of `(G-1)/G`, and a
-/// sparse row plan splits its requests across `c`× fewer owners. `c = 1`
-/// is exactly the unreplicated engine.
+/// sparse row gather pulls its rows from `c`× fewer owners. `c = 1` is
+/// exactly the unreplicated engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct GridSpec {
     pub grid: GridConfig,

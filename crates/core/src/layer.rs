@@ -297,10 +297,10 @@ impl DistLayer {
             f_stored.rows()
         );
         assert_eq!(
-            plan.requests.len(),
+            plan.owners,
             group.size(),
             "gather_input: plan built for {} owners, group has {}",
-            plan.requests.len(),
+            plan.owners,
             group.size()
         );
         let t1 = Instant::now();

@@ -18,7 +18,6 @@
 //! paper's Fig. 7 validation.
 
 pub mod adam;
-pub mod gin;
 pub mod layer;
 pub mod loss;
 pub mod model;

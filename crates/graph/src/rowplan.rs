@@ -1,17 +1,16 @@
-//! [`RowRequestPlan`]: the once-per-epoch row-request sets that drive the
-//! sparse collectives.
+//! [`RowRequestPlan`]: the once-per-epoch row-request set that drives the
+//! sparse row gather.
 //!
 //! A rank's SpMM only ever reads the gathered input rows named by the
 //! *column support* of its adjacency shard — every other row of the dense
 //! all-gather is shipped and then ignored. The plan extracts that support
 //! once (adjacency is static across epochs, so "once per epoch" is
-//! construction time on the trainer) and pre-splits it into the per-owner
-//! request lists `Communicator::all_to_all_rows` consumes, with the flat
-//! sorted id list `Communicator::all_gather_rows` wants alongside.
+//! construction time on the trainer) as the sorted id list
+//! `Communicator::all_gather_rows` wants.
 
 use plexus_sparse::Csr;
 
-/// Row-request sets derived from one adjacency shard's column support,
+/// The row-request set derived from one adjacency shard's column support,
 /// against a row space sharded equally across `owners` ranks.
 ///
 /// Built by [`RowRequestPlan::from_column_support`]; cached on the trainer
@@ -21,11 +20,8 @@ pub struct RowRequestPlan {
     /// Sorted, distinct global row ids this rank needs — the shard's
     /// column support. Feed to `all_gather_rows`.
     pub row_ids: Vec<u32>,
-    /// `requests[o]` = the local indices of owner `o`'s block covered by
-    /// `row_ids`, ascending. Feed to `all_to_all_rows`; because `row_ids`
-    /// is sorted, its order equals the owner-major flattening of these
-    /// lists, so both collectives return byte-identical payloads.
-    pub requests: Vec<Vec<u32>>,
+    /// Ranks the row space is sharded across.
+    pub owners: usize,
     /// Rows each owner holds (the row space is `owners` equal blocks).
     pub rows_per_owner: usize,
 }
@@ -46,16 +42,12 @@ impl RowRequestPlan {
         let mut row_ids: Vec<u32> = shard.col_idx().to_vec();
         row_ids.sort_unstable();
         row_ids.dedup();
-        let mut requests: Vec<Vec<u32>> = vec![Vec::new(); owners];
-        for &g in &row_ids {
-            requests[g as usize / rows_per_owner].push(g % rows_per_owner as u32);
-        }
-        Self { row_ids, requests, rows_per_owner }
+        Self { row_ids, owners, rows_per_owner }
     }
 
     /// Total rows in the sharded row space.
     pub fn rows_total(&self) -> usize {
-        self.rows_per_owner * self.requests.len()
+        self.rows_per_owner * self.owners
     }
 
     /// Rows this rank actually requests.
@@ -100,24 +92,6 @@ mod tests {
     }
 
     #[test]
-    fn requests_partition_the_support_by_owner() {
-        let plan = RowRequestPlan::from_column_support(&shard(), 4);
-        // Owner o holds rows [2o, 2o+2): 1 → (0,1), 2 → (1,0), 5 → (2,1),
-        // 7 → (3,1).
-        assert_eq!(plan.requests, vec![vec![1], vec![0], vec![1], vec![1]]);
-        // Owner-major flattening of local ids reproduces the sorted
-        // global ids — the invariant that makes all_to_all_rows and
-        // all_gather_rows interchangeable on this plan.
-        let rebuilt: Vec<u32> = plan
-            .requests
-            .iter()
-            .enumerate()
-            .flat_map(|(o, ids)| ids.iter().map(move |&l| (o * plan.rows_per_owner) as u32 + l))
-            .collect();
-        assert_eq!(rebuilt, plan.row_ids);
-    }
-
-    #[test]
     fn dense_support_covers_everything() {
         let mut coo = Coo::new(2, 4);
         for r in 0..2u32 {
@@ -134,7 +108,7 @@ mod tests {
     fn empty_shard_requests_nothing() {
         let plan = RowRequestPlan::from_column_support(&Csr::empty(4, 8), 2);
         assert!(plan.row_ids.is_empty());
-        assert_eq!(plan.requests, vec![Vec::<u32>::new(), Vec::new()]);
+        assert_eq!(plan.rows_total(), 8);
         assert_eq!(plan.coverage(), 0.0);
     }
 }

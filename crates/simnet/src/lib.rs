@@ -32,7 +32,5 @@ pub use gpumem::{
 };
 pub use machine::{frontier, perlmutter, MachineSpec};
 pub use regression::{LinearModel, RegressionReport};
-pub use ring::{
-    all_gather_time, all_reduce_time, all_to_all_time, broadcast_time, reduce_scatter_time,
-};
+pub use ring::{all_gather_time, all_reduce_time, all_to_all_time, reduce_scatter_time};
 pub use simcomm::{SimClock, SimComm, SimCostModel};

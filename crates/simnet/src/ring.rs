@@ -29,16 +29,6 @@ pub fn reduce_scatter_time(bytes: f64, g: usize, beta: f64) -> f64 {
     all_gather_time(bytes, g, beta)
 }
 
-/// Pipelined ring broadcast of `bytes` across `g` ranks: chunks stream
-/// around the ring, so for the large bandwidth-bound messages this model
-/// assumes the time approaches one buffer traversal, `T = M/β`.
-pub fn broadcast_time(bytes: f64, g: usize, beta: f64) -> f64 {
-    if g <= 1 {
-        return 0.0;
-    }
-    bytes / beta
-}
-
 /// All-to-all of `bytes` per rank (total outgoing) across `g` ranks:
 /// pairwise exchange with `g-1` message start-ups. The latency term is the
 /// scaling killer the paper observes for BNS-GCN beyond 64 GPUs.
@@ -57,13 +47,7 @@ mod tests {
     fn single_rank_collectives_are_free() {
         assert_eq!(all_reduce_time(1e9, 1, 1e9), 0.0);
         assert_eq!(all_gather_time(1e9, 1, 1e9), 0.0);
-        assert_eq!(broadcast_time(1e9, 1, 1e9), 0.0);
         assert_eq!(all_to_all_time(1e9, 1, 1e9, 1e-5), 0.0);
-    }
-
-    #[test]
-    fn broadcast_is_one_traversal() {
-        assert_eq!(broadcast_time(1e9, 8, 25e9), 0.04);
     }
 
     #[test]

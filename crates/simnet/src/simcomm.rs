@@ -17,7 +17,8 @@
 //! contributed *this* rank's buffer (the "mirror" world). An all-gather
 //! over a group of G returns G copies of `src`; an all-reduce folds the
 //! buffer G times in ascending-rank order (bitwise deterministic, like the
-//! thread backend). Shapes, byte counts, ledger events and charged times
+//! thread backend); the sparse row gather reads every requested row out of
+//! this rank's own block. Shapes, byte counts, ledger events and charged times
 //! are exactly those of a real run on identically-shaped data — which is
 //! what the performance model consumes — but numeric *values* (losses,
 //! accuracies) are not meaningful. Anything value-sensitive belongs on
@@ -28,9 +29,7 @@
 //! exactly, so the 3D grid's X/Y/Z axis groups have their true sizes and
 //! ranks — the simulated topology is exact even though the peers are not.
 
-use crate::ring::{
-    all_gather_time, all_reduce_time, all_to_all_time, broadcast_time, reduce_scatter_time,
-};
+use crate::ring::{all_gather_time, all_reduce_time, all_to_all_time, reduce_scatter_time};
 use parking_lot::Mutex;
 use plexus_comm::{
     CollOp, CommElem, CommEvent, Communicator, PendingCollective, ReduceOp, TrafficLedger,
@@ -190,20 +189,6 @@ impl Communicator for SimComm {
         }
     }
 
-    fn all_gather_varlen<T: CommElem>(&self, src: &[T]) -> Vec<Vec<T>> {
-        self.record(CollOp::AllGather, src.len() * T::BYTES);
-        let result_bytes = (src.len() * self.size * T::BYTES) as f64;
-        self.charge(all_gather_time(result_bytes, self.size, self.beta()));
-        (0..self.size).map(|_| src.to_vec()).collect()
-    }
-
-    fn broadcast<T: CommElem>(&self, buf: &mut Vec<T>, root: usize) {
-        assert!(root < self.size, "broadcast: root {} out of {}", root, self.size);
-        self.record(CollOp::Broadcast, buf.len() * T::BYTES);
-        self.charge(broadcast_time((buf.len() * T::BYTES) as f64, self.size, self.beta()));
-        // Mirror world: the root holds this rank's data already.
-    }
-
     fn all_to_all<T: CommElem>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
         assert_eq!(
             sends.len(),
@@ -323,56 +308,6 @@ impl Communicator for SimComm {
         PendingCollective::ready(out)
     }
 
-    fn start_all_to_all_rows<'c, T: CommElem>(
-        &'c self,
-        src: &[T],
-        requests: &[Vec<u32>],
-        row_width: usize,
-    ) -> PendingCollective<'c, T> {
-        assert!(row_width > 0, "all_to_all_rows: row_width must be positive");
-        assert_eq!(
-            src.len() % row_width,
-            0,
-            "all_to_all_rows: src length {} not a multiple of row_width {}",
-            src.len(),
-            row_width
-        );
-        assert_eq!(
-            requests.len(),
-            self.size,
-            "all_to_all_rows: expected {} per-owner request lists, got {}",
-            self.size,
-            requests.len()
-        );
-        let local_rows = src.len() / row_width;
-        // Mirror world: every peer's request table is this rank's, so each
-        // of the `size` peers wants `requests[self.rank]` from us.
-        let outgoing_rows = self.size * requests[self.rank].len() * row_width * T::BYTES;
-        let outgoing_ids: usize =
-            requests.iter().map(|r| r.len() * std::mem::size_of::<u32>()).sum();
-        self.record(CollOp::AllToAllRows, outgoing_rows + outgoing_ids);
-        self.charge(all_to_all_time(
-            (outgoing_rows + outgoing_ids) as f64,
-            self.size,
-            self.beta(),
-            self.cost.latency,
-        ));
-        let out_len: usize = requests.iter().map(|r| r.len() * row_width).sum();
-        let mut out = Vec::with_capacity(out_len);
-        for per_owner in requests {
-            for &l in per_owner {
-                assert!(
-                    (l as usize) < local_rows,
-                    "all_to_all_rows: local row {} of a {}-row block",
-                    l,
-                    local_rows
-                );
-                out.extend_from_slice(&src[l as usize * row_width..][..row_width]);
-            }
-        }
-        PendingCollective::ready(out)
-    }
-
     fn split_by<F>(&self, f: F, label: &'static str) -> Self
     where
         F: Fn(usize) -> (u64, u64),
@@ -434,9 +369,6 @@ mod tests {
         let w = SimComm::world(4, flat(25e9));
         let out = w.all_gather(&[1u32, 2]);
         assert_eq!(out, vec![1, 2, 1, 2, 1, 2, 1, 2]);
-        let ragged = w.all_gather_varlen(&[7u32]);
-        assert_eq!(ragged.len(), 4);
-        assert_eq!(ragged[3], vec![7]);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 
 use crate::csr::Csr;
 use crate::shard::split_range;
-use crate::spmm::spmm;
-use plexus_tensor::Matrix;
 
 /// A sparse matrix split into contiguous row blocks.
 #[derive(Clone, Debug)]
@@ -39,18 +37,6 @@ impl RowBlocks {
         Self { blocks, ranges }
     }
 
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    pub fn block(&self, i: usize) -> &Csr {
-        &self.blocks[i]
-    }
-
-    pub fn range(&self, i: usize) -> (usize, usize) {
-        self.ranges[i]
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (&Csr, (usize, usize))> {
         self.blocks.iter().zip(self.ranges.iter().copied())
     }
@@ -61,30 +47,12 @@ impl RowBlocks {
     }
 }
 
-/// Blocked SpMM with a per-block callback: computes each block's partial
-/// product and hands it to `sink` (the engine's sink performs the per-block
-/// all-reduce), then concatenates the processed blocks.
-///
-/// With `sink = |_, m| m` this is bit-identical to unblocked SpMM because
-/// row-split SpMM treats rows independently — a property the tests pin down.
-pub fn blocked_spmm(
-    blocks: &RowBlocks,
-    b: &Matrix,
-    mut sink: impl FnMut(usize, Matrix) -> Matrix,
-) -> Matrix {
-    let mut outs = Vec::with_capacity(blocks.num_blocks());
-    for (i, (blk, _)) in blocks.iter().enumerate() {
-        let partial = spmm(blk, b);
-        outs.push(sink(i, partial));
-    }
-    Matrix::vstack(&outs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::Coo;
-    use plexus_tensor::assert_close;
+    use crate::spmm::{spmm, spmm_into};
+    use plexus_tensor::Matrix;
 
     fn random_csr(rows: usize, cols: usize, seed: u64) -> Csr {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -105,33 +73,34 @@ mod tests {
         let a = random_csr(17, 10, 1);
         let blocks = RowBlocks::split(&a, 4);
         assert_eq!(blocks.total_rows(), 17);
-        let nnz: usize = (0..4).map(|i| blocks.block(i).nnz()).sum();
+        let nnz: usize = blocks.iter().map(|(blk, _)| blk.nnz()).sum();
         assert_eq!(nnz, a.nnz());
     }
 
     #[test]
     fn blocked_equals_unblocked() {
+        // Row-split SpMM treats rows independently, so each block's partial
+        // is bitwise the matching rows of the unblocked product — the
+        // property blocked aggregation relies on.
         let a = random_csr(32, 20, 2);
-        let b = Matrix::from_fn(20, 8, |i, j| ((i + 2 * j) as f32 * 0.1).sin());
+        let n = 8;
+        let b = Matrix::from_fn(20, n, |i, j| ((i + 2 * j) as f32 * 0.1).sin());
         let reference = spmm(&a, &b);
         for nblocks in [1, 2, 3, 5, 8, 32] {
             let blocks = RowBlocks::split(&a, nblocks);
-            let got = blocked_spmm(&blocks, &b, |_, m| m);
-            assert_close(&got, &reference, 0.0, "blocked == unblocked (bitwise)");
+            for (blk, (r0, r1)) in blocks.iter() {
+                let mut partial = Matrix::full(r1 - r0, n, f32::NAN);
+                spmm_into(blk, &b, &mut partial);
+                assert_eq!(
+                    partial.as_slice(),
+                    &reference.as_slice()[r0 * n..r1 * n],
+                    "{} blocks, rows {}..{}",
+                    nblocks,
+                    r0,
+                    r1
+                );
+            }
         }
-    }
-
-    #[test]
-    fn sink_sees_each_block_once_in_order() {
-        let a = random_csr(12, 12, 3);
-        let b = Matrix::full(12, 2, 1.0);
-        let blocks = RowBlocks::split(&a, 3);
-        let mut seen = Vec::new();
-        let _ = blocked_spmm(&blocks, &b, |i, m| {
-            seen.push((i, m.rows()));
-            m
-        });
-        assert_eq!(seen, vec![(0, 4), (1, 4), (2, 4)]);
     }
 
     #[test]

@@ -21,5 +21,5 @@ pub use csr::{Coo, Csr};
 pub use normalize::normalized_adjacency;
 pub use permute::{apply_permutation, inverse_permutation, random_permutation};
 pub use shard::{shard_grid, ShardSpec};
-pub use spmm::{nnz_balanced_bounds, spmm, spmm_acc, spmm_acc_into, spmm_into, spmm_seq};
+pub use spmm::{nnz_balanced_bounds, spmm, spmm_into, spmm_seq};
 pub use stats::{nnz_balance, BalanceStats};

@@ -20,11 +20,11 @@
 //!   targets instead; rows are never split, so per-row results are
 //!   identical to the sequential kernel bit for bit.
 //!
-//! Every entry point (including [`spmm_acc`], which used to be
-//! sequential-only) dispatches through the same size check, and the `_into`
-//! variants write into caller-owned buffers so the training engines can
-//! recycle outputs through a `KernelWorkspace` instead of allocating per
-//! call.
+//! Both entry points dispatch through the same size check, and
+//! [`spmm_into`] writes into a caller-owned buffer so the training engines
+//! can recycle outputs through a `KernelWorkspace` instead of allocating
+//! per call. Every band's accumulators start at zero, so whatever the
+//! recycled buffer held is overwritten, never read.
 //!
 //! Accumulation order per output element is the row's ascending-nonzero
 //! order in every path — band tiling, remainders, and partitioning change
@@ -57,38 +57,24 @@ pub fn spmm(a: &Csr, b: &Matrix) -> Matrix {
 /// `C = A * B` into a preallocated output (every element overwritten, so
 /// `c` may hold recycled garbage on entry).
 pub fn spmm_into(a: &Csr, b: &Matrix, c: &mut Matrix) {
-    check_shapes("spmm", a, b, c);
-    dispatch(a, b, c, false);
-}
-
-/// `C += A * B` into an existing accumulator (used by blocked aggregation
-/// when partial row-blocks land in a shared output).
-pub fn spmm_acc(a: &Csr, b: &Matrix, c: &mut Matrix) {
-    spmm_acc_into(a, b, c);
-}
-
-/// `C += A * B`; like [`spmm_into`] but accumulating. Routed through the
-/// same size-dispatched parallel path as [`spmm`].
-pub fn spmm_acc_into(a: &Csr, b: &Matrix, c: &mut Matrix) {
-    check_shapes("spmm_acc", a, b, c);
-    dispatch(a, b, c, true);
+    check_shapes(a, b, c);
+    dispatch(a, b, c);
 }
 
 /// Sequential SpMM (allocating), kept public so benches and tests can
 /// compare the parallel dispatch against it directly.
 pub fn spmm_seq(a: &Csr, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    check_shapes("spmm", a, b, &c);
-    spmm_rows(a, b, c.as_mut_slice(), 0, a.rows(), false);
+    check_shapes(a, b, &c);
+    spmm_rows(a, b, c.as_mut_slice(), 0, a.rows());
     c
 }
 
-fn check_shapes(what: &str, a: &Csr, b: &Matrix, c: &Matrix) {
+fn check_shapes(a: &Csr, b: &Matrix, c: &Matrix) {
     assert_eq!(
         a.cols(),
         b.rows(),
-        "{}: inner dimensions differ: A is {}x{}, B is {}x{}",
-        what,
+        "spmm: inner dimensions differ: A is {}x{}, B is {}x{}",
         a.rows(),
         a.cols(),
         b.rows(),
@@ -97,19 +83,18 @@ fn check_shapes(what: &str, a: &Csr, b: &Matrix, c: &Matrix) {
     assert_eq!(
         c.shape(),
         (a.rows(), b.cols()),
-        "{}: output shape {:?} does not match {}x{}",
-        what,
+        "spmm: output shape {:?} does not match {}x{}",
         c.shape(),
         a.rows(),
         b.cols()
     );
 }
 
-fn dispatch(a: &Csr, b: &Matrix, c: &mut Matrix, accumulate: bool) {
+fn dispatch(a: &Csr, b: &Matrix, c: &mut Matrix) {
     if a.nnz() * b.cols() >= PAR_THRESHOLD {
-        spmm_par(a, b, c, accumulate);
+        spmm_par(a, b, c);
     } else {
-        spmm_rows(a, b, c.as_mut_slice(), 0, a.rows(), accumulate);
+        spmm_rows(a, b, c.as_mut_slice(), 0, a.rows());
     }
 }
 
@@ -160,14 +145,14 @@ pub fn nnz_balanced_bounds(row_ptr: &[usize], max_chunks: usize) -> Vec<(usize, 
     bounds
 }
 
-fn spmm_par(a: &Csr, b: &Matrix, c: &mut Matrix, accumulate: bool) {
+fn spmm_par(a: &Csr, b: &Matrix, c: &mut Matrix) {
     let n = b.cols();
     // Ask the pool (global or installed) rather than the OS: under
     // PLEXUS_THREADS=1 or a 1-thread `ThreadPool::install` this must take
     // the exact sequential path.
     let threads = rayon::current_num_threads();
     if threads <= 1 {
-        spmm_rows(a, b, c.as_mut_slice(), 0, a.rows(), accumulate);
+        spmm_rows(a, b, c.as_mut_slice(), 0, a.rows());
         return;
     }
     // A few chunks per worker so the round-robin deal smooths residual
@@ -184,19 +169,19 @@ fn spmm_par(a: &Csr, b: &Matrix, c: &mut Matrix, accumulate: bool) {
         consumed = r1;
     }
     tasks.into_par_iter().for_each(|(r0, r1, rows)| {
-        spmm_rows(a, b, rows, r0, r1, accumulate);
+        spmm_rows(a, b, rows, r0, r1);
     });
 }
 
 /// Process rows `[r0, r1)`; `c_rows` is the output slice for exactly that
 /// row range.
-fn spmm_rows(a: &Csr, b: &Matrix, c_rows: &mut [f32], r0: usize, r1: usize, accumulate: bool) {
+fn spmm_rows(a: &Csr, b: &Matrix, c_rows: &mut [f32], r0: usize, r1: usize) {
     let n = b.cols();
     debug_assert_eq!(c_rows.len(), (r1 - r0) * n);
     for (local, r) in (r0..r1).enumerate() {
         let (cols, vals) = a.row_entries(r);
         let crow = &mut c_rows[local * n..(local + 1) * n];
-        spmm_row(cols, vals, b, crow, accumulate);
+        spmm_row(cols, vals, b, crow);
     }
 }
 
@@ -206,14 +191,14 @@ fn spmm_rows(a: &Csr, b: &Matrix, c_rows: &mut [f32], r0: usize, r1: usize, accu
 /// so every kernel in a run agrees on the path and all bitwise-identity
 /// invariants hold — otherwise to the portable band kernel.
 #[inline]
-fn spmm_row(cols: &[u32], vals: &[f32], b: &Matrix, crow: &mut [f32], accumulate: bool) {
+fn spmm_row(cols: &[u32], vals: &[f32], b: &Matrix, crow: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     if plexus_tensor::cpu::fma_available() {
         // SAFETY: `fma_available()` verified avx2+fma support on this CPU.
-        unsafe { x86::spmm_row_fma(cols, vals, b.as_slice(), b.cols(), crow, accumulate) };
+        unsafe { x86::spmm_row_fma(cols, vals, b.as_slice(), b.cols(), crow) };
         return;
     }
-    spmm_row_portable(cols, vals, b, crow, accumulate);
+    spmm_row_portable(cols, vals, b, crow);
 }
 
 /// One output row, band by band: each band-wide slice of the row is
@@ -221,29 +206,26 @@ fn spmm_row(cols: &[u32], vals: &[f32], b: &Matrix, crow: &mut [f32], accumulate
 /// The per-element accumulation order is the ascending-nonzero order in
 /// every band and in the remainder — identical to the naive kernel.
 #[inline]
-fn spmm_row_portable(cols: &[u32], vals: &[f32], b: &Matrix, crow: &mut [f32], accumulate: bool) {
+fn spmm_row_portable(cols: &[u32], vals: &[f32], b: &Matrix, crow: &mut [f32]) {
     let n = crow.len();
     let bdata = b.as_slice();
     let ldb = b.cols();
     let mut j = 0;
     while j + 2 * BAND_W <= n {
-        band_pass::<{ 2 * BAND_W }>(cols, vals, bdata, ldb, crow, j, accumulate);
+        band_pass::<{ 2 * BAND_W }>(cols, vals, bdata, ldb, crow, j);
         j += 2 * BAND_W;
     }
     if j + BAND_W <= n {
-        band_pass::<BAND_W>(cols, vals, bdata, ldb, crow, j, accumulate);
+        band_pass::<BAND_W>(cols, vals, bdata, ldb, crow, j);
         j += BAND_W;
     }
     if j + BAND_N <= n {
-        band_pass::<BAND_N>(cols, vals, bdata, ldb, crow, j, accumulate);
+        band_pass::<BAND_N>(cols, vals, bdata, ldb, crow, j);
         j += BAND_N;
     }
     if j < n {
         let rem = n - j;
         let mut acc = [0.0f32; BAND_N];
-        if accumulate {
-            acc[..rem].copy_from_slice(&crow[j..]);
-        }
         for (&col, &v) in cols.iter().zip(vals) {
             let base = col as usize * ldb + j;
             let brow = &bdata[base..base + rem];
@@ -255,7 +237,7 @@ fn spmm_row_portable(cols: &[u32], vals: &[f32], b: &Matrix, crow: &mut [f32], a
     }
 }
 
-/// One fixed-width band sweep: `crow[j..j+W] (+)= A_row * B[:, j..j+W]`,
+/// One fixed-width band sweep: `crow[j..j+W] = A_row * B[:, j..j+W]`,
 /// accumulators in registers, constant-bound inner loop so LLVM promotes
 /// and vectorizes the whole block.
 #[inline]
@@ -266,12 +248,8 @@ fn band_pass<const W: usize>(
     ldb: usize,
     crow: &mut [f32],
     j: usize,
-    accumulate: bool,
 ) {
     let mut acc = [0.0f32; W];
-    if accumulate {
-        acc.copy_from_slice(&crow[j..j + W]);
-    }
     for (&col, &v) in cols.iter().zip(vals) {
         let base = col as usize * ldb + j;
         let brow: &[f32; W] = bdata[base..base + W].try_into().expect("band width");
@@ -331,18 +309,12 @@ mod x86 {
         bdata: &[f32],
         ldb: usize,
         crow: &mut [f32],
-        accumulate: bool,
     ) {
         let n = crow.len();
         let mut j = 0;
         while j + 32 <= n {
-            let band = &crow[j..j + 32];
-            let (mut a0, mut a1, mut a2, mut a3) = if accumulate {
-                (load(&band[0..]), load(&band[8..]), load(&band[16..]), load(&band[24..]))
-            } else {
-                let z = _mm256_setzero_ps();
-                (z, z, z, z)
-            };
+            let z = _mm256_setzero_ps();
+            let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
             for (&col, &v) in cols.iter().zip(vals) {
                 let base = col as usize * ldb + j;
                 let brow = &bdata[base..base + 32];
@@ -360,12 +332,7 @@ mod x86 {
             j += 32;
         }
         if j + 16 <= n {
-            let band = &crow[j..j + 16];
-            let (mut a0, mut a1) = if accumulate {
-                (load(&band[0..]), load(&band[8..]))
-            } else {
-                (_mm256_setzero_ps(), _mm256_setzero_ps())
-            };
+            let (mut a0, mut a1) = (_mm256_setzero_ps(), _mm256_setzero_ps());
             for (&col, &v) in cols.iter().zip(vals) {
                 let base = col as usize * ldb + j;
                 let brow = &bdata[base..base + 16];
@@ -379,7 +346,7 @@ mod x86 {
             j += 16;
         }
         while j + 8 <= n {
-            let mut a0 = if accumulate { load(&crow[j..j + 8]) } else { _mm256_setzero_ps() };
+            let mut a0 = _mm256_setzero_ps();
             for (&col, &v) in cols.iter().zip(vals) {
                 let base = col as usize * ldb + j;
                 a0 = _mm256_fmadd_ps(_mm256_set1_ps(v), load(&bdata[base..base + 8]), a0);
@@ -390,9 +357,6 @@ mod x86 {
         if j < n {
             let rem = n - j;
             let mut acc = [0.0f32; 8];
-            if accumulate {
-                acc[..rem].copy_from_slice(&crow[j..]);
-            }
             for (&col, &v) in cols.iter().zip(vals) {
                 let base = col as usize * ldb + j;
                 let brow = &bdata[base..base + rem];
@@ -453,11 +417,23 @@ mod tests {
 
     #[test]
     fn into_variant_overwrites_recycled_garbage() {
-        let a = random_csr(40, 30, 6, 7);
-        let b = Matrix::from_fn(30, 21, |i, j| ((i * 2 + j) as f32 * 0.05).cos());
-        let mut c = Matrix::full(40, 21, f32::NAN);
-        spmm_into(&a, &b, &mut c);
-        assert_eq!(c.as_slice(), spmm_seq(&a, &b).as_slice());
+        // Every band starts from zero, so a NaN-filled recycled buffer must
+        // come out bitwise equal to a fresh sequential product — at every
+        // band width and remainder, on the sequential and parallel paths.
+        let widths = [1usize, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48, 63, 64, 65, 100];
+        let small = random_csr(40, 30, 6, 7);
+        let large = random_csr(2048, 512, 40, 8);
+        assert!(small.nnz() * 100 < PAR_THRESHOLD, "small must stay sequential at every width");
+        assert!(large.nnz() >= PAR_THRESHOLD, "large must dispatch parallel at every width");
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for a in [&small, &large] {
+            for n in widths {
+                let b = Matrix::from_fn(a.cols(), n, |i, j| ((i * 2 + j) as f32 * 0.05).cos());
+                let mut c = Matrix::full(a.rows(), n, f32::NAN);
+                spmm_into(a, &b, &mut c);
+                assert_eq!(bits(&c), bits(&spmm_seq(a, &b)), "{} rows, n = {}", a.rows(), n);
+            }
+        }
     }
 
     #[test]
@@ -473,31 +449,6 @@ mod tests {
         let b = Matrix::from_fn(5, 4, |i, j| (i * 4 + j) as f32);
         let c = spmm(&Csr::eye(5), &b);
         assert_close(&c, &b, 0.0, "identity spmm");
-    }
-
-    #[test]
-    fn spmm_acc_accumulates() {
-        let a = Csr::eye(3);
-        let b = Matrix::full(3, 2, 2.0);
-        let mut c = Matrix::full(3, 2, 1.0);
-        spmm_acc(&a, &b, &mut c);
-        assert!(c.as_slice().iter().all(|&x| x == 3.0));
-    }
-
-    #[test]
-    fn spmm_acc_large_matches_two_step_reference() {
-        // Above PAR_THRESHOLD: the accumulate path must dispatch parallel
-        // and still equal seed + A*B exactly.
-        let a = random_csr(300, 250, 15, 3);
-        let b = Matrix::from_fn(250, 24, |i, j| ((i * 5 + j) as f32 * 0.02).sin());
-        assert!(a.nnz() * b.cols() >= super::PAR_THRESHOLD, "test must exercise the par path");
-        let seed_c = Matrix::from_fn(300, 24, |i, j| (i + j) as f32 * 0.1);
-        let mut c = seed_c.clone();
-        spmm_acc(&a, &b, &mut c);
-        // Reference: sequential accumulate onto the same seed.
-        let mut reference = seed_c;
-        spmm_rows(&a, &b, reference.as_mut_slice(), 0, a.rows(), true);
-        assert_eq!(c.as_slice(), reference.as_slice());
     }
 
     #[test]
