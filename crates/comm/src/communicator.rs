@@ -21,15 +21,21 @@
 //!   `start_reduce_scatter`, `start_all_gather_rows`) *launches* the
 //!   collective and returns a [`PendingCollective`] immediately; the
 //!   caller overlaps local compute with the in-flight collective and calls
-//!   [`PendingCollective::wait`] when it needs the result. This is the
-//!   §5.2 comm/compute-overlap seam: `DistLayer` launches the axis
-//!   all-reduce of one tile while the next tile's GEMM/SpMM is still
-//!   running.
-//! * the blocking form (`all_reduce`, `all_gather`, `reduce_scatter`,
-//!   `all_gather_rows`) returns only when the result is available on this
-//!   rank. Blocking forms are default-implemented as `start_*(...).wait()`,
-//!   so a backend implements exactly one data path per collective — the
-//!   nonblocking one.
+//!   [`PendingCollective::wait_into`] when it needs the result, handing it
+//!   the buffer the result lands in. This is the §5.2
+//!   comm/compute-overlap seam: `DistLayer` launches the axis all-reduce
+//!   of one tile while the next tile's GEMM/SpMM is still running.
+//! * the blocking form (`all_reduce` in place, `all_gather_into`,
+//!   `reduce_scatter_into`) returns only when the result sits in the
+//!   caller's buffer. Blocking forms are default-implemented as
+//!   `start_*(..).wait_into(out)`, so a backend implements exactly one
+//!   data path per collective — the nonblocking one.
+//!
+//! Neither form allocates its result: the caller owns the output buffer
+//! (the engine takes it from the layer's workspace). The `Vec`-returning
+//! `all_gather`, `reduce_scatter`, `all_gather_rows` and
+//! [`PendingCollective::wait`] are thin wrappers that allocate the vector
+//! first, for callers outside the epoch loop.
 //!
 //! # The sparse (row-indexed) gather
 //!
@@ -49,11 +55,12 @@
 //! Nonblocking calls count as collectives for ordering purposes *at their
 //! start call*: all ranks must start them at the same point of the
 //! collective sequence. At most one collective may be in flight per group
-//! per rank — `wait()` the pending handle before issuing the next
+//! per rank — wait on the pending handle before issuing the next
 //! collective on the *same* group (collectives on *other* groups may run
 //! while it is pending; the overlap paths in `DistLayer` rely on that).
-//! Results are bitwise identical to the blocking form: `start_x(...).wait()
-//! == x(...)` on every backend, which the conformance suite checks.
+//! Results are bitwise identical to the blocking form:
+//! `start_x(..).wait_into(out)`, `x_into(.., out)` and `x(..)` agree on
+//! every backend, which the conformance suite checks.
 //!
 //! # Determinism
 //!
@@ -64,47 +71,89 @@
 
 use crate::types::{CommElem, ReduceOp, TrafficLedger};
 
-/// A pending nonblocking collective: the future of a `Vec<T>` result.
+/// A pending nonblocking collective: the future of a result of
+/// [`result_len`](PendingCollective::result_len) elements.
 ///
 /// Obtained from the `start_*` methods of [`Communicator`]; redeem it with
-/// [`wait`](PendingCollective::wait). The handle borrows the communicator
-/// that issued it, so the communicator cannot be dropped (or used mutably)
-/// while a collective is in flight.
+/// [`wait_into`](PendingCollective::wait_into), which writes the result
+/// into a buffer the caller owns (or [`wait`](PendingCollective::wait),
+/// which allocates one). The handle borrows the communicator that issued
+/// it, so the communicator cannot be dropped (or used mutably) while a
+/// collective is in flight.
 ///
 /// Dropping a handle whose completion is still deferred is a protocol
 /// violation — on backends that move real data the siblings would block
 /// forever waiting for this rank to run the read phase — so `Drop` panics
 /// (unless the thread is already unwinding), which the thread world turns
-/// into a clean world-wide poison. Always `wait()`.
+/// into a clean world-wide poison. Always wait.
 pub struct PendingCollective<'c, T> {
+    len: usize,
     state: PendingState<'c, T>,
 }
 
+/// The deferred read phase: writes the whole result into its argument.
+type Completion<'c, T> = Box<dyn FnOnce(&mut [T]) + 'c>;
+
 enum PendingState<'c, T> {
-    /// Result already materialized (cost-model backends, trivial worlds).
+    /// Result already materialized (cost-model backends).
     Ready(Vec<T>),
-    /// Completion deferred to `wait()` (the thread backend posts its
-    /// contribution at start time and runs the read phase here).
-    Deferred(Box<dyn FnOnce() -> Vec<T> + 'c>),
+    /// Completion deferred to `wait_into()` (the thread backend posts its
+    /// contribution at start time and runs the read phase there, straight
+    /// into the caller's buffer).
+    Deferred(Completion<'c, T>),
+    /// Redeemed.
+    Done,
 }
 
-impl<'c, T> PendingCollective<'c, T> {
+impl<'c, T: Copy> PendingCollective<'c, T> {
     /// A collective that already completed at start time.
     pub fn ready(result: Vec<T>) -> Self {
-        Self { state: PendingState::Ready(result) }
+        Self { len: result.len(), state: PendingState::Ready(result) }
     }
 
-    /// A collective whose completion runs inside `wait()`.
-    pub fn deferred(complete: impl FnOnce() -> Vec<T> + 'c) -> Self {
-        Self { state: PendingState::Deferred(Box::new(complete)) }
+    /// A collective of `len` result elements whose completion runs inside
+    /// `wait_into()` and writes the whole result into its argument.
+    pub fn deferred(len: usize, complete: impl FnOnce(&mut [T]) + 'c) -> Self {
+        Self { len, state: PendingState::Deferred(Box::new(complete)) }
     }
 
-    /// Block until the collective completes and return its result.
-    pub fn wait(mut self) -> Vec<T> {
-        match std::mem::replace(&mut self.state, PendingState::Ready(Vec::new())) {
-            PendingState::Ready(v) => v,
-            PendingState::Deferred(f) => f(),
+    /// Number of elements the result has (the length `wait_into` expects).
+    pub fn result_len(&self) -> usize {
+        self.len
+    }
+
+    /// Block until the collective completes and write its result into
+    /// `out`, which must hold exactly [`result_len`](Self::result_len)
+    /// elements. Every element of `out` is overwritten.
+    pub fn wait_into(mut self, out: &mut [T]) {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "PendingCollective::wait_into: output holds {} elements, the result has {}",
+            out.len(),
+            self.len
+        );
+        match std::mem::replace(&mut self.state, PendingState::Done) {
+            PendingState::Ready(v) => out.copy_from_slice(&v),
+            PendingState::Deferred(complete) => complete(out),
+            PendingState::Done => unreachable!("a pending collective is redeemed once"),
         }
+    }
+
+    /// Block until the collective completes and return its result in a
+    /// freshly allocated vector.
+    pub fn wait(mut self) -> Vec<T>
+    where
+        T: Default,
+    {
+        if let PendingState::Ready(v) = &mut self.state {
+            let v = std::mem::take(v);
+            self.state = PendingState::Done;
+            return v;
+        }
+        let mut out = vec![T::default(); self.len];
+        self.wait_into(&mut out);
+        out
     }
 }
 
@@ -112,7 +161,7 @@ impl<T> Drop for PendingCollective<'_, T> {
     fn drop(&mut self) {
         if matches!(self.state, PendingState::Deferred(_)) && !std::thread::panicking() {
             panic!(
-                "PendingCollective dropped without wait(): the collective never completed \
+                "PendingCollective dropped without being waited on: the collective never completed \
                  on this rank and sibling ranks would deadlock"
             );
         }
@@ -156,27 +205,39 @@ pub trait Communicator: Sized {
     /// All-reduce in place: after the call every rank's `buf` holds the
     /// elementwise reduction over all ranks' inputs.
     ///
-    /// Default: `start_all_reduce(buf, op).wait()` copied back into `buf`.
+    /// Default: `start_all_reduce(buf, op).wait_into(buf)`.
     fn all_reduce<T: CommElem>(&self, buf: &mut [T], op: ReduceOp) {
-        let out = self.start_all_reduce(buf, op).wait();
-        buf.copy_from_slice(&out);
+        self.start_all_reduce(buf, op).wait_into(buf);
     }
 
-    /// All-gather equal-size shards: the concatenation of every rank's
-    /// `src` in rank order (length `src.len() * size()`).
+    /// All-gather equal-size shards into `out`: the concatenation of every
+    /// rank's `src` in rank order (`out.len() == src.len() * size()`).
     ///
-    /// Default: `start_all_gather(src).wait()`.
+    /// Default: `start_all_gather(src).wait_into(out)`.
+    fn all_gather_into<T: CommElem>(&self, src: &[T], out: &mut [T]) {
+        self.start_all_gather(src).wait_into(out);
+    }
+
+    /// [`all_gather_into`](Communicator::all_gather_into) into a freshly
+    /// allocated vector.
     fn all_gather<T: CommElem>(&self, src: &[T]) -> Vec<T> {
         self.start_all_gather(src).wait()
     }
 
-    /// Reduce all ranks' equal-length buffers elementwise, then return
-    /// this rank's `1/size()` chunk of the result. `buf.len()` must be
-    /// divisible by the group size.
+    /// Reduce all ranks' equal-length buffers elementwise, then write this
+    /// rank's `1/size()` chunk of the result into `out`. `src.len()` must
+    /// be divisible by the group size and `out.len() == src.len() /
+    /// size()`.
     ///
-    /// Default: `start_reduce_scatter(buf, op).wait()`.
-    fn reduce_scatter<T: CommElem>(&self, buf: &[T], op: ReduceOp) -> Vec<T> {
-        self.start_reduce_scatter(buf, op).wait()
+    /// Default: `start_reduce_scatter(src, op).wait_into(out)`.
+    fn reduce_scatter_into<T: CommElem>(&self, src: &[T], op: ReduceOp, out: &mut [T]) {
+        self.start_reduce_scatter(src, op).wait_into(out);
+    }
+
+    /// [`reduce_scatter_into`](Communicator::reduce_scatter_into) into a
+    /// freshly allocated vector.
+    fn reduce_scatter<T: CommElem>(&self, src: &[T], op: ReduceOp) -> Vec<T> {
+        self.start_reduce_scatter(src, op).wait()
     }
 
     /// Row-indexed sparse all-gather over a row space sharded equally
@@ -196,7 +257,7 @@ pub trait Communicator: Sized {
     /// [`all_gather`](Communicator::all_gather) bitwise — the conformance
     /// suite holds backends to that.
     ///
-    /// Default: `start_all_gather_rows(...).wait()`.
+    /// Default: `start_all_gather_rows(..).wait()`.
     fn all_gather_rows<T: CommElem>(&self, src: &[T], row_ids: &[u32], row_width: usize) -> Vec<T> {
         self.start_all_gather_rows(src, row_ids, row_width).wait()
     }
@@ -220,9 +281,11 @@ pub trait Communicator: Sized {
         F: Fn(usize) -> (u64, u64);
 
     /// Nonblocking [`all_reduce`](Communicator::all_reduce): launches the
-    /// collective over `src` and returns a handle; `wait()` yields the
-    /// reduced vector. This is the collective a backend *implements*; the
-    /// blocking form is derived from it.
+    /// collective over `src` and returns a handle whose `wait_into()`
+    /// writes the reduced buffer. This is the collective a backend
+    /// *implements*; the blocking form is derived from it. `src` is free
+    /// again as soon as this returns — it may even be the buffer the result
+    /// later lands in.
     fn start_all_reduce<'c, T: CommElem>(
         &'c self,
         src: &[T],
@@ -243,7 +306,7 @@ pub trait Communicator: Sized {
 
     /// Nonblocking [`all_gather_rows`](Communicator::all_gather_rows); the
     /// blocking form is derived from it. Launching posts this rank's
-    /// request (and makes its block servable); `wait()` completes the
+    /// request (and makes its block servable); `wait_into()` completes the
     /// exchange, which lets the trainer prepare the scatter target while
     /// rows are in flight.
     fn start_all_gather_rows<'c, T: CommElem>(
@@ -265,20 +328,37 @@ mod tests {
     }
 
     #[test]
+    fn ready_pending_lands_in_caller_buffer() {
+        let mut out = [0u32; 3];
+        PendingCollective::ready(vec![1u32, 2, 3]).wait_into(&mut out);
+        assert_eq!(out, [1, 2, 3]);
+    }
+
+    #[test]
     fn deferred_pending_runs_on_wait() {
         let mut ran = false;
-        let p = PendingCollective::deferred(|| {
+        let p = PendingCollective::deferred(1, |out: &mut [f32]| {
             ran = true;
-            vec![7.0f32]
+            out[0] = 7.0;
         });
+        assert_eq!(p.result_len(), 1);
         assert_eq!(p.wait(), vec![7.0]);
         assert!(ran, "completion closure must run inside wait()");
     }
 
     #[test]
+    fn wait_into_rejects_a_wrong_length_buffer() {
+        let caught = std::panic::catch_unwind(|| {
+            let mut out = [0.0f32; 2];
+            PendingCollective::ready(vec![1.0f32]).wait_into(&mut out);
+        });
+        assert!(caught.is_err(), "a short or long output buffer must fail loudly");
+    }
+
+    #[test]
     fn dropping_deferred_pending_panics() {
         let caught = std::panic::catch_unwind(|| {
-            let p = PendingCollective::deferred(|| vec![0.0f32]);
+            let p = PendingCollective::deferred(1, |out: &mut [f32]| out[0] = 0.0);
             drop(p);
         });
         assert!(caught.is_err(), "deferred handle dropped without wait() must fail loudly");

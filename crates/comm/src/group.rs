@@ -4,28 +4,44 @@
 //! follow a post / barrier / read-all / barrier / clear-own protocol over a
 //! shared slot table:
 //!
-//! 1. each rank posts its contribution into its own slot;
+//! 1. each rank copies its contribution into its handle's *staging
+//!    buffer* and posts that buffer into its own slot;
 //! 2. barrier — all contributions visible;
 //! 3. each rank reads every slot (in ascending rank order, which makes
-//!    reductions deterministic and identical across ranks);
+//!    reductions deterministic and identical across ranks) and writes its
+//!    result straight into the caller's output buffer;
 //! 4. barrier — nobody may overwrite a slot before all ranks finished
 //!    reading;
-//! 5. each rank clears its own slot, ready for the next collective.
+//! 5. each rank takes its own staging buffer back out of its slot, ready
+//!    for the next collective.
+//!
+//! The staging buffers (one per posted value type, kept by the handle)
+//! and the caller-owned outputs are what make the collectives
+//! allocation-free once warm: a contribution costs one copy into a buffer
+//! that already has the capacity, and no result is ever allocated here.
 //!
 //! The nonblocking `start_*` collectives split the protocol at the obvious
 //! seam: the *start* call runs step 1 (post) and returns immediately, and
-//! [`PendingCollective::wait`] runs steps 2–5 — so a rank that posted early
-//! keeps computing instead of idling in the barrier while stragglers
+//! [`PendingCollective::wait_into`] runs steps 2–5 — so a rank that posted
+//! early keeps computing instead of idling in the barrier while stragglers
 //! arrive. The blocking forms are the trait defaults, literally
-//! `start_*(..).wait()`, so this backend implements exactly one data path
-//! per collective.
+//! `start_*(..).wait_into(out)`, so this backend implements exactly one
+//! data path per collective.
 //!
-//! The sparse row gather (`start_all_gather_rows`) runs the protocol
-//! *twice* inside one collective: phase one exchanges the row-index
-//! requests (posted at start time), phase two ships only the requested
-//! rows. Its ledger event records the indexed size — the rows this rank
-//! actually served plus its index upload — which is what makes the
-//! dense-vs-sparse volume studies honest.
+//! A one-member group is the identity, decided in one place
+//! (the private `offer` step and the completion that pairs with it): the
+//! staged contribution is kept by the pending handle instead of posted,
+//! completion reads it as the whole slot table, and no barrier is waited
+//! on. The in-place all-reduce, whose source and destination coincide,
+//! does not even stage. Every call is still recorded in the ledger with
+//! the bytes a larger group would record.
+//!
+//! The sparse row gather (`start_all_gather_rows`) posts this rank's row
+//! request together with its block; on completion every rank copies each
+//! requested row straight out of its owner's posted block. Its ledger
+//! event records the indexed size — the distinct rows this rank's block
+//! served plus its index upload — which is what makes the dense-vs-sparse
+//! volume studies honest.
 //!
 //! This is O(G·M) per rank instead of a ring's O(M), which is irrelevant
 //! for correctness runs (G ≤ 64 threads) — the *cost* of the real ring
@@ -39,11 +55,12 @@ use crate::types::{CollOp, CommElem, CommEvent, ReduceOp, TrafficLedger};
 use crate::world::WorldState;
 use parking_lot::Mutex;
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-type Slot = Option<Box<dyn Any + Send>>;
+type Posted = Box<dyn Any + Send>;
+type Slot = Option<Posted>;
 
 /// State shared by all ranks of one process group.
 pub(crate) struct GroupShared {
@@ -69,6 +86,13 @@ impl GroupShared {
     }
 }
 
+/// What the sparse row gather posts: this rank's request and its block.
+#[derive(Default)]
+struct RowExchange<T> {
+    ids: Vec<u32>,
+    block: Vec<T>,
+}
+
 /// Per-rank handle for one process group of the thread-world backend:
 /// every rank is an OS thread and collectives move real data through
 /// shared memory.
@@ -91,6 +115,11 @@ pub struct ThreadComm {
     /// Number of `split` calls made through this handle (must advance in
     /// lockstep across ranks; SPMD guarantees it).
     split_seq: Cell<u64>,
+    /// Staging buffers, at most one per posted value type, reused by every
+    /// collective on this handle (protocol steps 1 and 5).
+    stages: RefCell<Vec<Posted>>,
+    /// Scratch of the sparse row gather: which local rows were requested.
+    served: RefCell<Vec<bool>>,
 }
 
 impl ThreadComm {
@@ -112,6 +141,8 @@ impl ThreadComm {
             world_rank,
             faults,
             split_seq: Cell::new(0),
+            stages: RefCell::new(Vec::new()),
+            served: RefCell::new(Vec::new()),
         }
     }
 
@@ -140,7 +171,7 @@ impl ThreadComm {
         });
     }
 
-    fn post(&self, value: Box<dyn Any + Send>) {
+    fn post(&self, value: Posted) {
         let mut slots = self.shared.slots.lock();
         assert!(
             slots[self.rank].is_none(),
@@ -153,190 +184,179 @@ impl ThreadComm {
         slots[self.rank] = Some(value);
     }
 
-    fn clear_own_slot(&self) {
-        self.shared.slots.lock()[self.rank] = None;
+    fn clear_own_slot(&self) -> Slot {
+        self.shared.slots.lock()[self.rank].take()
     }
 
-    /// Read phase helper: runs `f` over each rank's posted value in
+    /// This handle's staging buffer of type `V`, filled by `fill`. The
+    /// buffer keeps its capacity across calls, so once warm a contribution
+    /// costs a copy and no allocation.
+    fn stage<V: Any + Send + Default>(&self, fill: impl FnOnce(&mut V)) -> Posted {
+        let mut stages = self.stages.borrow_mut();
+        let mut stage = match stages.iter().position(|s| s.is::<V>()) {
+            Some(i) => stages.swap_remove(i),
+            None => Box::new(V::default()),
+        };
+        fill(stage.downcast_mut::<V>().expect("stage holds its own type"));
+        stage
+    }
+
+    /// Step 1 for a staged contribution: post it, or — in a one-member
+    /// group, where the collective is the identity — hand it back to be
+    /// kept by the pending handle instead.
+    fn offer(&self, stage: Posted) -> Option<Posted> {
+        if self.size == 1 {
+            return Some(stage);
+        }
+        self.post(stage);
+        None
+    }
+
+    /// Steps 2–5 around `read`, which sees every rank's posted value as a
+    /// slot table in rank order; `kept` is what [`offer`](Self::offer)
+    /// returned. A kept contribution is the whole table: no barrier. Either
+    /// way the staging buffer goes back to the handle afterwards.
+    fn complete<R>(&self, kept: Option<Posted>, read: impl FnOnce(&[Slot]) -> R) -> R {
+        let (result, stage) = match kept {
+            Some(stage) => {
+                let mut table = [Some(stage)];
+                let result = read(&table);
+                (result, table[0].take())
+            }
+            None => {
+                self.shared.barrier.wait();
+                let result = read(&self.shared.slots.lock());
+                self.shared.barrier.wait();
+                (result, self.clear_own_slot())
+            }
+        };
+        self.stages.borrow_mut().push(stage.expect("own contribution still posted"));
+        result
+    }
+
+    /// Rank `r`'s posted value, with the diagnostics for mismatched calls.
+    fn posted<'s, V: 'static>(&self, slots: &'s [Slot], r: usize, what: &str) -> &'s V {
+        slots[r]
+            .as_ref()
+            .unwrap_or_else(|| {
+                panic!(
+                    "{} on group '{}': rank {} posted nothing (mismatched calls)",
+                    what, self.shared.label, r
+                )
+            })
+            .downcast_ref::<V>()
+            .unwrap_or_else(|| {
+                panic!(
+                    "{} type mismatch on group '{}': rank {} posted a different element type",
+                    what, self.shared.label, r
+                )
+            })
+    }
+
+    /// Read phase helper for the exchanges outside the staged collectives
+    /// (`split`, `all_to_all`): runs `f` over each rank's posted value in
     /// ascending rank order, under the slot lock.
     fn read_all<T: 'static, R>(&self, mut f: impl FnMut(usize, &T) -> R) -> Vec<R> {
         let slots = self.shared.slots.lock();
-        (0..self.size)
-            .map(|r| {
-                let boxed = slots[r].as_ref().unwrap_or_else(|| {
-                    panic!(
-                        "collective on group '{}': rank {} posted nothing (mismatched calls)",
-                        self.shared.label, r
-                    )
-                });
-                let v = boxed.downcast_ref::<T>().unwrap_or_else(|| {
-                    panic!(
-                        "collective type mismatch on group '{}': rank {} posted a different \
-                         element type",
-                        self.shared.label, r
-                    )
-                });
-                f(r, v)
-            })
-            .collect()
+        (0..self.size).map(|r| f(r, self.posted::<T>(&slots, r, "collective"))).collect()
     }
 
-    /// Steps 2–5 of the protocol for the equal-length collectives: barrier,
-    /// feed every rank's posted `Vec<T>` to `sink` in ascending rank order
-    /// (after a uniform type/length check), barrier, clear own slot. All
-    /// reduction/gather variants share this loop so the deterministic order
-    /// and the diagnostics cannot drift apart.
-    fn consume_slots<T: CommElem>(
+    /// One equal-length collective: record it, stage and offer `src`, and
+    /// return the handle whose completion feeds every rank's contribution
+    /// (after a uniform length check), in ascending rank order, to `fold`
+    /// together with the caller's output. All reduction/gather variants
+    /// share this path so the deterministic order and the diagnostics
+    /// cannot drift apart.
+    fn launch<'c, T: CommElem>(
+        &'c self,
+        op: CollOp,
+        src: &[T],
+        out_len: usize,
+        fold: impl Fn(usize, &[T], &mut [T]) + 'c,
+    ) -> PendingCollective<'c, T> {
+        self.record(op, std::mem::size_of_val(src));
+        let kept = self.offer(self.stage(|v: &mut Vec<T>| {
+            v.clear();
+            v.extend_from_slice(src);
+        }));
+        let len = src.len();
+        PendingCollective::deferred(out_len, move |out| {
+            self.complete(kept, |slots| {
+                for r in 0..self.size {
+                    let v = self.posted::<Vec<T>>(slots, r, op.name());
+                    assert_eq!(
+                        v.len(),
+                        len,
+                        "{} length mismatch on group '{}': rank {} sent {}, rank {} sent {}",
+                        op.name(),
+                        self.shared.label,
+                        r,
+                        v.len(),
+                        self.rank,
+                        len
+                    );
+                    fold(r, v, out);
+                }
+            })
+        })
+    }
+
+    /// Completion of an in-flight sparse row gather: every rank copies its
+    /// requested rows straight out of their owners' posted blocks, and
+    /// counts the distinct rows anyone requested of *its* block — the
+    /// served rows its ledger event records.
+    fn finish_all_gather_rows<T: CommElem>(
         &self,
-        what: &str,
-        len: usize,
-        mut sink: impl FnMut(usize, &[T]),
-    ) {
-        self.shared.barrier.wait();
-        {
-            let slots = self.shared.slots.lock();
+        kept: Option<Posted>,
+        local_rows: usize,
+        row_width: usize,
+        out: &mut [T],
+    ) -> usize {
+        let what = "all_gather_rows";
+        let rows_total = local_rows * self.size;
+        let mut served = self.served.borrow_mut();
+        served.clear();
+        served.resize(local_rows, false);
+        self.complete(kept, |slots| {
+            let owner_of = |g: u32| {
+                assert!(
+                    (g as usize) < rows_total,
+                    "{} on group '{}': row id {} out of {} global rows",
+                    what,
+                    self.shared.label,
+                    g,
+                    rows_total
+                );
+                (g as usize / local_rows, g as usize % local_rows)
+            };
             for r in 0..self.size {
-                let v = slots[r]
-                    .as_ref()
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{} on group '{}': rank {} posted nothing (mismatched calls)",
-                            what, self.shared.label, r
-                        )
-                    })
-                    .downcast_ref::<Vec<T>>()
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{} type mismatch on group '{}' (rank {})",
-                            what, self.shared.label, r
-                        )
-                    });
+                let req = self.posted::<RowExchange<T>>(slots, r, what);
                 assert_eq!(
-                    v.len(),
-                    len,
-                    "{} length mismatch on group '{}': rank {} sent {}, rank {} sent {}",
+                    req.block.len(),
+                    local_rows * row_width,
+                    "{} block mismatch on group '{}': rank {} holds {} elements, rank {} holds {}",
                     what,
                     self.shared.label,
                     r,
-                    v.len(),
+                    req.block.len(),
                     self.rank,
-                    len
+                    local_rows * row_width
                 );
-                sink(r, v);
-            }
-        }
-        self.shared.barrier.wait();
-        self.clear_own_slot();
-    }
-
-    /// Completion of an in-flight all-reduce, building the result vector.
-    fn finish_all_reduce<T: CommElem>(&self, len: usize, op: ReduceOp) -> Vec<T> {
-        let mut out: Vec<T> = Vec::with_capacity(len);
-        self.consume_slots::<T>("all_reduce", len, |r, v| {
-            if r == 0 {
-                out.extend_from_slice(v);
-            } else {
-                for (acc, &x) in out.iter_mut().zip(v.iter()) {
-                    *acc = T::reduce(op, *acc, x);
+                for &g in &req.ids {
+                    let (owner, local) = owner_of(g);
+                    if owner == self.rank {
+                        served[local] = true;
+                    }
                 }
             }
-        });
-        out
-    }
-
-    /// Completion of an in-flight all-gather.
-    fn finish_all_gather<T: CommElem>(&self, len: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(len * self.size);
-        self.consume_slots::<T>("all_gather", len, |_, v| out.extend_from_slice(v));
-        out
-    }
-
-    /// Completion of an in-flight reduce-scatter.
-    fn finish_reduce_scatter<T: CommElem>(&self, len: usize, op: ReduceOp) -> Vec<T> {
-        let chunk = len / self.size;
-        let lo = self.rank * chunk;
-        let hi = lo + chunk;
-        let mut out: Vec<T> = Vec::with_capacity(chunk);
-        self.consume_slots::<T>("reduce_scatter", len, |r, v| {
-            if r == 0 {
-                out.extend_from_slice(&v[lo..hi]);
-            } else {
-                for (acc, &x) in out.iter_mut().zip(&v[lo..hi]) {
-                    *acc = T::reduce(op, *acc, x);
-                }
+            let mine = self.posted::<RowExchange<T>>(slots, self.rank, what);
+            for (dst, &g) in out.chunks_exact_mut(row_width).zip(&mine.ids) {
+                let (owner, local) = owner_of(g);
+                let block = &self.posted::<RowExchange<T>>(slots, owner, what).block;
+                dst.copy_from_slice(&block[local * row_width..][..row_width]);
             }
         });
-        out
-    }
-
-    /// Completion of an in-flight sparse row gather. Phase one (index
-    /// exchange) was posted at start time; this runs: barrier → read every
-    /// rank's `row_ids` and derive each owner's *serve list* (the sorted,
-    /// deduplicated local rows anyone requested of it — every rank derives
-    /// all `size` lists identically from the same index table, so owners
-    /// and readers agree on row placement without another exchange) →
-    /// barrier → repost this rank's served rows → barrier → copy each
-    /// requested row out of its owner's served block → barrier → clear.
-    fn finish_all_gather_rows<T: CommElem>(
-        &self,
-        src: Vec<T>,
-        row_ids: Vec<u32>,
-        row_width: usize,
-    ) -> Vec<T> {
-        let local_rows = src.len() / row_width;
-        self.shared.barrier.wait();
-        let all_ids = self.read_all::<Vec<u32>, Vec<u32>>(|_, v| v.clone());
-        let mut serve: Vec<Vec<u32>> = vec![Vec::new(); self.size];
-        for ids in &all_ids {
-            for &g in ids {
-                assert!(
-                    (g as usize) < local_rows * self.size,
-                    "all_gather_rows on group '{}': row id {} out of {} global rows",
-                    self.shared.label,
-                    g,
-                    local_rows * self.size
-                );
-                serve[g as usize / local_rows].push(g % local_rows as u32);
-            }
-        }
-        for s in &mut serve {
-            s.sort_unstable();
-            s.dedup();
-        }
-        self.shared.barrier.wait();
-        self.clear_own_slot();
-        let mut mine: Vec<T> = Vec::with_capacity(serve[self.rank].len() * row_width);
-        for &l in &serve[self.rank] {
-            mine.extend_from_slice(&src[l as usize * row_width..][..row_width]);
-        }
-        // Indexed sizes: the rows this rank actually serves plus its index
-        // upload — never the dense block.
-        self.record(
-            CollOp::AllGatherRows,
-            mine.len() * T::BYTES + row_ids.len() * std::mem::size_of::<u32>(),
-        );
-        self.post(Box::new(mine));
-        self.shared.barrier.wait();
-        let mut out: Vec<T> = Vec::with_capacity(row_ids.len() * row_width);
-        {
-            let slots = self.shared.slots.lock();
-            for &g in &row_ids {
-                let owner = g as usize / local_rows;
-                let local = g % local_rows as u32;
-                let served = slots[owner]
-                    .as_ref()
-                    .expect("all_gather_rows: owner posted no rows")
-                    .downcast_ref::<Vec<T>>()
-                    .expect("all_gather_rows row-phase type mismatch");
-                let pos = serve[owner]
-                    .binary_search(&local)
-                    .expect("all_gather_rows: requested row missing from serve list");
-                out.extend_from_slice(&served[pos * row_width..][..row_width]);
-            }
-        }
-        self.shared.barrier.wait();
-        self.clear_own_slot();
-        out
+        served.iter().filter(|&&s| s).count()
     }
 
     /// MPI_Comm_split with this rank's concrete color/key pair: ranks with
@@ -415,23 +435,15 @@ impl Communicator for ThreadComm {
         self.shared.barrier.wait();
     }
 
-    // Specializes the trait's `start_all_reduce().wait()` default: the
-    // hottest collective reduces straight into `buf`, skipping the
-    // default's result allocation and copy-back. Semantics are identical
-    // (same ascending-rank fold `consume_slots` drives everywhere).
+    // The trait default, except that a one-member reduction in place is
+    // the identity with source and destination the same buffer: recorded
+    // like any call, it moves no data at all.
     fn all_reduce<T: CommElem>(&self, buf: &mut [T], op: ReduceOp) {
-        self.record(CollOp::AllReduce, buf.len() * T::BYTES);
-        self.post(Box::new(buf.to_vec()));
-        let len = buf.len();
-        self.consume_slots::<T>("all_reduce", len, |r, v| {
-            if r == 0 {
-                buf.copy_from_slice(v);
-            } else {
-                for (acc, &x) in buf.iter_mut().zip(v.iter()) {
-                    *acc = T::reduce(op, *acc, x);
-                }
-            }
-        });
+        if self.size == 1 {
+            self.record(CollOp::AllReduce, std::mem::size_of_val(buf));
+            return;
+        }
+        self.start_all_reduce(buf, op).wait_into(buf);
     }
 
     fn all_to_all<T: CommElem>(&self, sends: Vec<Vec<T>>) -> Vec<Vec<T>> {
@@ -465,17 +477,22 @@ impl Communicator for ThreadComm {
         src: &[T],
         op: ReduceOp,
     ) -> PendingCollective<'c, T> {
-        self.record(CollOp::AllReduce, src.len() * T::BYTES);
-        self.post(Box::new(src.to_vec()));
-        let len = src.len();
-        PendingCollective::deferred(move || self.finish_all_reduce(len, op))
+        self.launch(CollOp::AllReduce, src, src.len(), move |r, v, out| {
+            if r == 0 {
+                out.copy_from_slice(v);
+            } else {
+                for (acc, &x) in out.iter_mut().zip(v) {
+                    *acc = T::reduce(op, *acc, x);
+                }
+            }
+        })
     }
 
     fn start_all_gather<'c, T: CommElem>(&'c self, src: &[T]) -> PendingCollective<'c, T> {
-        self.record(CollOp::AllGather, src.len() * T::BYTES);
-        self.post(Box::new(src.to_vec()));
         let len = src.len();
-        PendingCollective::deferred(move || self.finish_all_gather(len))
+        self.launch(CollOp::AllGather, src, len * self.size, move |r, v, out| {
+            out[r * len..(r + 1) * len].copy_from_slice(v);
+        })
     }
 
     fn start_reduce_scatter<'c, T: CommElem>(
@@ -490,10 +507,18 @@ impl Communicator for ThreadComm {
             src.len(),
             self.size
         );
-        self.record(CollOp::ReduceScatter, src.len() * T::BYTES);
-        self.post(Box::new(src.to_vec()));
-        let len = src.len();
-        PendingCollective::deferred(move || self.finish_reduce_scatter(len, op))
+        let chunk = src.len() / self.size;
+        let own = self.rank * chunk..(self.rank + 1) * chunk;
+        self.launch(CollOp::ReduceScatter, src, chunk, move |r, v, out| {
+            let v = &v[own.clone()];
+            if r == 0 {
+                out.copy_from_slice(v);
+            } else {
+                for (acc, &x) in out.iter_mut().zip(v) {
+                    *acc = T::reduce(op, *acc, x);
+                }
+            }
+        })
     }
 
     fn start_all_gather_rows<'c, T: CommElem>(
@@ -510,11 +535,22 @@ impl Communicator for ThreadComm {
             src.len(),
             row_width
         );
-        // Phase one (the index exchange) posts at start time; the ledger
-        // event lands at completion, once this rank knows its serve list.
-        self.post(Box::new(row_ids.to_vec()));
-        let src = src.to_vec();
-        let row_ids = row_ids.to_vec();
-        PendingCollective::deferred(move || self.finish_all_gather_rows(src, row_ids, row_width))
+        let kept = self.offer(self.stage(|x: &mut RowExchange<T>| {
+            x.ids.clear();
+            x.ids.extend_from_slice(row_ids);
+            x.block.clear();
+            x.block.extend_from_slice(src);
+        }));
+        let (local_rows, requested) = (src.len() / row_width, row_ids.len());
+        PendingCollective::deferred(requested * row_width, move |out| {
+            let served = self.finish_all_gather_rows(kept, local_rows, row_width, out);
+            // Indexed sizes: the rows this rank's block serves plus its
+            // index upload — never the dense block. Recorded once the
+            // served set is known, at completion.
+            self.record(
+                CollOp::AllGatherRows,
+                served * row_width * T::BYTES + requested * std::mem::size_of::<u32>(),
+            );
+        })
     }
 }

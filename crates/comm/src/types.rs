@@ -14,8 +14,9 @@ pub enum ReduceOp {
 ///
 /// The reduce is defined here rather than via `std::ops` bounds so integer
 /// and float types share one code path and `Max`/`Min` need no `Ord`
-/// (floats aren't `Ord`).
-pub trait CommElem: Copy + Send + 'static {
+/// (floats aren't `Ord`). `Default` is the fill of a freshly allocated
+/// result vector before a collective lands in it.
+pub trait CommElem: Copy + Default + Send + 'static {
     fn reduce(op: ReduceOp, a: Self, b: Self) -> Self;
     /// Size in bytes (for the traffic ledger).
     const BYTES: usize = std::mem::size_of::<Self>();

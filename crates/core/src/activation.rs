@@ -185,6 +185,12 @@ impl ActivationStore {
         self.ws.alloc_events()
     }
 
+    /// Bytes pooled in the store's reload workspace.
+    #[cfg(test)]
+    pub(crate) fn pooled_bytes(&self) -> usize {
+        self.ws.pooled_bytes()
+    }
+
     /// Take custody of layer `layer`'s forward cache and its consumed
     /// input, applying the policy: recycle what the policy drops into
     /// `layer_ws`, spill what the budget cannot hold, retain the rest.

@@ -9,7 +9,7 @@
 
 use crate::grid::{Axis, GridConfig, GridCoords, GridSpec};
 use plexus_comm::{Communicator, FaultPlan, ReduceOp, ThreadComm};
-use plexus_tensor::Matrix;
+use plexus_tensor::{KernelWorkspace, Matrix};
 use std::sync::Arc;
 
 /// Everything a rank needs to communicate inside the 3D grid.
@@ -170,15 +170,18 @@ impl<C: Communicator> DistContext<C> {
     }
 
     /// All-gather row blocks across the `axis` group: each rank contributes
-    /// its `rows x cols` shard; the result stacks them in group-rank order.
-    pub fn all_gather_rows(&self, m: &Matrix, axis: Axis) -> Matrix {
+    /// its `rows x cols` shard; the result, taken from `ws`, stacks them in
+    /// group-rank order.
+    pub fn all_gather_rows(&self, m: &Matrix, axis: Axis, ws: &mut KernelWorkspace) -> Matrix {
         let group = self.group(axis);
-        let data = group.all_gather(m.as_slice());
-        Matrix::from_vec(m.rows() * group.size(), m.cols(), data)
+        let mut out = ws.take_scratch(m.rows() * group.size(), m.cols());
+        group.all_gather_into(m.as_slice(), out.as_mut_slice());
+        out
     }
 
     /// All-gather column blocks across the `axis` group: result places each
-    /// rank's columns side by side in group-rank order.
+    /// rank's columns side by side in group-rank order. The loss's gather,
+    /// outside any layer: the result is freshly allocated.
     pub fn all_gather_cols(&self, m: &Matrix, axis: Axis) -> Matrix {
         let group = self.group(axis);
         // Column shards of one logical matrix are equal-shaped by
@@ -206,18 +209,9 @@ impl<C: Communicator> DistContext<C> {
     /// clusters), then all-reduce the span chunk across the cluster's
     /// replicas — every replica ends with the identical full-sum span
     /// gradient, which is what keeps the redundant optimizer states in
-    /// lockstep.
-    pub fn reduce_scatter_feature_rows(&self, m: &Matrix) -> Matrix {
-        let owners = self.feature_owner_group();
-        assert_eq!(
-            m.rows() % owners.size(),
-            0,
-            "reduce_scatter_feature_rows: {} rows not divisible by {} owners",
-            m.rows(),
-            owners.size()
-        );
-        let chunk = owners.reduce_scatter(m.as_slice(), ReduceOp::Sum);
-        let mut out = Matrix::from_vec(m.rows() / owners.size(), m.cols(), chunk);
+    /// lockstep. The result is taken from `ws`.
+    pub fn reduce_scatter_feature_rows(&self, m: &Matrix, ws: &mut KernelWorkspace) -> Matrix {
+        let mut out = scatter_rows(self.feature_owner_group(), m, ws);
         if let Some(replicas) = self.replica_group() {
             replicas.all_reduce(out.as_mut_slice(), ReduceOp::Sum);
         }
@@ -225,19 +219,28 @@ impl<C: Communicator> DistContext<C> {
     }
 
     /// Reduce-scatter row blocks: sum the full matrix across the group,
-    /// return this rank's row chunk (`rows / group_size` rows).
-    pub fn reduce_scatter_rows(&self, m: &Matrix, axis: Axis) -> Matrix {
-        let group = self.group(axis);
-        assert_eq!(
-            m.rows() % group.size(),
-            0,
-            "reduce_scatter_rows: {} rows not divisible by group size {}",
-            m.rows(),
-            group.size()
-        );
-        let chunk = group.reduce_scatter(m.as_slice(), ReduceOp::Sum);
-        Matrix::from_vec(m.rows() / group.size(), m.cols(), chunk)
+    /// return this rank's row chunk (`rows / group_size` rows), taken from
+    /// `ws`.
+    pub fn reduce_scatter_rows(&self, m: &Matrix, axis: Axis, ws: &mut KernelWorkspace) -> Matrix {
+        scatter_rows(self.group(axis), m, ws)
     }
+}
+
+/// Sum-reduce-scatter whole rows of `m` across `group` into a matrix taken
+/// from `ws`. The raw collective only checks flat-length divisibility; the
+/// row chunks need whole rows on every rank.
+fn scatter_rows<C: Communicator>(group: &C, m: &Matrix, ws: &mut KernelWorkspace) -> Matrix {
+    assert_eq!(
+        m.rows() % group.size(),
+        0,
+        "reduce-scatter: {} rows not divisible by group '{}' of {}",
+        m.rows(),
+        group.label(),
+        group.size()
+    );
+    let mut out = ws.take_scratch(m.rows() / group.size(), m.cols());
+    group.reduce_scatter_into(m.as_slice(), ReduceOp::Sum, out.as_mut_slice());
+    out
 }
 
 #[cfg(test)]
@@ -280,7 +283,7 @@ mod tests {
             let rank = world.rank();
             let ctx = DistContext::new(world.split(0, rank as u64, "w"), grid);
             let local = Matrix::from_fn(2, 3, |i, j| (rank * 100 + i * 3 + j) as f32);
-            let rows = ctx.all_gather_rows(&local, Axis::X);
+            let rows = ctx.all_gather_rows(&local, Axis::X, &mut KernelWorkspace::new());
             let cols = ctx.all_gather_cols(&local, Axis::X);
             (rows, cols)
         });
@@ -299,7 +302,7 @@ mod tests {
             let rank = world.rank();
             let ctx = DistContext::new(world.split(0, rank as u64, "w"), grid);
             let m = Matrix::from_fn(4, 2, |i, _| (i + rank) as f32);
-            ctx.reduce_scatter_rows(&m, Axis::Z)
+            ctx.reduce_scatter_rows(&m, Axis::Z, &mut KernelWorkspace::new())
         });
         // Sum over both ranks of row i = 2*i + 1.
         assert_eq!(results[0].as_slice(), &[1.0, 1.0, 3.0, 3.0]);
@@ -368,9 +371,10 @@ mod tests {
         let grid = GridConfig::new(4, 2, 1);
         let ctx = DistContext::new(SimComm::world(8, SimCostModel::new(25e9, 1e-6)), grid);
         let m = Matrix::full(4, 3, 1.0);
-        assert_eq!(ctx.all_gather_rows(&m, Axis::X).shape(), (16, 3));
+        let ws = &mut KernelWorkspace::new();
+        assert_eq!(ctx.all_gather_rows(&m, Axis::X, ws).shape(), (16, 3));
         assert_eq!(ctx.all_gather_cols(&m, Axis::Y).shape(), (4, 6));
-        assert_eq!(ctx.reduce_scatter_rows(&m, Axis::X).shape(), (1, 3));
+        assert_eq!(ctx.reduce_scatter_rows(&m, Axis::X, ws).shape(), (1, 3));
         assert!(ctx.world.elapsed() > 0.0, "collectives must charge the clock");
     }
 }

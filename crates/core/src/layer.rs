@@ -31,11 +31,14 @@
 //! `∂L/∂H`, `∂L/∂F`, SpMM partials and GEMM tiles) is
 //! taken from the layer's [`KernelWorkspace`] and recycled as soon as its
 //! last reader is done — [`DistLayer::backward`] consumes the forward
-//! cache by value for exactly that reason. After the first epoch has
-//! sized the pool, forward+backward run with **zero** per-call heap
-//! allocations for kernel outputs (asserted by the engine's warmup test);
-//! only the communicator's own result buffers are allocated per call, and
-//! even those are recycled into the pool once copied out.
+//! cache by value for exactly that reason. Collective results are no
+//! exception: the gathered input and weights, each landed tile and both
+//! reduce-scattered gradients are written by the communicator into
+//! buffers taken from the same workspace, so the pool only ever receives
+//! buffers a workspace handed out. After the first epoch has sized the
+//! pool, forward+backward run with **zero** per-call heap allocations for
+//! kernel outputs and collective results, and the pooled bytes stay flat
+//! (both asserted by the engine's warmup test).
 
 use crate::dist::DistContext;
 use crate::grid::LayerRoles;
@@ -128,31 +131,24 @@ impl TimeSplit {
     }
 }
 
-/// An in-flight all-reduce of one matrix tile: the pending handle plus the
-/// destination row offset and shape needed to land it on completion.
+/// An in-flight all-reduce of one full-width row tile: the pending handle
+/// plus the destination row offset to land it at on completion.
 struct PendingTile<'c> {
     pending: PendingCollective<'c, f32>,
     r0: usize,
-    rows: usize,
-    cols: usize,
 }
 
 impl<'c> PendingTile<'c> {
     fn start<C: Communicator>(group: &'c C, tile: &Matrix, r0: usize, op: ReduceOp) -> Self {
-        Self {
-            pending: group.start_all_reduce(tile.as_slice(), op),
-            r0,
-            rows: tile.rows(),
-            cols: tile.cols(),
-        }
+        Self { pending: group.start_all_reduce(tile.as_slice(), op), r0 }
     }
 
-    /// Wait, write the reduced tile into `dst` at the recorded row offset,
-    /// and recycle the transport buffer into `ws`.
-    fn land(self, dst: &mut Matrix, ws: &mut KernelWorkspace) {
-        let m = Matrix::from_vec(self.rows, self.cols, self.pending.wait());
-        dst.set_block(self.r0, 0, &m);
-        ws.recycle(m);
+    /// Wait with the reduced tile landing straight in rows `r0..` of `dst`
+    /// (tiles span every column, so those rows are one contiguous run).
+    fn land(self, dst: &mut Matrix) {
+        let start = self.r0 * dst.cols();
+        let len = self.pending.result_len();
+        self.pending.wait_into(&mut dst.as_mut_slice()[start..start + len]);
     }
 }
 
@@ -284,8 +280,8 @@ impl DistLayer {
         let width = f_stored.cols();
         let Some(plan) = plan else {
             let t1 = Instant::now();
-            let data = group.all_gather(f_stored.as_slice());
-            let x = Matrix::from_vec(f_stored.rows() * group.size(), width, data);
+            let mut x = self.ws.take_scratch(f_stored.rows() * group.size(), width);
+            group.all_gather_into(f_stored.as_slice(), x.as_mut_slice());
             t.comm_s += t1.elapsed().as_secs_f64();
             return x;
         };
@@ -310,16 +306,18 @@ impl DistLayer {
         let t0 = Instant::now();
         let mut x = self.ws.take_scratch(plan.rows_total(), width);
         x.as_mut_slice().fill(0.0);
+        let mut rows = self.ws.take_scratch(plan.row_ids.len(), width);
         t.compute_s += t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let rows = pending.wait();
+        pending.wait_into(rows.as_mut_slice());
         t.comm_s += t1.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
         for (i, &g) in plan.row_ids.iter().enumerate() {
-            x.row_mut(g as usize).copy_from_slice(&rows[i * width..(i + 1) * width]);
+            x.row_mut(g as usize).copy_from_slice(rows.row(i));
         }
+        self.ws.recycle(rows);
         t.compute_s += t0.elapsed().as_secs_f64();
         x
     }
@@ -425,7 +423,7 @@ impl DistLayer {
                     let t1 = Instant::now();
                     if overlapped {
                         if let Some(p) = pending.take() {
-                            p.land(&mut h, ws);
+                            p.land(&mut h);
                         }
                         pending = Some(PendingTile::start(group, &partial, r0, ReduceOp::Sum));
                         ws.recycle(partial);
@@ -438,7 +436,7 @@ impl DistLayer {
                 }
                 let t1 = Instant::now();
                 if let Some(p) = pending.take() {
-                    p.land(&mut h, ws);
+                    p.land(&mut h);
                 }
                 t.comm_s += t1.elapsed().as_secs_f64();
                 h
@@ -455,7 +453,7 @@ impl DistLayer {
         t: &mut TimeSplit,
     ) -> Matrix {
         let t1 = Instant::now();
-        let w_full = ctx.all_gather_rows(w_stored, self.roles.rows);
+        let w_full = ctx.all_gather_rows(w_stored, self.roles.rows, &mut self.ws);
         t.comm_s += t1.elapsed().as_secs_f64();
         w_full
     }
@@ -498,14 +496,14 @@ impl DistLayer {
                 t.compute_s += t0.elapsed().as_secs_f64();
                 let t1 = Instant::now();
                 if let Some(p) = pending.take() {
-                    p.land(&mut q, ws);
+                    p.land(&mut q);
                 }
                 pending = Some(PendingTile::start(group, &q_tile, r0, ReduceOp::Sum));
                 ws.recycle(q_tile);
                 t.comm_s += t1.elapsed().as_secs_f64();
             }
             let t1 = Instant::now();
-            pending.take().expect("at least one tile").land(&mut q, ws);
+            pending.take().expect("at least one tile").land(&mut q);
             t.comm_s += t1.elapsed().as_secs_f64();
             q
         } else {
@@ -570,12 +568,11 @@ impl DistLayer {
         // C-axis all-reduce and the ∂L/∂F SpMM; it must be waited before
         // the ∂L/∂F collective because that runs on the same R group.
         let t1 = Instant::now();
-        let (dw_rows, dw_cols) = dw_full.shape();
         let mut dw_pending: Option<PendingCollective<'_, f32>> = None;
-        let mut dw_stored = Matrix::zeros(0, 0);
-        if overlapped {
+        let mut dw_stored = if overlapped {
             // The raw collective only checks flat-length divisibility;
             // whole rows must land on each rank for the shard reassembly.
+            let dw_rows = dw_full.rows();
             assert_eq!(
                 dw_rows % r_group.size(),
                 0,
@@ -584,9 +581,10 @@ impl DistLayer {
                 r_group.size()
             );
             dw_pending = Some(r_group.start_reduce_scatter(dw_full.as_slice(), ReduceOp::Sum));
+            ws.take_scratch(dw_rows / r_group.size(), dw_full.cols())
         } else {
-            dw_stored = ctx.reduce_scatter_rows(&dw_full, roles.rows);
-        }
+            ctx.reduce_scatter_rows(&dw_full, roles.rows, ws)
+        };
         ws.recycle(dw_full);
         t.comm_s += t1.elapsed().as_secs_f64();
 
@@ -613,14 +611,14 @@ impl DistLayer {
 
         let t1 = Instant::now();
         if let Some(p) = dw_pending.take() {
-            dw_stored = Matrix::from_vec(dw_rows / r_group.size(), dw_cols, p.wait());
+            p.wait_into(dw_stored.as_mut_slice());
         }
         let df = if df_scatter {
             // Layer 0: land the feature gradient on the stored span. Under
             // replication this completes the R-axis sum in two stages
             // (scatter across owners, all-reduce across replicas); with
             // c = 1 it is exactly the reduce-scatter across R.
-            let df = ctx.reduce_scatter_feature_rows(&df_partial);
+            let df = ctx.reduce_scatter_feature_rows(&df_partial, ws);
             ws.recycle(df_partial);
             df
         } else {

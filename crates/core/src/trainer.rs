@@ -228,8 +228,10 @@ impl<C: Communicator> RankTrainer<C> {
     ///
     /// Consumed activations and gradients are recycled into the layers'
     /// kernel workspaces, so after the first (warmup) epoch the whole
-    /// loop performs no per-call heap allocations for kernel outputs
-    /// (see [`Self::kernel_alloc_events`]).
+    /// loop performs no per-call heap allocations for kernel outputs or
+    /// collective results (see [`Self::kernel_alloc_events`]), and every
+    /// buffer recycled is one a workspace handed out, so the pools stay
+    /// the size the warmup gave them.
     pub fn train_epoch(&mut self) -> DistEpochStats {
         let mut timing = TimeSplit::default();
         let rank = self.ctx.world.rank();
@@ -270,10 +272,14 @@ impl<C: Communicator> RankTrainer<C> {
             self.total_train,
         );
         timing.comm_s += t1.elapsed().as_secs_f64();
-        self.layers[self.num_layers - 1].recycle(x);
 
-        // Backward through all layers (states fetched back in reverse).
-        let mut carried = loss_out.dlogits_local;
+        // Backward through all layers (states fetched back in reverse). The
+        // logit gradient is carried in the logits' own buffer, which the
+        // last layer's workspace handed out: recycling the loss's freshly
+        // allocated one instead would grow that pool by one logits block
+        // every epoch.
+        x.as_mut_slice().copy_from_slice(loss_out.dlogits_local.as_slice());
+        let mut carried = x;
         let mut df_stored: Option<Matrix> = None;
         for l in (0..self.num_layers).rev() {
             let df_scatter = l == 0;
@@ -1384,7 +1390,10 @@ mod tests {
         // every pool, forward+backward must perform zero heap allocations
         // for kernel outputs — across aggregation, overlap AND residency
         // modes (spill reloads draw from the store's pool; recompute
-        // rebuilds draw from the layers' pools).
+        // rebuilds draw from the layers' pools). And the pools must not
+        // grow: a buffer no workspace handed out (a collective's own
+        // result, the loss's gradient) recycled into a pool would never
+        // count as an alloc event, yet add its bytes every epoch.
         use crate::activation::ResidencyPolicy;
         use plexus_comm::run_world;
         let ds = tiny_ds(96, 47);
@@ -1422,21 +1431,47 @@ mod tests {
                 let world = comm.split(0, comm.rank() as u64, "world");
                 let ctx = DistContext::new(world, grid);
                 let mut rt = RankTrainer::new(&gp, ctx, &opts);
+                let pooled = |rt: &mut RankTrainer| -> Vec<usize> {
+                    let mut bytes: Vec<usize> =
+                        rt.layers.iter_mut().map(|l| l.workspace_mut().pooled_bytes()).collect();
+                    bytes.push(rt.acts.pooled_bytes());
+                    bytes
+                };
                 for _ in 0..2 {
                     rt.train_epoch();
                 }
-                let warmed = rt.kernel_alloc_events();
+                let warmed = (rt.kernel_alloc_events(), pooled(&mut rt));
+                let mut per_epoch = Vec::new();
                 for _ in 0..3 {
                     rt.train_epoch();
+                    per_epoch.push((rt.kernel_alloc_events(), pooled(&mut rt)));
                 }
-                (warmed, rt.kernel_alloc_events())
+                (warmed, per_epoch)
             });
-            for (rank, (warmed, after)) in results.iter().enumerate() {
-                assert_eq!(
-                    warmed, after,
-                    "rank {} allocated after warmup under {:?}/{:?}/{:?}",
-                    rank, aggregation, overlap, residency
-                );
+            for (rank, (warmed, per_epoch)) in results.iter().enumerate() {
+                for (e, after) in per_epoch.iter().enumerate() {
+                    assert_eq!(
+                        warmed.0,
+                        after.0,
+                        "rank {} allocated in epoch {} under {:?}/{:?}/{:?}",
+                        rank,
+                        e + 2,
+                        aggregation,
+                        overlap,
+                        residency
+                    );
+                    assert_eq!(
+                        warmed.1,
+                        after.1,
+                        "rank {} pooled bytes (per layer, then the activation store) moved in \
+                         epoch {} under {:?}/{:?}/{:?}",
+                        rank,
+                        e + 2,
+                        aggregation,
+                        overlap,
+                        residency
+                    );
+                }
             }
         }
     }

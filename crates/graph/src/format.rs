@@ -228,10 +228,13 @@ const STAGE: usize = 64 * 1024;
 /// Writer that digests every byte on its way to the sink and encodes whole
 /// slices at a time. Values are encoded little-endian into one staging
 /// buffer — the only copy made — which is hashed while still in cache and
-/// written out whenever it fills. Pass [`io::sink`] to fingerprint values
+/// written out whenever it fills. The buffer grows in powers of two as
+/// bytes arrive, up to `STAGE`, so a few-line manifest costs a few hundred
+/// bytes of stage, not 64 KiB. Pass [`io::sink`] to fingerprint values
 /// without writing them anywhere.
 pub struct HashingWriter<W: Write = File> {
     inner: W,
+    /// Allocated (and zeroed) stage; only `..filled` holds staged bytes.
     stage: Vec<u8>,
     filled: usize,
     digest: Digest,
@@ -246,7 +249,17 @@ impl HashingWriter<File> {
 
 impl<W: Write> HashingWriter<W> {
     pub fn new(inner: W) -> Self {
-        Self { inner, stage: vec![0; STAGE], filled: 0, digest: Digest::new() }
+        Self { inner, stage: Vec::new(), filled: 0, digest: Digest::new() }
+    }
+
+    /// The next `n` bytes of the stage (`n <= STAGE - filled`), growing it
+    /// to the next power of two that holds them.
+    fn reserve(&mut self, n: usize) -> &mut [u8] {
+        let end = self.filled + n;
+        if end > self.stage.len() {
+            self.stage.resize(end.next_power_of_two().min(STAGE), 0);
+        }
+        &mut self.stage[self.filled..end]
     }
 
     fn flush_stage(&mut self) -> io::Result<()> {
@@ -266,7 +279,7 @@ impl<W: Write> HashingWriter<W> {
                 return self.inner.write_all(bytes);
             }
         }
-        self.stage[self.filled..self.filled + bytes.len()].copy_from_slice(bytes);
+        self.reserve(bytes.len()).copy_from_slice(bytes);
         self.filled += bytes.len();
         Ok(())
     }
@@ -295,7 +308,7 @@ impl<W: Write> HashingWriter<W> {
                 self.flush_stage()?;
             }
             let (now, later) = vals.split_at(((STAGE - self.filled) / N).min(vals.len()));
-            let dst = &mut self.stage[self.filled..self.filled + N * now.len()];
+            let dst = self.reserve(N * now.len());
             for (d, &v) in dst.chunks_exact_mut(N).zip(now) {
                 d.copy_from_slice(&encode(v));
             }
@@ -563,6 +576,17 @@ mod tests {
         assert_eq!(cur.take(raw.len()).unwrap(), &raw[..]);
         assert_eq!(cur.matrix().unwrap().as_slice(), &f[..6]);
         assert_eq!(cur.pos, bytes.len());
+    }
+
+    #[test]
+    fn writer_stage_grows_only_as_far_as_the_bytes_need() {
+        use std::io::Write as _;
+        let mut w = HashingWriter::new(io::sink());
+        writeln!(w, "a manifest line, then another").unwrap();
+        w.header().unwrap();
+        assert_eq!(w.stage.len(), 64, "a few dozen bytes stage in 64");
+        w.put_f32s(&[0.5; 40_000]).unwrap();
+        assert_eq!(w.stage.len(), STAGE, "a large write grows the stage to its cap");
     }
 
     #[test]

@@ -10,15 +10,21 @@
 //! zero-fill for consumers that overwrite every element anyway.
 //! [`KernelWorkspace::recycle`] returns a matrix's
 //! buffer; when the pool is full the smallest buffer is dropped so the
-//! large, expensive-to-reacquire buffers always survive — that keeps the
-//! pool stable even when foreign buffers (collective results) are recycled
-//! into it every epoch.
+//! large, expensive-to-reacquire buffers always survive.
+//!
+//! The pool is only as bounded as what is recycled into it: a buffer the
+//! workspaces never handed out (a collective's freshly allocated result,
+//! say) grows it by one each time, up to the cap. The engine therefore
+//! recycles only buffers a workspace handed out — collectives write into
+//! workspace buffers instead of returning their own — so across epochs the
+//! same buffers circulate and
+//! [`pooled_bytes`](KernelWorkspace::pooled_bytes) stays flat.
 //!
 //! [`alloc_events`](KernelWorkspace::alloc_events) counts every real
 //! allocator interaction (fresh buffer, capacity growth, packed-panel
-//! growth). The engine's warmup test pins the count flat across epochs —
-//! the "zero per-call heap allocations for kernel outputs after warmup"
-//! guarantee.
+//! growth). The engine's warmup test pins it and the pooled bytes flat
+//! across epochs — the "zero per-call heap allocations for kernel outputs
+//! after warmup" guarantee.
 //!
 //! [`gemm_ws`]: crate::gemm::gemm_ws
 
@@ -106,8 +112,9 @@ impl KernelWorkspace {
         Matrix::from_vec(rows, cols, buf)
     }
 
-    /// Return a matrix's buffer to the pool. Accepts foreign buffers
-    /// (e.g. collective results) too; eviction keeps the pool bounded.
+    /// Return a matrix's buffer to the pool. Any buffer is accepted, but
+    /// only buffers handed out by a workspace keep the pool from growing;
+    /// eviction of the smallest caps the count.
     pub fn recycle(&mut self, m: Matrix) {
         let buf = m.into_vec();
         if buf.capacity() == 0 {
@@ -133,9 +140,11 @@ impl KernelWorkspace {
         self.alloc_events
     }
 
-    /// Pooled buffer count (diagnostics/tests).
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
+    /// Bytes held by the pooled buffers (their capacities). Flat across
+    /// epochs once warm, when every buffer recycled here was handed out
+    /// from a workspace.
+    pub fn pooled_bytes(&self) -> usize {
+        self.pool.iter().map(|b| b.capacity() * std::mem::size_of::<f32>()).sum()
     }
 
     pub(crate) fn note_grown(&mut self, cap_before: usize, cap_after: usize) {
@@ -172,6 +181,7 @@ mod tests {
             ws.recycle(b);
         }
         let after_warmup = ws.alloc_events();
+        assert_eq!(ws.pooled_bytes(), (64 + 16) * 4);
         for _ in 0..10 {
             let a = ws.take(8, 8);
             let b = ws.take(4, 4);
@@ -179,6 +189,7 @@ mod tests {
             ws.recycle(b);
         }
         assert_eq!(ws.alloc_events(), after_warmup, "steady-state cycle allocated");
+        assert_eq!(ws.pooled_bytes(), (64 + 16) * 4, "steady-state cycle grew the pool");
     }
 
     #[test]
@@ -207,7 +218,7 @@ mod tests {
             let m = Matrix::zeros(1, 1);
             ws.recycle(m);
         }
-        assert!(ws.pooled() <= POOL_CAP);
+        assert!(ws.pool.len() <= POOL_CAP);
         // The big buffer must have survived: taking it is allocation-free.
         let events = ws.alloc_events();
         let big = ws.take(64, 64);

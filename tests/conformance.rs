@@ -11,7 +11,8 @@
 //! The shared laws are those every backend must satisfy: self-shard
 //! placement in gathers, reduce-scatter ≡ own chunk of all-reduce,
 //! ragged all-to-all shape handling, nonblocking == blocking results,
-//! split_by group geometry, ledger byte accounting and bitwise
+//! caller-buffer completion == the allocating forms (one-member groups
+//! included), split_by group geometry, ledger byte accounting and bitwise
 //! run-to-run determinism. Value-level *cross-rank* laws (a gather
 //! containing every peer's distinct contribution) are by construction
 //! thread-world-only — SimComm is shape/cost-faithful, not
@@ -343,6 +344,81 @@ mod laws {
         }
     }
 
+    pub fn caller_buffer_forms_equal_allocating_forms<B: Backend>(b: &B) {
+        // `start_x(..).wait_into(out)` and `x_into(.., out)` overwrite every
+        // element of a NaN-prefilled `out` with exactly what `x(..)` returns
+        // — on a one-member group (the identity, which posts nothing) and a
+        // three-member one — and a one-member call is still one ledger
+        // event carrying the bytes a larger group would record.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for size in [1usize, 3] {
+            let results = b.run(size, move |comm| {
+                let g = comm.size();
+                let src: Vec<f32> =
+                    (0..6 * g).map(|i| (i + comm.rank() * 5) as f32 * 0.3).collect();
+                let ids: Vec<u32> = vec![(3 * g - 1) as u32, 0, 1, 0];
+                let nan = |len: usize| vec![f32::NAN; len];
+                let mut checks = Vec::new();
+
+                let mut reduced = src.clone();
+                comm.all_reduce(&mut reduced, ReduceOp::Sum);
+                let mut out = nan(src.len());
+                comm.start_all_reduce(&src, ReduceOp::Sum).wait_into(&mut out);
+                checks.push(("start_all_reduce", bits(&out) == bits(&reduced)));
+
+                let gathered = comm.all_gather(&src);
+                let mut out = nan(gathered.len());
+                comm.start_all_gather(&src).wait_into(&mut out);
+                checks.push(("start_all_gather", bits(&out) == bits(&gathered)));
+                let mut out = nan(gathered.len());
+                comm.all_gather_into(&src, &mut out);
+                checks.push(("all_gather_into", bits(&out) == bits(&gathered)));
+
+                let scattered = comm.reduce_scatter(&src, ReduceOp::Sum);
+                let mut out = nan(scattered.len());
+                comm.start_reduce_scatter(&src, ReduceOp::Sum).wait_into(&mut out);
+                checks.push(("start_reduce_scatter", bits(&out) == bits(&scattered)));
+                let mut out = nan(scattered.len());
+                comm.reduce_scatter_into(&src, ReduceOp::Sum, &mut out);
+                checks.push(("reduce_scatter_into", bits(&out) == bits(&scattered)));
+
+                let rows = comm.all_gather_rows(&src, &ids, 2);
+                let mut out = nan(rows.len());
+                comm.start_all_gather_rows(&src, &ids, 2).wait_into(&mut out);
+                checks.push(("start_all_gather_rows", bits(&out) == bits(&rows)));
+
+                (checks, comm.ledger().snapshot(), src.len())
+            });
+            for (checks, events, len) in results {
+                for (form, same) in checks {
+                    assert!(
+                        same,
+                        "{}: {} on {} rank(s) differs from the Vec form",
+                        b.name(),
+                        form,
+                        size
+                    );
+                }
+                if size > 1 {
+                    continue;
+                }
+                // One event per call: all_reduce twice, then three calls
+                // each of all_gather and reduce_scatter, then two
+                // all_gather_rows. Rows 0..3 all live on the one member,
+                // which serves the distinct ones: {2, 0, 1}.
+                let expect: Vec<(CollOp, usize)> = [(CollOp::AllReduce, len * 4); 2]
+                    .into_iter()
+                    .chain([(CollOp::AllGather, len * 4); 3])
+                    .chain([(CollOp::ReduceScatter, len * 4); 3])
+                    .chain([(CollOp::AllGatherRows, 3 * 2 * 4 + 4 * 4); 2])
+                    .collect();
+                let got: Vec<(CollOp, usize)> = events.iter().map(|e| (e.op, e.bytes)).collect();
+                assert_eq!(got, expect, "{}: one-member ledger", b.name());
+                assert!(events.iter().all(|e| e.group_size == 1), "{}: group size", b.name());
+            }
+        }
+    }
+
     pub fn all<B: Backend>(b: &B) {
         gather_places_own_shard_at_own_rank(b);
         reduce_scatter_is_chunk_of_all_reduce(b);
@@ -358,6 +434,7 @@ mod laws {
         sparse_gather_returns_requested_rows_in_order(b);
         sparse_gather_ledger_records_indexed_sizes(b);
         nonblocking_sparse_equals_blocking(b);
+        caller_buffer_forms_equal_allocating_forms(b);
     }
 }
 
