@@ -8,7 +8,9 @@
 //! times additionally come from the machine model with the measured
 //! variability multiplier. A third row per grid reruns the blocked epochs
 //! under `CommOverlap::Overlapped` (§5.2's nonblocking collectives) and
-//! asserts the losses did not change by a bit.
+//! asserts the losses did not change by a bit. The Blocking and Overlapped
+//! rows issue identical collectives — the layer's one code path per recipe
+//! only moves the waits — so any gap between them is overlap alone.
 //!
 //! Right: impact of the dW GEMM-order tuning (§5.3) on products-14M-like
 //! shapes. The paper reduces the Grad_W GEMM from ~50 ms to negligible on

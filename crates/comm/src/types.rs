@@ -82,7 +82,7 @@ impl CollOp {
 }
 
 /// One recorded collective call on one rank.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommEvent {
     pub op: CollOp,
     /// Per-rank payload bytes (the buffer this rank contributed).

@@ -202,8 +202,8 @@ impl<C: Communicator> DistContext<C> {
     }
 
     /// Reduce-scatter the layer-0 feature-gradient block onto this rank's
-    /// stored feature rows. Without replication this is exactly
-    /// [`reduce_scatter_rows`](Self::reduce_scatter_rows) over Z. Under
+    /// stored feature rows. Without replication this is exactly the sum
+    /// reduce-scatter of whole rows over Z (rank `z` gets row chunk `z`). Under
     /// replication the sum over the Z axis completes in two stages:
     /// scatter across the feature owners (same cluster position, different
     /// clusters), then all-reduce the span chunk across the cluster's
@@ -211,36 +211,24 @@ impl<C: Communicator> DistContext<C> {
     /// gradient, which is what keeps the redundant optimizer states in
     /// lockstep. The result is taken from `ws`.
     pub fn reduce_scatter_feature_rows(&self, m: &Matrix, ws: &mut KernelWorkspace) -> Matrix {
-        let mut out = scatter_rows(self.feature_owner_group(), m, ws);
+        let owners = self.feature_owner_group();
+        // The raw collective only checks flat-length divisibility; the row
+        // chunks need whole rows on every rank.
+        assert_eq!(
+            m.rows() % owners.size(),
+            0,
+            "reduce-scatter: {} rows not divisible by group '{}' of {}",
+            m.rows(),
+            owners.label(),
+            owners.size()
+        );
+        let mut out = ws.take_scratch(m.rows() / owners.size(), m.cols());
+        owners.reduce_scatter_into(m.as_slice(), ReduceOp::Sum, out.as_mut_slice());
         if let Some(replicas) = self.replica_group() {
             replicas.all_reduce(out.as_mut_slice(), ReduceOp::Sum);
         }
         out
     }
-
-    /// Reduce-scatter row blocks: sum the full matrix across the group,
-    /// return this rank's row chunk (`rows / group_size` rows), taken from
-    /// `ws`.
-    pub fn reduce_scatter_rows(&self, m: &Matrix, axis: Axis, ws: &mut KernelWorkspace) -> Matrix {
-        scatter_rows(self.group(axis), m, ws)
-    }
-}
-
-/// Sum-reduce-scatter whole rows of `m` across `group` into a matrix taken
-/// from `ws`. The raw collective only checks flat-length divisibility; the
-/// row chunks need whole rows on every rank.
-fn scatter_rows<C: Communicator>(group: &C, m: &Matrix, ws: &mut KernelWorkspace) -> Matrix {
-    assert_eq!(
-        m.rows() % group.size(),
-        0,
-        "reduce-scatter: {} rows not divisible by group '{}' of {}",
-        m.rows(),
-        group.label(),
-        group.size()
-    );
-    let mut out = ws.take_scratch(m.rows() / group.size(), m.cols());
-    group.reduce_scatter_into(m.as_slice(), ReduceOp::Sum, out.as_mut_slice());
-    out
 }
 
 #[cfg(test)]
@@ -296,13 +284,14 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_rows_chunks_by_rank() {
+    fn feature_row_scatter_chunks_by_rank() {
+        // Unreplicated, the feature-row scatter is the reduce-scatter over Z.
         let grid = GridConfig::new(1, 1, 2);
         let results = run_world(2, |world| {
             let rank = world.rank();
             let ctx = DistContext::new(world.split(0, rank as u64, "w"), grid);
             let m = Matrix::from_fn(4, 2, |i, _| (i + rank) as f32);
-            ctx.reduce_scatter_rows(&m, Axis::Z, &mut KernelWorkspace::new())
+            ctx.reduce_scatter_feature_rows(&m, &mut KernelWorkspace::new())
         });
         // Sum over both ranks of row i = 2*i + 1.
         assert_eq!(results[0].as_slice(), &[1.0, 1.0, 3.0, 3.0]);
@@ -368,13 +357,13 @@ mod tests {
 
     #[test]
     fn sim_backend_matrix_collectives_are_shape_faithful() {
-        let grid = GridConfig::new(4, 2, 1);
-        let ctx = DistContext::new(SimComm::world(8, SimCostModel::new(25e9, 1e-6)), grid);
+        let grid = GridConfig::new(4, 2, 4);
+        let ctx = DistContext::new(SimComm::world(32, SimCostModel::new(25e9, 1e-6)), grid);
         let m = Matrix::full(4, 3, 1.0);
         let ws = &mut KernelWorkspace::new();
         assert_eq!(ctx.all_gather_rows(&m, Axis::X, ws).shape(), (16, 3));
         assert_eq!(ctx.all_gather_cols(&m, Axis::Y).shape(), (4, 6));
-        assert_eq!(ctx.reduce_scatter_rows(&m, Axis::X, ws).shape(), (1, 3));
+        assert_eq!(ctx.reduce_scatter_feature_rows(&m, ws).shape(), (1, 3));
         assert!(ctx.world.elapsed() > 0.0, "collectives must charge the clock");
     }
 }

@@ -7,28 +7,20 @@
 //! all-reduce H across X, all-gather W across Z, SGEMM, all-reduce Q across
 //! Y; backward mirrors it with the reduce-scatters across Z.
 //!
-//! With [`CommOverlap::Overlapped`] the layer uses the nonblocking
-//! collectives ([`Communicator::start_all_reduce`] /
-//! [`PendingCollective`]) to hide communication behind compute:
-//!
-//! * blocked aggregation pipelines each row block's C-axis all-reduce
-//!   behind the next block's SpMM (§5.2);
-//! * the combination GEMM is row-tiled and each tile's K-axis all-reduce
-//!   is launched before the next tile's GEMM finishes;
-//! * backward launches the R-axis reduce-scatter of `∂L/∂W` and overlaps
-//!   it with the `∂L/∂H` GEMM and the `∂L/∂F` SpMM.
-//!
-//! Overlapped results are **bitwise identical** to blocking: every element
-//! is reduced over the same contributions in the same ascending-rank
-//! order. The collective *granularity* can differ — the tiled combination
-//! path records `Q_TILES` per-tile all-reduce events where blocking
-//! records one — so ledger event counts (not byte totals) depend on the
-//! mode.
+//! Each recipe runs one code path: aggregation all-reduces one row block
+//! of the shard at a time (§5.2; `Unblocked` is one block), the
+//! combination GEMM one row tile at a time, and backward launches the
+//! reduce-scatter of `∂L/∂W` nonblocking. [`CommOverlap`] decides only
+//! *when* each collective is waited on — right away, or after the next
+//! block's SpMM, tile's GEMM or (for `∂L/∂W`) the `∂L/∂H` GEMM and `∂L/∂F`
+//! SpMM — and a one-member group always waits right away. Both rules live
+//! in the private tile reducer. So overlapped results are **bitwise
+//! identical** to blocking, and the traffic ledgers match event for event.
 //!
 //! # Workspace discipline
 //!
 //! Every kernel output in both passes (`H`, `Q`, the activation, `∂L/∂W`,
-//! `∂L/∂H`, `∂L/∂F`, SpMM partials and GEMM tiles) is
+//! `∂L/∂H`, `∂L/∂F` and GEMM tiles) is
 //! taken from the layer's [`KernelWorkspace`] and recycled as soon as its
 //! last reader is done — [`DistLayer::backward`] consumes the forward
 //! cache by value for exactly that reason. Collective results are no
@@ -44,12 +36,13 @@ use crate::dist::DistContext;
 use crate::grid::LayerRoles;
 use plexus_comm::{Communicator, PendingCollective, ReduceOp};
 use plexus_graph::RowRequestPlan;
-use plexus_sparse::blocked::RowBlocks;
-use plexus_sparse::{spmm_into, Csr};
+use plexus_sparse::shard::split_range;
+use plexus_sparse::{spmm_into, spmm_rows_into, Csr};
 use plexus_tensor::ops::{relu_backward_inplace, relu_into};
 use plexus_tensor::{
     gemm_nn_cached_b, gemm_nt_cached_b, gemm_reference_tn, gemm_ws, KernelWorkspace, Matrix, Trans,
 };
+use std::ops::Range;
 use std::time::Instant;
 
 /// How `∂L/∂W = SGEMM(Hᵀ, ∂L/∂Q)` is computed (§5.3).
@@ -74,22 +67,25 @@ pub enum GemmTuning {
 /// Aggregation strategy (§5.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Aggregation {
-    /// One SpMM over the whole shard, one all-reduce of the whole H.
+    /// One SpMM over the whole shard, one all-reduce of the whole H: the
+    /// single-block case of `Blocked`.
     Unblocked,
-    /// Split the shard into `n` row blocks; all-reduce each block right
-    /// after its SpMM. Bitwise identical results, smoother per-op sizes —
-    /// and under [`CommOverlap::Overlapped`] each block's all-reduce hides
-    /// behind the next block's SpMM.
+    /// Run the SpMM over `n` row ranges of the one shard, each written
+    /// straight into its rows of H and all-reduced right after. Bitwise
+    /// identical results, smoother per-op sizes — and under
+    /// [`CommOverlap::Overlapped`] each block's all-reduce hides behind the
+    /// next block's SpMM.
     Blocked(usize),
 }
 
-/// Whether collectives block inline or overlap with compute (§5.2).
+/// When a layer waits on its collectives (§5.2). Both modes issue the
+/// same collectives; only the wait moves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommOverlap {
     /// Every collective completes before the next kernel starts.
     Blocking,
-    /// Reductions are launched nonblocking and waited as late as the data
-    /// dependences allow. Bitwise identical to `Blocking`.
+    /// Each reduction is waited on after the next tile's compute (on
+    /// groups of more than one rank). Bitwise identical to `Blocking`.
     Overlapped,
 }
 
@@ -108,8 +104,9 @@ pub enum CommPlan {
     SparseRows,
 }
 
-/// Row-tile count for the overlapped combination GEMM: enough tiles to
-/// pipeline, few enough that per-tile collectives stay large.
+/// Row-tile count for the combination GEMM when its K group has more than
+/// one rank: enough tiles to pipeline, few enough that per-tile
+/// collectives stay large.
 const Q_TILES: usize = 4;
 
 /// Wall-time split of an operation sequence, used for the Fig. 9-style
@@ -131,37 +128,71 @@ impl TimeSplit {
     }
 }
 
-/// An in-flight all-reduce of one full-width row tile: the pending handle
-/// plus the destination row offset to land it at on completion.
-struct PendingTile<'c> {
-    pending: PendingCollective<'c, f32>,
-    r0: usize,
+/// Sum-reduces full-width row tiles of one output across a group with at
+/// most one tile in flight — the one place the [`CommOverlap`] mode and
+/// the one-member rule are read. A tile is waited on right away, unless
+/// the reducer *lags* (`Overlapped` on a group of more than one rank):
+/// then it stays in flight until the next tile is handed over or
+/// [`finish`](Self::finish) lands it, so the caller's next compute runs
+/// behind it.
+struct TileReducer<'c, C: Communicator> {
+    group: &'c C,
+    lag: bool,
+    /// The tile in flight and the output row it lands at.
+    pending: Option<(PendingCollective<'c, f32>, usize)>,
 }
 
-impl<'c> PendingTile<'c> {
-    fn start<C: Communicator>(group: &'c C, tile: &Matrix, r0: usize, op: ReduceOp) -> Self {
-        Self { pending: group.start_all_reduce(tile.as_slice(), op), r0 }
+impl<'c, C: Communicator> TileReducer<'c, C> {
+    fn new(group: &'c C, overlap: CommOverlap) -> Self {
+        Self { group, lag: overlap == CommOverlap::Overlapped && group.size() > 1, pending: None }
     }
 
-    /// Wait with the reduced tile landing straight in rows `r0..` of `dst`
-    /// (tiles span every column, so those rows are one contiguous run).
-    fn land(self, dst: &mut Matrix) {
-        let start = self.r0 * dst.cols();
-        let len = self.pending.result_len();
-        self.pending.wait_into(&mut dst.as_mut_slice()[start..start + len]);
+    /// All-reduce rows `rows` of `out` in place.
+    fn all_reduce(&mut self, out: &mut Matrix, rows: Range<usize>) {
+        self.finish(out);
+        let n = out.cols();
+        let tile = &mut out.as_mut_slice()[rows.start * n..rows.end * n];
+        if self.lag {
+            self.pending = Some((self.group.start_all_reduce(tile, ReduceOp::Sum), rows.start));
+        } else {
+            // The in-place form: on a one-member group it moves no data.
+            self.group.all_reduce(tile, ReduceOp::Sum);
+        }
+    }
+
+    /// Reduce-scatter the whole rows of `src` onto `out`, this rank's
+    /// `1/size` share of them.
+    fn reduce_scatter(&mut self, src: &Matrix, out: &mut Matrix) {
+        // Whole rows must land on each rank for the shard reassembly; the
+        // raw collective only checks flat-length divisibility.
+        assert_eq!(src.rows(), out.rows() * self.group.size(), "reduce-scatter of whole rows");
+        self.pending = Some((self.group.start_reduce_scatter(src.as_slice(), ReduceOp::Sum), 0));
+        if !self.lag {
+            self.finish(out);
+        }
+    }
+
+    /// Land the tile in flight, if any, at its rows of `out`.
+    fn finish(&mut self, out: &mut Matrix) {
+        if let Some((pending, r0)) = self.pending.take() {
+            let start = r0 * out.cols();
+            let len = pending.result_len();
+            pending.wait_into(&mut out.as_mut_slice()[start..start + len]);
+        }
     }
 }
 
 /// One rank's share of one GCN layer.
 pub struct DistLayer {
-    pub layer_idx: usize,
-    pub roles: LayerRoles,
+    layer_idx: usize,
+    roles: LayerRoles,
     pub a_shard: Csr,
-    pub a_shard_t: Csr,
-    /// Row-blocked view of `a_shard` when blocked aggregation is on.
-    blocks: Option<RowBlocks>,
-    pub tuning: GemmTuning,
-    pub overlap: CommOverlap,
+    a_shard_t: Csr,
+    /// Aggregation row-block count: ranges of `a_shard` from
+    /// [`split_range`], one for [`Aggregation::Unblocked`].
+    blocks: usize,
+    tuning: GemmTuning,
+    overlap: CommOverlap,
     /// Reusable kernel buffers; sized by the first epoch, stable after.
     ws: KernelWorkspace,
     /// Version key of this layer's stored weights for the combination
@@ -211,10 +242,10 @@ impl DistLayer {
         overlap: CommOverlap,
     ) -> Self {
         let blocks = match aggregation {
-            Aggregation::Unblocked => None,
+            Aggregation::Unblocked => 1,
             Aggregation::Blocked(n) => {
                 assert!(n >= 1, "Aggregation::Blocked needs >= 1 block");
-                Some(RowBlocks::split(&a_shard, n.min(a_shard.rows().max(1))))
+                n.min(a_shard.rows().max(1))
             }
         };
         Self {
@@ -327,11 +358,11 @@ impl DistLayer {
     /// layer-0 gather of the Z-sharded trainable features). `w_stored` is
     /// the R-axis shard of W. Returns (output, cache, timing).
     ///
-    /// The body is a composition of the public recipe methods
-    /// ([`Self::aggregate`], [`Self::gather_weights`], [`Self::combine`])
-    /// that [`Self::rebuild_cache`] replays for recompute-mode residency —
-    /// one code path, so forward and rebuild are bitwise identical by
-    /// construction.
+    /// The body is [`Self::rebuild_cache`] — the composition of the public
+    /// recipe methods ([`Self::aggregate`], [`Self::gather_weights`],
+    /// [`Self::combine`]) that recompute-mode residency replays — plus the
+    /// activation: one code path, so forward and rebuild are bitwise
+    /// identical by construction.
     pub fn forward<C: Communicator>(
         &mut self,
         ctx: &DistContext<C>,
@@ -344,30 +375,27 @@ impl DistLayer {
         if let Some(plan) = &ctx.faults {
             plan.layer_tick(ctx.world.rank(), self.layer_idx);
         }
-        let mut t = TimeSplit::default();
-        let h = self.aggregate(ctx, f_full, &mut t);
-        let w_full = self.gather_weights(ctx, w_stored, &mut t);
-        let q = self.combine(ctx, &h, &w_full, &mut t);
+        let (cache, mut t) = self.rebuild_cache(ctx, f_full, w_stored, activated);
 
         // Activation: F' = σ(Q) (the final layer emits raw logits).
         let t0 = Instant::now();
+        let q = &cache.q;
         let mut out = self.ws.take_scratch(q.rows(), q.cols());
         if activated {
-            relu_into(&q, &mut out);
+            relu_into(q, &mut out);
         } else {
             out.as_mut_slice().copy_from_slice(q.as_slice());
         }
         t.compute_s += t0.elapsed().as_secs_f64();
-
-        (out, DistLayerCache { h, q, w_full, activated }, t)
+        (out, cache, t)
     }
 
     /// Re-derive a dropped forward cache from the retained layer `input` —
-    /// the `Recompute` residency recipe. Replays the exact aggregation /
-    /// gather / combination steps of [`Self::forward`] (same kernels, same
-    /// deterministic collective order), so the rebuilt segments are
-    /// bitwise identical to the originals. The activation output itself is
-    /// never rebuilt: backward does not read it.
+    /// the `Recompute` residency recipe, and the first half of
+    /// [`Self::forward`] (same kernels, same deterministic collective
+    /// order), so the rebuilt segments are bitwise identical to the
+    /// originals. The activation output itself is never rebuilt: backward
+    /// does not read it.
     pub fn rebuild_cache<C: Communicator>(
         &mut self,
         ctx: &DistContext<C>,
@@ -383,65 +411,32 @@ impl DistLayer {
     }
 
     /// Aggregation recipe (Algorithm 1 step 1): `H = SpMM(A, F)`,
-    /// all-reduced across the contract axis — unblocked or per-block, with
-    /// the block all-reduces optionally overlapped behind the next block's
-    /// SpMM (§5.2).
+    /// all-reduced across the contract axis one row block at a time — each
+    /// block's SpMM writes straight into its rows of `H`, and under
+    /// [`CommOverlap::Overlapped`] its all-reduce is in flight while the
+    /// next block's SpMM runs (§5.2).
     pub fn aggregate<C: Communicator>(
         &mut self,
         ctx: &DistContext<C>,
         f_full: &Matrix,
         t: &mut TimeSplit,
     ) -> Matrix {
-        let Self { ws, blocks, a_shard, roles, overlap, .. } = self;
-        let (roles, overlap) = (*roles, *overlap);
         let n = f_full.cols();
-        match blocks {
-            None => {
-                let t0 = Instant::now();
-                let mut h = ws.take_scratch(a_shard.rows(), n);
-                spmm_into(a_shard, f_full, &mut h);
-                t.compute_s += t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                ctx.all_reduce_sum(&mut h, roles.contract);
-                t.comm_s += t1.elapsed().as_secs_f64();
-                h
-            }
-            Some(blocks) => {
-                // §5.2: per-block SpMM + all-reduce of the block. With
-                // overlap on, block i's all-reduce is in flight while
-                // block i+1's SpMM runs.
-                let group = ctx.group(roles.contract);
-                // A size-1 group has nothing to hide the reduce behind.
-                let overlapped = overlap == CommOverlap::Overlapped && group.size() > 1;
-                let mut h = ws.take_scratch(blocks.total_rows(), n);
-                let mut pending: Option<PendingTile<'_>> = None;
-                for (blk, (r0, _)) in blocks.iter() {
-                    let t0 = Instant::now();
-                    let mut partial = ws.take_scratch(blk.rows(), n);
-                    spmm_into(blk, f_full, &mut partial);
-                    t.compute_s += t0.elapsed().as_secs_f64();
-                    let t1 = Instant::now();
-                    if overlapped {
-                        if let Some(p) = pending.take() {
-                            p.land(&mut h);
-                        }
-                        pending = Some(PendingTile::start(group, &partial, r0, ReduceOp::Sum));
-                        ws.recycle(partial);
-                    } else {
-                        ctx.all_reduce_sum(&mut partial, roles.contract);
-                        h.set_block(r0, 0, &partial);
-                        ws.recycle(partial);
-                    }
-                    t.comm_s += t1.elapsed().as_secs_f64();
-                }
-                let t1 = Instant::now();
-                if let Some(p) = pending.take() {
-                    p.land(&mut h);
-                }
-                t.comm_s += t1.elapsed().as_secs_f64();
-                h
-            }
+        let mut h = self.ws.take_scratch(self.a_shard.rows(), n);
+        let mut reducer = TileReducer::new(ctx.group(self.roles.contract), self.overlap);
+        for i in 0..self.blocks {
+            let (r0, r1) = split_range(self.a_shard.rows(), self.blocks, i);
+            let t0 = Instant::now();
+            spmm_rows_into(&self.a_shard, r0..r1, f_full, &mut h.as_mut_slice()[r0 * n..r1 * n]);
+            t.compute_s += t0.elapsed().as_secs_f64();
+            let t1 = Instant::now();
+            reducer.all_reduce(&mut h, r0..r1);
+            t.comm_s += t1.elapsed().as_secs_f64();
         }
+        let t1 = Instant::now();
+        reducer.finish(&mut h);
+        t.comm_s += t1.elapsed().as_secs_f64();
+        h
     }
 
     /// Weight-gather recipe (Algorithm 1 step 2a): all-gather the R-axis
@@ -459,11 +454,14 @@ impl DistLayer {
     }
 
     /// Combination recipe (Algorithm 1 step 2b): `Q = SGEMM(H, W_full)`,
-    /// all-reduced across the feat axis — row-tiled with overlapped
-    /// per-tile reductions under [`CommOverlap::Overlapped`] (§5.2). The
-    /// GEMM runs through the version-keyed packed-weight cache
-    /// ([`gemm_nn_cached_b`]), so an unchanged `W_full` is packed once per
-    /// optimizer step no matter how many tiles or rebuilds consume it.
+    /// all-reduced across the feat axis one row tile at a time — `Q_TILES`
+    /// tiles when that group has more than one rank (and `H` that many
+    /// rows), otherwise one GEMM over all of `H`. Under
+    /// [`CommOverlap::Overlapped`] each tile's all-reduce is in flight
+    /// while the next tile's GEMM runs (§5.2). The GEMM runs through the
+    /// version-keyed packed-weight cache ([`gemm_nn_cached_b`]), so an
+    /// unchanged `W_full` is packed once per optimizer step no matter how
+    /// many tiles or rebuilds consume it.
     pub fn combine<C: Communicator>(
         &mut self,
         ctx: &DistContext<C>,
@@ -472,51 +470,38 @@ impl DistLayer {
         t: &mut TimeSplit,
     ) -> Matrix {
         let Self { ws, roles, overlap, weights_version, .. } = self;
-        let (roles, overlap, wv) = (*roles, *overlap, *weights_version);
-        // Tiling only pays when there is a K-axis reduction to hide; on a
-        // size-1 feat group fall through to the single in-place GEMM.
-        if overlap == CommOverlap::Overlapped
-            && h.rows() >= Q_TILES
-            && ctx.group(roles.feat).size() > 1
-        {
-            // Row-tile the GEMM; each tile's K-axis all-reduce is launched
-            // before the next tile's GEMM finishes. Same contributions,
-            // same reduction order per element: bitwise identical.
-            let group = ctx.group(roles.feat);
-            let bounds = tile_bounds(h.rows(), Q_TILES);
-            let mut q = ws.take_scratch(h.rows(), w_full.cols());
-            let mut pending: Option<PendingTile<'_>> = None;
-            for &(r0, r1) in &bounds {
-                let t0 = Instant::now();
-                let mut h_tile = ws.take_scratch(r1 - r0, h.cols());
-                h_tile.as_mut_slice().copy_from_slice(&h.as_slice()[r0 * h.cols()..r1 * h.cols()]);
-                let mut q_tile = ws.take_scratch(r1 - r0, w_full.cols());
-                gemm_nn_cached_b(ws, &mut q_tile, &h_tile, w_full, wv, 1.0, 0.0);
-                ws.recycle(h_tile);
-                t.compute_s += t0.elapsed().as_secs_f64();
-                let t1 = Instant::now();
-                if let Some(p) = pending.take() {
-                    p.land(&mut q);
-                }
-                pending = Some(PendingTile::start(group, &q_tile, r0, ReduceOp::Sum));
-                ws.recycle(q_tile);
-                t.comm_s += t1.elapsed().as_secs_f64();
-            }
-            let t1 = Instant::now();
-            pending.take().expect("at least one tile").land(&mut q);
-            t.comm_s += t1.elapsed().as_secs_f64();
-            q
-        } else {
+        let wv = *weights_version;
+        let group = ctx.group(roles.feat);
+        let (m, k, n) = (h.rows(), h.cols(), w_full.cols());
+        let tiles = if group.size() > 1 && m >= Q_TILES { Q_TILES } else { 1 };
+        let mut q = ws.take_scratch(m, n);
+        let mut reducer = TileReducer::new(group, *overlap);
+        for i in 0..tiles {
+            let (r0, r1) = split_range(m, tiles, i);
             let t0 = Instant::now();
-            let mut q = ws.take_scratch(h.rows(), w_full.cols());
-            gemm_nn_cached_b(ws, &mut q, h, w_full, wv, 1.0, 0.0);
+            if tiles == 1 {
+                // The one tile is all of H: no tile copies.
+                gemm_nn_cached_b(ws, &mut q, h, w_full, wv, 1.0, 0.0);
+            } else {
+                // Same contributions, same per-element order as one GEMM
+                // over all of H: bitwise identical.
+                let mut h_tile = ws.take_scratch(r1 - r0, k);
+                h_tile.as_mut_slice().copy_from_slice(&h.as_slice()[r0 * k..r1 * k]);
+                let mut q_tile = ws.take_scratch(r1 - r0, n);
+                gemm_nn_cached_b(ws, &mut q_tile, &h_tile, w_full, wv, 1.0, 0.0);
+                q.as_mut_slice()[r0 * n..r1 * n].copy_from_slice(q_tile.as_slice());
+                ws.recycle(h_tile);
+                ws.recycle(q_tile);
+            }
             t.compute_s += t0.elapsed().as_secs_f64();
-
             let t1 = Instant::now();
-            ctx.all_reduce_sum(&mut q, roles.feat);
+            reducer.all_reduce(&mut q, r0..r1);
             t.comm_s += t1.elapsed().as_secs_f64();
-            q
         }
+        let t1 = Instant::now();
+        reducer.finish(&mut q);
+        t.comm_s += t1.elapsed().as_secs_f64();
+        q
     }
 
     /// Algorithm 2 for this layer's roles. `dout` is `∂L/∂(layer output)`
@@ -534,12 +519,10 @@ impl DistLayer {
     ) -> (DistLayerGrads, TimeSplit) {
         let Self { ws, a_shard_t, roles, overlap, tuning, weights_version, .. } = self;
         let wv = *weights_version;
-        let (roles, overlap, tuning) = (*roles, *overlap, *tuning);
+        let (roles, tuning) = (*roles, *tuning);
         let DistLayerCache { h, q, w_full, activated } = cache;
         let mut t = TimeSplit::default();
         let r_group = ctx.group(roles.rows);
-        // A size-1 R group reduces to a copy; nothing to overlap.
-        let overlapped = overlap == CommOverlap::Overlapped && r_group.size() > 1;
 
         // ∂L/∂Q = ∂L/∂F' ⊙ σ'(Q).
         let t0 = Instant::now();
@@ -563,28 +546,14 @@ impl DistLayer {
         ws.recycle(h);
         t.compute_s += t0.elapsed().as_secs_f64();
 
-        // Reduce-scatter ∂L/∂W across R onto the stored shard. With
-        // overlap on, it stays in flight through the ∂L/∂H GEMM, its
-        // C-axis all-reduce and the ∂L/∂F SpMM; it must be waited before
-        // the ∂L/∂F collective because that runs on the same R group.
+        // Reduce-scatter ∂L/∂W across R onto the stored shard. Under
+        // overlap it stays in flight through the ∂L/∂H GEMM, its C-axis
+        // all-reduce and the ∂L/∂F SpMM; it must be waited before the
+        // ∂L/∂F collective because that runs on the same R group.
         let t1 = Instant::now();
-        let mut dw_pending: Option<PendingCollective<'_, f32>> = None;
-        let mut dw_stored = if overlapped {
-            // The raw collective only checks flat-length divisibility;
-            // whole rows must land on each rank for the shard reassembly.
-            let dw_rows = dw_full.rows();
-            assert_eq!(
-                dw_rows % r_group.size(),
-                0,
-                "backward: {} dW rows not divisible by R group size {}",
-                dw_rows,
-                r_group.size()
-            );
-            dw_pending = Some(r_group.start_reduce_scatter(dw_full.as_slice(), ReduceOp::Sum));
-            ws.take_scratch(dw_rows / r_group.size(), dw_full.cols())
-        } else {
-            ctx.reduce_scatter_rows(&dw_full, roles.rows, ws)
-        };
+        let mut dw_stored = ws.take_scratch(dw_full.rows() / r_group.size(), dw_full.cols());
+        let mut dw_reducer = TileReducer::new(r_group, *overlap);
+        dw_reducer.reduce_scatter(&dw_full, &mut dw_stored);
         ws.recycle(dw_full);
         t.comm_s += t1.elapsed().as_secs_f64();
 
@@ -610,9 +579,7 @@ impl DistLayer {
         t.compute_s += t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        if let Some(p) = dw_pending.take() {
-            p.wait_into(dw_stored.as_mut_slice());
-        }
+        dw_reducer.finish(&mut dw_stored);
         let df = if df_scatter {
             // Layer 0: land the feature gradient on the stored span. Under
             // replication this completes the R-axis sum in two stages
@@ -629,38 +596,5 @@ impl DistLayer {
         t.comm_s += t1.elapsed().as_secs_f64();
 
         (DistLayerGrads { df, dw_stored }, t)
-    }
-}
-
-/// Split `rows` into `n` contiguous tiles (first tiles one row larger when
-/// `rows % n != 0`). Identical on every rank of a group, as the SPMD
-/// contract requires.
-fn tile_bounds(rows: usize, n: usize) -> Vec<(usize, usize)> {
-    let base = rows / n;
-    let extra = rows % n;
-    let mut bounds = Vec::with_capacity(n);
-    let mut r0 = 0;
-    for i in 0..n {
-        let r1 = r0 + base + usize::from(i < extra);
-        bounds.push((r0, r1));
-        r0 = r1;
-    }
-    bounds
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tile_bounds_cover_exactly() {
-        assert_eq!(tile_bounds(8, 4), vec![(0, 2), (2, 4), (4, 6), (6, 8)]);
-        assert_eq!(tile_bounds(10, 4), vec![(0, 3), (3, 6), (6, 8), (8, 10)]);
-        let b = tile_bounds(7, 4);
-        assert_eq!(b.first().unwrap().0, 0);
-        assert_eq!(b.last().unwrap().1, 7);
-        for w in b.windows(2) {
-            assert_eq!(w[0].1, w[1].0);
-        }
     }
 }

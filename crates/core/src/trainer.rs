@@ -34,8 +34,10 @@ pub struct DistTrainOptions {
     pub perm_seed: u64,
     pub aggregation: Aggregation,
     pub tuning: GemmTuning,
-    /// §5.2 comm/compute overlap via nonblocking collectives. Bitwise
-    /// identical to `Blocking`; only the waiting moves.
+    /// §5.2 comm/compute overlap: when each layer waits on its
+    /// collectives. Both modes issue the same collectives (the ledgers
+    /// match event for event) and are bitwise identical; only the waiting
+    /// moves.
     pub overlap: CommOverlap,
     /// How inter-layer activation caches are kept between forward and
     /// backward (resident / spilled under a byte budget / recomputed).
@@ -1060,24 +1062,30 @@ mod tests {
     #[test]
     fn overlapped_collectives_are_bitwise_identical() {
         // The §5.2 overlap moves waiting, not data: Blocking and
-        // Overlapped must agree bitwise, with and without blocked
-        // aggregation.
+        // Overlapped must agree bitwise and issue the same collectives —
+        // every rank's ledger equal event for event — with and without
+        // blocked aggregation, on a full grid and on one whose Y and Z
+        // groups have a single member.
         let ds = tiny_ds(96, 29);
-        for aggregation in [Aggregation::Unblocked, Aggregation::Blocked(4)] {
-            let base = DistTrainOptions {
-                hidden_dim: 8,
-                model_seed: 5,
-                permutation: PermutationMode::Double,
-                aggregation,
-                overlap: CommOverlap::Blocking,
-                ..Default::default()
-            };
-            let blocking = train_distributed(&ds, GridConfig::new(2, 2, 2), &base, 3);
-            let overlapped_opts =
-                DistTrainOptions { overlap: CommOverlap::Overlapped, ..base.clone() };
-            let overlapped = train_distributed(&ds, GridConfig::new(2, 2, 2), &overlapped_opts, 3);
-            for (a, b) in blocking.losses().iter().zip(overlapped.losses()) {
-                assert_eq!(*a, b, "overlap changed the result under {:?}", aggregation);
+        for grid in [GridConfig::new(2, 2, 2), GridConfig::new(2, 1, 1)] {
+            for aggregation in [Aggregation::Unblocked, Aggregation::Blocked(3)] {
+                let base = DistTrainOptions {
+                    hidden_dim: 8,
+                    model_seed: 5,
+                    permutation: PermutationMode::Double,
+                    aggregation,
+                    overlap: CommOverlap::Blocking,
+                    ..Default::default()
+                };
+                let blocking = train_distributed(&ds, grid, &base, 3);
+                let overlapped_opts =
+                    DistTrainOptions { overlap: CommOverlap::Overlapped, ..base.clone() };
+                let overlapped = train_distributed(&ds, grid, &overlapped_opts, 3);
+                let what = format!("{} {:?}", grid.label(), aggregation);
+                assert_eq!(blocking.losses(), overlapped.losses(), "overlap changed {}", what);
+                for (rank, (b, o)) in blocking.traffic.iter().zip(&overlapped.traffic).enumerate() {
+                    assert_eq!(b, o, "overlap changed rank {}'s ledger under {}", rank, what);
+                }
             }
         }
     }

@@ -6,10 +6,10 @@
 //! GPU grid. This crate owns everything sparse: the CSR representation,
 //! symmetric degree normalization with self-loops, transposition, row/column
 //! permutation (the §5.1 double-permutation load balancer operates through
-//! these), 2D block extraction (the sharding primitive), row-blocked SpMM
-//! (§5.2 blocked aggregation), and nonzero-balance statistics (Table 3).
+//! these), 2D block extraction (the sharding primitive), SpMM over any
+//! contiguous row range of a shard (what §5.2 blocked aggregation runs per
+//! block), and nonzero-balance statistics (Table 3).
 
-pub mod blocked;
 pub mod csr;
 pub mod normalize;
 pub mod permute;
@@ -21,5 +21,5 @@ pub use csr::{Coo, Csr};
 pub use normalize::normalized_adjacency;
 pub use permute::{apply_permutation, inverse_permutation, random_permutation};
 pub use shard::{shard_grid, ShardSpec};
-pub use spmm::{nnz_balanced_bounds, spmm, spmm_into, spmm_seq};
+pub use spmm::{nnz_balanced_bounds, spmm, spmm_into, spmm_rows_into, spmm_seq};
 pub use stats::{nnz_balance, BalanceStats};

@@ -20,21 +20,26 @@
 //!   targets instead; rows are never split, so per-row results are
 //!   identical to the sequential kernel bit for bit.
 //!
-//! Both entry points dispatch through the same size check, and
-//! [`spmm_into`] writes into a caller-owned buffer so the training engines
-//! can recycle outputs through a `KernelWorkspace` instead of allocating
-//! per call. Every band's accumulators start at zero, so whatever the
-//! recycled buffer held is overwritten, never read.
+//! Every entry point funnels into [`spmm_rows_into`], which computes one
+//! contiguous row range of the product into a caller-owned slice through
+//! one size check (sequential or parallel); [`spmm_into`] is the whole
+//! range. The engines recycle outputs through a `KernelWorkspace` instead
+//! of allocating per call, and §5.2 blocked aggregation writes each row
+//! block of one shard straight into its rows of the output — no per-block
+//! copy of the shard, no per-block partial. Every band's accumulators
+//! start at zero, so whatever the recycled buffer held is overwritten,
+//! never read.
 //!
 //! Accumulation order per output element is the row's ascending-nonzero
-//! order in every path — band tiling, remainders, and partitioning change
-//! *which registers* hold the partial sums, never the f32 operation
-//! sequence — so blocked/unblocked and parallel/sequential results are
-//! bitwise identical.
+//! order in every path — band tiling, remainders, row ranges and
+//! partitioning change *which registers* hold the partial sums, never the
+//! f32 operation sequence — so blocked/unblocked and parallel/sequential
+//! results are bitwise identical.
 
 use crate::csr::Csr;
 use plexus_tensor::Matrix;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Work threshold below which the sequential kernel is used.
 const PAR_THRESHOLD: usize = 1 << 16;
@@ -57,20 +62,37 @@ pub fn spmm(a: &Csr, b: &Matrix) -> Matrix {
 /// `C = A * B` into a preallocated output (every element overwritten, so
 /// `c` may hold recycled garbage on entry).
 pub fn spmm_into(a: &Csr, b: &Matrix, c: &mut Matrix) {
-    check_shapes(a, b, c);
-    dispatch(a, b, c);
+    assert_eq!(c.shape(), (a.rows(), b.cols()), "spmm: output shape must be A's rows x B's cols");
+    spmm_rows_into(a, 0..a.rows(), b, c.as_mut_slice());
+}
+
+/// Rows `rows` of `A * B` into `out`, which holds exactly those rows
+/// (`rows.len() * b.cols()` elements, every one overwritten). Rows are
+/// independent, so the result is bitwise the matching rows of the whole
+/// product; the engine's row-blocked aggregation writes each block of one
+/// shard straight into its rows of the output this way.
+pub fn spmm_rows_into(a: &Csr, rows: Range<usize>, b: &Matrix, out: &mut [f32]) {
+    check_inner(a, b);
+    assert!(rows.end <= a.rows(), "spmm: rows {:?} outside the {} rows of A", rows, a.rows());
+    assert_eq!(out.len(), rows.len() * b.cols(), "spmm: output length for rows {:?}", rows);
+    let nnz = a.row_ptr()[rows.end] - a.row_ptr()[rows.start];
+    if nnz * b.cols() >= PAR_THRESHOLD {
+        spmm_par(a, rows, b, out);
+    } else {
+        spmm_rows(a, b, out, rows);
+    }
 }
 
 /// Sequential SpMM (allocating), kept public so benches and tests can
 /// compare the parallel dispatch against it directly.
 pub fn spmm_seq(a: &Csr, b: &Matrix) -> Matrix {
+    check_inner(a, b);
     let mut c = Matrix::zeros(a.rows(), b.cols());
-    check_shapes(a, b, &c);
-    spmm_rows(a, b, c.as_mut_slice(), 0, a.rows());
+    spmm_rows(a, b, c.as_mut_slice(), 0..a.rows());
     c
 }
 
-fn check_shapes(a: &Csr, b: &Matrix, c: &Matrix) {
+fn check_inner(a: &Csr, b: &Matrix) {
     assert_eq!(
         a.cols(),
         b.rows(),
@@ -80,35 +102,21 @@ fn check_shapes(a: &Csr, b: &Matrix, c: &Matrix) {
         b.rows(),
         b.cols()
     );
-    assert_eq!(
-        c.shape(),
-        (a.rows(), b.cols()),
-        "spmm: output shape {:?} does not match {}x{}",
-        c.shape(),
-        a.rows(),
-        b.cols()
-    );
-}
-
-fn dispatch(a: &Csr, b: &Matrix, c: &mut Matrix) {
-    if a.nnz() * b.cols() >= PAR_THRESHOLD {
-        spmm_par(a, b, c);
-    } else {
-        spmm_rows(a, b, c.as_mut_slice(), 0, a.rows());
-    }
 }
 
 /// Split rows `[0, rows)` into at most `max_chunks` contiguous ranges of
 /// near-equal *nonzero* count (prefix-sum targets). Rows are never split;
-/// every row lands in exactly one range. Falls back to an even row split
-/// when the matrix has no nonzeros.
+/// every row lands in exactly one range. Nonzeros are counted from
+/// `row_ptr[0]`, so a sub-slice `&row_ptr[r0..=r1]` splits rows `r0..r1`
+/// (bounds relative to `r0`). Falls back to an even row split when the
+/// rows hold no nonzeros.
 pub fn nnz_balanced_bounds(row_ptr: &[usize], max_chunks: usize) -> Vec<(usize, usize)> {
     let rows = row_ptr.len() - 1;
     if rows == 0 {
         return Vec::new();
     }
     let chunks = max_chunks.clamp(1, rows);
-    let total = row_ptr[rows];
+    let total = row_ptr[rows] - row_ptr[0];
     if total == 0 {
         return (0..chunks)
             .map(|i| (i * rows / chunks, (i + 1) * rows / chunks))
@@ -126,7 +134,7 @@ pub fn nnz_balanced_bounds(row_ptr: &[usize], max_chunks: usize) -> Vec<(usize, 
         } else {
             // First row boundary at/after the cumulative-nnz target, but
             // always advance at least one row.
-            let target = (i + 1) * total / chunks;
+            let target = row_ptr[0] + (i + 1) * total / chunks;
             let mut r = r0 + 1;
             while r < rows && row_ptr[r] < target {
                 r += 1;
@@ -145,40 +153,36 @@ pub fn nnz_balanced_bounds(row_ptr: &[usize], max_chunks: usize) -> Vec<(usize, 
     bounds
 }
 
-fn spmm_par(a: &Csr, b: &Matrix, c: &mut Matrix) {
+/// Rows `rows` of the product on the pool; `out` holds exactly those rows.
+fn spmm_par(a: &Csr, rows: Range<usize>, b: &Matrix, out: &mut [f32]) {
     let n = b.cols();
     // Ask the pool (global or installed) rather than the OS: under
     // PLEXUS_THREADS=1 or a 1-thread `ThreadPool::install` this must take
     // the exact sequential path.
     let threads = rayon::current_num_threads();
     if threads <= 1 {
-        spmm_rows(a, b, c.as_mut_slice(), 0, a.rows());
+        spmm_rows(a, b, out, rows);
         return;
     }
     // A few chunks per worker so the round-robin deal smooths residual
     // imbalance beyond what the prefix-sum cut already removed.
-    let bounds = nnz_balanced_bounds(a.row_ptr(), threads * 4);
+    let bounds = nnz_balanced_bounds(&a.row_ptr()[rows.start..=rows.end], threads * 4);
     let mut tasks = Vec::with_capacity(bounds.len());
-    let mut rest = c.as_mut_slice();
-    let mut consumed = 0;
+    let mut rest = out;
     for &(r0, r1) in &bounds {
-        debug_assert_eq!(r0, consumed);
         let (head, tail) = rest.split_at_mut((r1 - r0) * n);
-        tasks.push((r0, r1, head));
+        tasks.push((rows.start + r0..rows.start + r1, head));
         rest = tail;
-        consumed = r1;
     }
-    tasks.into_par_iter().for_each(|(r0, r1, rows)| {
-        spmm_rows(a, b, rows, r0, r1);
-    });
+    tasks.into_par_iter().for_each(|(rows, out)| spmm_rows(a, b, out, rows));
 }
 
-/// Process rows `[r0, r1)`; `c_rows` is the output slice for exactly that
+/// Process rows `rows`; `c_rows` is the output slice for exactly that
 /// row range.
-fn spmm_rows(a: &Csr, b: &Matrix, c_rows: &mut [f32], r0: usize, r1: usize) {
+fn spmm_rows(a: &Csr, b: &Matrix, c_rows: &mut [f32], rows: Range<usize>) {
     let n = b.cols();
-    debug_assert_eq!(c_rows.len(), (r1 - r0) * n);
-    for (local, r) in (r0..r1).enumerate() {
+    debug_assert_eq!(c_rows.len(), rows.len() * n);
+    for (local, r) in rows.enumerate() {
         let (cols, vals) = a.row_entries(r);
         let crow = &mut c_rows[local * n..(local + 1) * n];
         spmm_row(cols, vals, b, crow);
@@ -375,6 +379,7 @@ mod x86 {
 mod tests {
     use super::*;
     use crate::csr::Coo;
+    use crate::shard::split_range;
     use plexus_tensor::{assert_close, gemm, Trans};
 
     fn random_csr(rows: usize, cols: usize, nnz_per_row: usize, seed: u64) -> Csr {
@@ -454,15 +459,66 @@ mod tests {
     #[test]
     fn nnz_balanced_bounds_cover_and_balance() {
         let a = random_csr(97, 50, 7, 11);
-        for chunks in [1usize, 2, 3, 8, 97, 200] {
-            let bounds = nnz_balanced_bounds(a.row_ptr(), chunks);
-            assert_eq!(bounds.first().unwrap().0, 0);
-            assert_eq!(bounds.last().unwrap().1, 97);
-            for w in bounds.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
+        // The whole matrix, then rows 20..80 through a `row_ptr` sub-slice
+        // that does not start at zero (bounds relative to row 20).
+        for (row_ptr, rows) in [(a.row_ptr(), 97), (&a.row_ptr()[20..=80], 60)] {
+            for chunks in [1usize, 2, 3, 8, 97, 200] {
+                let bounds = nnz_balanced_bounds(row_ptr, chunks);
+                assert_eq!(bounds.first().unwrap().0, 0);
+                assert_eq!(bounds.last().unwrap().1, rows);
+                for w in bounds.windows(2) {
+                    assert_eq!(w[0].1, w[1].0, "ranges must be contiguous");
+                }
+                assert!(bounds.len() <= chunks.min(rows));
             }
-            assert!(bounds.len() <= chunks.min(97));
+            // Balance: with 3 chunks no chunk carries much more than a
+            // third of the range's nonzeros (one row of slack).
+            let nnz = |r0: usize, r1: usize| row_ptr[r1] - row_ptr[r0];
+            for (r0, r1) in nnz_balanced_bounds(row_ptr, 3) {
+                assert!(nnz(r0, r1) <= nnz(0, rows) / 3 + 2 * 7, "rows {}..{}", r0, r1);
+            }
         }
+    }
+
+    #[test]
+    fn row_ranges_equal_whole_product_rows() {
+        // Row-split SpMM treats rows independently, so each range's output
+        // is bitwise the matching rows of the whole product — the property
+        // blocked aggregation relies on — below and above PAR_THRESHOLD.
+        let small = random_csr(32, 20, 3, 2);
+        let large = random_csr(1024, 512, 40, 3);
+        assert!(small.nnz() * 8 < PAR_THRESHOLD, "small must stay sequential");
+        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, n) in [(&small, 8usize), (&large, 19)] {
+            let b = Matrix::from_fn(a.cols(), n, |i, j| ((i + 2 * j) as f32 * 0.1).sin());
+            let reference = spmm_seq(a, &b);
+            for ranges in [1, 2, 3, 5, 8, 32] {
+                for i in 0..ranges {
+                    let (r0, r1) = split_range(a.rows(), ranges, i);
+                    let mut out = vec![f32::NAN; (r1 - r0) * n];
+                    spmm_rows_into(a, r0..r1, &b, &mut out);
+                    let want = &reference.as_slice()[r0 * n..r1 * n];
+                    assert_eq!(bits(&out), bits(want), "{} ranges, rows {}..{}", ranges, r0, r1);
+                }
+            }
+        }
+        assert!(large.nnz() * 19 / 8 >= PAR_THRESHOLD, "up to 8 ranges must dispatch parallel");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 4 rows")]
+    fn row_range_past_the_matrix_panics() {
+        let a = random_csr(4, 4, 2, 4);
+        let b = Matrix::zeros(4, 2);
+        spmm_rows_into(&a, 2..5, &b, &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "output length for rows 1..4")]
+    fn row_range_wrong_output_length_panics() {
+        let a = random_csr(4, 4, 2, 4);
+        let b = Matrix::zeros(4, 2);
+        spmm_rows_into(&a, 1..4, &b, &mut [0.0; 5]);
     }
 
     #[test]
