@@ -126,8 +126,10 @@ impl FaultPlan {
         }
     }
 
-    /// Read hook: returns true when a read of `name` should be failed with
-    /// a synthetic checksum mismatch (consuming one firing).
+    /// Read hook, called with the bare file name (never the directory) of
+    /// every shard, feature, label and spill file opened: returns true when
+    /// that read should fail with a synthetic checksum mismatch (consuming
+    /// one firing).
     #[inline]
     pub fn shard_read_fails(&self, name: &str) -> bool {
         for a in &self.armed {

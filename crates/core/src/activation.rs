@@ -37,11 +37,8 @@
 //! [`ShardStore`]: crate::loader::ShardStore
 
 use crate::layer::DistLayerCache;
-use crate::loader::{
-    verify_shard_bytes, with_read_retry, Cursor, HashingWriter, LoaderError, LoaderResult,
-};
+use crate::loader::{open_verified, Cursor, HashingWriter, LoaderResult};
 use plexus_comm::fault::FaultPlan;
-use plexus_graph::MappedFile;
 use plexus_tensor::{KernelWorkspace, Matrix};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -105,8 +102,8 @@ pub enum Fetched {
 /// On-disk location + integrity metadata of one spilled layer cache.
 struct SpillFile {
     path: PathBuf,
-    checksum: u64,
-    len: u64,
+    /// `(digest, length)`, as a manifest would record them.
+    entry: (u64, u64),
 }
 
 enum Slot {
@@ -160,12 +157,8 @@ impl ActivationStore {
         }
     }
 
-    pub fn policy(&self) -> ResidencyPolicy {
-        self.policy
-    }
-
     /// Arm `plan` on this store's reload path (fault-injection tests).
-    pub fn set_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
+    pub(crate) fn set_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.faults = plan;
     }
 
@@ -343,46 +336,34 @@ impl ActivationStore {
         for m in [&cache.h, &cache.q, &cache.w_full] {
             w.put_matrix(m)?;
         }
-        let (checksum, len) = w.finish()?;
+        let entry = w.finish()?;
         let DistLayerCache { h, q, w_full, activated } = cache;
         self.ws.recycle(h);
         self.ws.recycle(q);
         self.ws.recycle(w_full);
-        self.stats.spilled_bytes += len;
+        self.stats.spilled_bytes += entry.1;
         self.stats.spill_events += 1;
         self.stats.spill_io_s += t0.elapsed().as_secs_f64();
-        self.slots[layer] = Slot::Spilled { file: SpillFile { path, checksum, len }, activated };
+        self.slots[layer] = Slot::Spilled { file: SpillFile { path, entry }, activated };
         Ok(())
     }
 
-    /// Map a spill file, verify length + digest + header, and decode the
-    /// cache out of the mapping into workspace buffers — no staging copy.
-    /// Like the shard loader's verified reads, a checksum/truncation
-    /// failure is re-read once from disk before the typed error surfaces.
+    /// Open a spill file through [`open_verified`] (length + digest +
+    /// header, one re-read on a mismatch) and decode the cache out of the
+    /// mapping into workspace buffers — no staging copy.
     fn reload(&mut self, file: &SpillFile, activated: bool) -> LoaderResult<DistLayerCache> {
         let t0 = std::time::Instant::now();
-        let (faults, ws) = (&self.faults, &mut self.ws);
-        let ([h, q, w_full], retries) = with_read_retry(|| {
-            let map = MappedFile::open(&file.path)?;
-            if faults.as_ref().is_some_and(|p| p.shard_read_fails(&file.path.to_string_lossy())) {
-                return Err(LoaderError::ChecksumMismatch {
-                    file: file.path.clone(),
-                    stored: file.checksum,
-                    computed: !file.checksum, // synthetic injected mismatch
-                });
-            }
-            let at = verify_shard_bytes(map.bytes(), &file.path, file.checksum, file.len)?;
-            let mut cur = Cursor { bytes: map.bytes(), pos: at, path: &file.path };
-            let mut next = || -> LoaderResult<Matrix> {
-                let (rows, cols) = cur.matrix_shape()?;
-                let mut m = ws.take_scratch(rows, cols);
-                cur.f32s_into(m.as_mut_slice())?;
-                Ok(m)
-            };
-            Ok([next()?, next()?, next()?])
-        })?;
+        let (map, at, retries) = open_verified(&file.path, file.entry, self.faults.as_deref())?;
+        let mut cur = Cursor { bytes: map.bytes(), pos: at, path: &file.path };
+        let mut next = || -> LoaderResult<Matrix> {
+            let (rows, cols) = cur.matrix_shape()?;
+            let mut m = self.ws.take_scratch(rows, cols);
+            cur.f32s_into(m.as_mut_slice())?;
+            Ok(m)
+        };
+        let [h, q, w_full] = [next()?, next()?, next()?];
         self.stats.reload_retries += retries;
-        self.stats.reloaded_bytes += file.len;
+        self.stats.reloaded_bytes += file.entry.1;
         self.stats.reload_events += 1;
         self.stats.spill_io_s += t0.elapsed().as_secs_f64();
         Ok(DistLayerCache { h, q, w_full, activated })
@@ -400,6 +381,7 @@ impl Drop for ActivationStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loader::LoaderError;
 
     fn test_cache(seed: f32, rows: usize, cols: usize) -> DistLayerCache {
         let gen = |r: usize, c: usize, s: f32| {
@@ -564,7 +546,7 @@ mod tests {
             bytes[24..32].copy_from_slice(&cols.to_le_bytes());
             fs::write(&victim, &bytes).unwrap();
             let Slot::Spilled { file, .. } = &mut store.slots[0] else { panic!("not spilled") };
-            file.checksum = crate::loader::digest(&bytes);
+            file.entry.0 = crate::loader::digest(&bytes);
             let file = SpillFile { path: file.path.clone(), ..*file };
             assert!(
                 matches!(store.reload(&file, false), Err(LoaderError::Truncated { .. })),

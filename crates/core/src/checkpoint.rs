@@ -3,13 +3,14 @@
 //!
 //! The on-disk discipline is the [`ShardStore`](crate::loader::ShardStore)
 //! one — every rank file starts with the shared
-//! `[MAGIC][FORMAT_VERSION]` header, the whole file is digested,
-//! and a per-epoch `manifest.txt` records `(digest, length)` for every
-//! rank file. Everything is written to a temporary name and renamed into
-//! place ([`publish`]), so a crash mid-write can never corrupt the last good
-//! checkpoint: an epoch directory either has a complete manifest or is
-//! ignored, and `latest.txt` either points at a published epoch or at
-//! nothing.
+//! `[MAGIC][FORMAT_VERSION]` header, the whole file is digested, a
+//! per-epoch [`Manifest`] records `(digest, length)` for every rank file,
+//! and rank files are read back through [`open_verified`]. Everything is
+//! written to a temporary name and renamed into place, so a crash
+//! mid-write can never corrupt the last good checkpoint: an epoch
+//! directory either has a complete manifest or is ignored. The directories
+//! are the index — [`Checkpoint::latest`] is the newest epoch whose
+//! manifest validates.
 //!
 //! A checkpoint captures everything that determines the continuation of a
 //! run: the stored weight shards, the Adam moments and step counts for
@@ -25,7 +26,6 @@
 //!
 //! ```text
 //! root/
-//!   latest.txt            -> "epoch_<e>" (atomic pointer, rank 0 only)
 //!   epoch_<e>/
 //!     rank_0000.plx       (one per rank, written by that rank)
 //!     ...
@@ -33,15 +33,12 @@
 //! ```
 
 use crate::loader::{
-    verify_shard_bytes, Cursor, HashingWriter, LoaderError, LoaderResult, MemoryLedger,
-    FORMAT_VERSION,
+    open_verified, Cursor, HashingWriter, LoaderError, LoaderResult, Manifest, MemoryLedger,
 };
 use crate::trainer::DistEpochStats;
 use plexus_graph::format::publish;
 use plexus_tensor::Matrix;
-use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// When and where the trainer snapshots its state.
@@ -228,22 +225,11 @@ pub(crate) fn publish_manifest(
     epochs_done: usize,
     entries: &[(u64, u64)],
 ) -> LoaderResult<()> {
-    publish(&epoch_dir.join("manifest.txt"), |f| {
-        writeln!(f, "format = {}", FORMAT_VERSION)?;
-        writeln!(f, "epochs_done = {}", epochs_done)?;
-        writeln!(f, "world = {}", entries.len())?;
-        for (rank, (ck, len)) in entries.iter().enumerate() {
-            writeln!(f, "file {} = {:016x} {}", rank_file_name(rank), ck, len)?;
-        }
-        Ok(())
-    })?;
-    Ok(())
-}
-
-/// Atomically repoint `root/latest.txt` at `epoch_dir_name`.
-pub(crate) fn publish_latest(root: &Path, epoch_dir_name: &str) -> LoaderResult<()> {
-    publish(&root.join("latest.txt"), |f| Ok(writeln!(f, "{}", epoch_dir_name)?))?;
-    Ok(())
+    let files = entries.iter().enumerate().map(|(rank, &e)| (rank_file_name(rank), e)).collect();
+    Manifest::new(files)
+        .with("epochs_done", epochs_done)
+        .with("world", entries.len())
+        .publish(&epoch_dir.join("manifest.txt"))
 }
 
 /// A published checkpoint: one epoch directory with a verified manifest.
@@ -252,80 +238,30 @@ pub struct Checkpoint {
     dir: PathBuf,
     epochs_done: usize,
     world: usize,
-    files: BTreeMap<String, (u64, u64)>,
+    manifest: Manifest,
 }
 
 impl Checkpoint {
     /// Open and validate the manifest of one `epoch_<e>` directory.
     pub fn open(dir: &Path) -> LoaderResult<Self> {
-        let manifest = dir.join("manifest.txt");
-        let text = fs::read_to_string(&manifest).map_err(|e| LoaderError::BadManifest {
-            reason: format!("{}: {}", manifest.display(), e),
-        })?;
-        let mut epochs_done = None;
-        let mut world = None;
-        let mut files = BTreeMap::new();
-        for line in text.lines() {
-            let bad = |why: &str| LoaderError::BadManifest {
-                reason: format!("{}: {} in {:?}", manifest.display(), why, line),
-            };
-            if let Some(rest) = line.strip_prefix("format = ") {
-                let found: u64 = rest.trim().parse().map_err(|_| bad("unparsable format"))?;
-                if found != FORMAT_VERSION {
-                    return Err(LoaderError::VersionMismatch {
-                        file: manifest,
-                        found,
-                        expected: FORMAT_VERSION,
-                    });
-                }
-            } else if let Some(rest) = line.strip_prefix("epochs_done = ") {
-                epochs_done = Some(rest.trim().parse().map_err(|_| bad("unparsable epoch"))?);
-            } else if let Some(rest) = line.strip_prefix("world = ") {
-                world = Some(rest.trim().parse().map_err(|_| bad("unparsable world"))?);
-            } else if let Some(rest) = line.strip_prefix("file ") {
-                let (name, entry) = rest.split_once(" = ").ok_or_else(|| bad("bad file line"))?;
-                let (ck, len) = entry.split_once(' ').ok_or_else(|| bad("bad file entry"))?;
-                let ck = u64::from_str_radix(ck, 16).map_err(|_| bad("bad checksum"))?;
-                let len: u64 = len.parse().map_err(|_| bad("bad length"))?;
-                files.insert(name.to_string(), (ck, len));
-            }
+        let manifest = Manifest::read(&dir.join("manifest.txt"))?;
+        let (epochs_done, world) = (manifest.get("epochs_done")?, manifest.get("world")?);
+        if manifest.files.len() != world {
+            let listed = manifest.files.len();
+            return Err(
+                manifest.bad(format!("{listed} rank files listed for a {world}-rank world"))
+            );
         }
-        let epochs_done = epochs_done.ok_or_else(|| LoaderError::BadManifest {
-            reason: format!("{}: missing epochs_done", manifest.display()),
-        })?;
-        let world = world.ok_or_else(|| LoaderError::BadManifest {
-            reason: format!("{}: missing world size", manifest.display()),
-        })?;
-        if files.len() != world {
-            return Err(LoaderError::BadManifest {
-                reason: format!(
-                    "{}: {} rank files listed for a {}-rank world",
-                    manifest.display(),
-                    files.len(),
-                    world
-                ),
-            });
-        }
-        Ok(Self { dir: dir.to_path_buf(), epochs_done, world, files })
+        Ok(Self { dir: dir.to_path_buf(), epochs_done, world, manifest })
     }
 
     /// The most recent valid checkpoint under `root`, or `None` if there
-    /// is none (including when `root` itself does not exist yet).
-    ///
-    /// `latest.txt` is tried first; if it is missing, stale, or points at
-    /// an unpublishable directory, every `epoch_<e>` directory is probed
-    /// in descending epoch order and invalid ones are skipped — a crash
-    /// between a rank-file write and the manifest publish therefore falls
-    /// back to the previous good checkpoint.
+    /// is none (including when `root` itself does not exist yet): every
+    /// `epoch_<e>` directory is probed in descending epoch order and the
+    /// first whose manifest validates wins. A crash before an epoch's
+    /// manifest publish therefore falls back to the previous checkpoint,
+    /// and one after it resumes from the new, complete one.
     pub fn latest(root: &Path) -> LoaderResult<Option<Self>> {
-        if let Ok(pointer) = fs::read_to_string(root.join("latest.txt")) {
-            let name = pointer.trim();
-            if !name.is_empty() {
-                if let Ok(ck) = Self::open(&root.join(name)) {
-                    return Ok(Some(ck));
-                }
-            }
-        }
         let Ok(entries) = fs::read_dir(root) else { return Ok(None) };
         let mut epochs: Vec<(usize, PathBuf)> = entries
             .filter_map(|e| {
@@ -336,12 +272,7 @@ impl Checkpoint {
             })
             .collect();
         epochs.sort_by_key(|e| std::cmp::Reverse(e.0));
-        for (_, dir) in epochs {
-            if let Ok(ck) = Self::open(&dir) {
-                return Ok(Some(ck));
-            }
-        }
-        Ok(None)
+        Ok(epochs.into_iter().find_map(|(_, dir)| Self::open(&dir).ok()))
     }
 
     /// Completed epochs this checkpoint captures.
@@ -364,13 +295,9 @@ impl Checkpoint {
     /// with the loader's typed errors.
     pub fn load_rank(&self, rank: usize) -> LoaderResult<RankState> {
         let name = rank_file_name(rank);
-        let &(ck, len) = self.files.get(&name).ok_or_else(|| LoaderError::BadManifest {
-            reason: format!("checkpoint {} does not list {}", self.dir.display(), name),
-        })?;
         let path = self.dir.join(&name);
-        let bytes = fs::read(&path)?;
-        let payload_at = verify_shard_bytes(&bytes, &path, ck, len)?;
-        let mut cur = Cursor { bytes: &bytes, pos: payload_at, path: &path };
+        let (map, payload_at, _) = open_verified(&path, self.manifest.entry(&name)?, None)?;
+        let mut cur = Cursor { bytes: map.bytes(), pos: payload_at, path: &path };
         let config_fp = cur.u64()?;
         let stored_rank = cur.u64()? as usize;
         let stored_world = cur.u64()? as usize;
@@ -471,7 +398,6 @@ mod tests {
         fs::create_dir_all(&epoch_dir).unwrap();
         let entry = write_rank_state(&epoch_dir, 0, 1, state).unwrap();
         publish_manifest(&epoch_dir, epochs_done, &[entry]).unwrap();
-        publish_latest(root, &epoch_dir_name(epochs_done)).unwrap();
         epoch_dir
     }
 
@@ -489,16 +415,17 @@ mod tests {
     }
 
     #[test]
-    fn latest_follows_pointer_and_survives_unpublished_epochs() {
+    fn latest_is_the_newest_published_epoch() {
         let root = tmp_root("latest");
         write_checkpoint(&root, 1, &sample_state(1, 1));
         write_checkpoint(&root, 4, &sample_state(1, 4));
         // A later epoch directory without a manifest (crash before
-        // publish) must not win; neither must a stale latest.txt.
+        // publish) must not win; neither must the pointer file an older
+        // build would have left naming an earlier epoch.
         fs::create_dir_all(root.join("epoch_9")).unwrap();
-        fs::write(root.join("latest.txt"), "epoch_9\n").unwrap();
+        fs::write(root.join("latest.txt"), "epoch_1\n").unwrap();
         let ck = Checkpoint::latest(&root).unwrap().expect("a valid checkpoint exists");
-        assert_eq!(ck.epochs_done(), 4, "must fall back to the newest published epoch");
+        assert_eq!(ck.epochs_done(), 4, "must be the newest published epoch");
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -511,7 +438,6 @@ mod tests {
         let state = sample_state(7, 1);
         let epoch_dir = write_checkpoint(&root, 1, &state);
         fs::write(epoch_dir.join("manifest.txt.tmp"), "format = 3\nepochs_do").unwrap();
-        fs::write(root.join("latest.txt.tmp"), "epoch_").unwrap();
         let ck = Checkpoint::latest(&root).unwrap().expect("epoch 1 is published");
         assert_eq!(ck.epochs_done(), 1);
         assert_eq!(ck.load_rank(0).unwrap(), state);
@@ -522,7 +448,6 @@ mod tests {
         assert_eq!(Checkpoint::latest(&root).unwrap().unwrap().epochs_done(), 2);
         assert_eq!(Checkpoint::open(&epoch_dir).unwrap().load_rank(0).unwrap(), state);
         assert!(!epoch_dir.join("manifest.txt.tmp").exists());
-        assert!(!root.join("latest.txt.tmp").exists());
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -555,28 +480,6 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
         let ck = Checkpoint::open(&epoch_dir).unwrap();
         assert!(matches!(ck.load_rank(0), Err(LoaderError::Truncated { .. })));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn version_mismatched_rank_file_is_typed() {
-        let root = tmp_root("version");
-        let epoch_dir = write_checkpoint(&root, 1, &sample_state(7, 1));
-        let path = epoch_dir.join(rank_file_name(0));
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        fs::write(&path, &bytes).unwrap();
-        // Re-point the manifest at the patched bytes so the version check
-        // (not the checksum) is what trips.
-        publish_manifest(&epoch_dir, 1, &[(digest(&bytes), bytes.len() as u64)]).unwrap();
-        let ck = Checkpoint::open(&epoch_dir).unwrap();
-        match ck.load_rank(0) {
-            Err(LoaderError::VersionMismatch { found, expected, .. }) => {
-                assert_eq!(found, FORMAT_VERSION + 1);
-                assert_eq!(expected, FORMAT_VERSION);
-            }
-            other => panic!("expected VersionMismatch, got {:?}", other.map(|_| ())),
-        }
         fs::remove_dir_all(&root).unwrap();
     }
 
@@ -632,29 +535,6 @@ mod tests {
                 cols
             );
         }
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn manifest_from_another_format_is_a_version_error() {
-        let root = tmp_root("manifest_version");
-        let epoch_dir = root.join("epoch_1");
-        fs::create_dir_all(&epoch_dir).unwrap();
-        fs::write(
-            epoch_dir.join("manifest.txt"),
-            format!("format = {}\nepochs_done = 1\nworld = 0\n", FORMAT_VERSION + 3),
-        )
-        .unwrap();
-        assert!(matches!(Checkpoint::open(&epoch_dir), Err(LoaderError::VersionMismatch { .. })));
-        fs::remove_dir_all(&root).unwrap();
-    }
-
-    #[test]
-    fn missing_manifest_is_a_bad_manifest_error() {
-        let root = tmp_root("no_manifest");
-        let epoch_dir = root.join("epoch_2");
-        fs::create_dir_all(&epoch_dir).unwrap();
-        assert!(matches!(Checkpoint::open(&epoch_dir), Err(LoaderError::BadManifest { .. })));
         fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -73,9 +73,8 @@ pub use layer::{
     Aggregation, CommOverlap, CommPlan, DistLayer, DistLayerCache, GemmTuning, TimeSplit,
 };
 pub use loader::{
-    digest, parse_csr, parse_csr_block, parse_matrix, parse_matrix_rows, preprocess_to_store,
-    verify_shard_bytes, CsrPayload, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult,
-    MemoryLedger, Parity, PreprocessSummary, ShardStore, FORMAT_VERSION, MAGIC,
+    preprocess_to_store, LoadStats, LoaderError, LoaderResult, MemoryLedger, Parity,
+    PreprocessSummary, ShardStore,
 };
 pub use setup::{build_permutations, GlobalProblem, PermutationMode, ProblemMeta, RankData};
 pub use trainer::{

@@ -24,17 +24,17 @@
 //!    bytes — the quantities behind the paper's memory reductions.
 //!
 //! The binary format is versioned ([`FORMAT_VERSION`]) and every file's
-//! [`digest`] is recorded in the manifest; a corrupted, truncated, or
+//! [`digest`] is recorded in the store's [`Manifest`]; every file is
+//! opened through [`open_verified`], so a corrupted, truncated, or
 //! version-mismatched file surfaces as a typed [`LoaderError`] instead of
-//! garbage data. The header, digest, bulk codecs and bounds-checked cursor
-//! are [`plexus_graph::format`]'s, re-exported here.
+//! garbage data. The header, digest, manifest, bulk codecs and
+//! bounds-checked cursor are [`plexus_graph::format`]'s, re-exported here.
 
 use crate::setup::PermutationMode;
 use plexus_comm::fault::FaultPlan;
-use plexus_graph::format::publish;
 pub use plexus_graph::format::{
-    digest, verify_shard_bytes, Cursor, HashingWriter, LoaderError, LoaderResult, FORMAT_VERSION,
-    MAGIC,
+    digest, verify_shard_bytes, Cursor, HashingWriter, LoaderError, LoaderResult, Manifest,
+    FORMAT_VERSION, MAGIC,
 };
 use plexus_graph::{LoadedDataset, MappedFile};
 use plexus_sparse::permute::{inverse_permutation, permuted_row_band};
@@ -44,35 +44,54 @@ use plexus_tensor::Matrix;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bounded retry budget for verified reads: one re-read from disk before a
-/// checksum/truncation failure becomes the caller's typed [`LoaderError`].
+/// Re-reads [`open_verified`] makes before a length or digest failure
+/// becomes the caller's typed [`LoaderError`].
 const MAX_READ_RETRIES: u64 = 1;
-/// Backoff before a verified-read retry (scaled by the attempt number).
+/// Backoff before a re-read (scaled by the attempt number).
 const READ_RETRY_BACKOFF: Duration = Duration::from_millis(2);
 
-/// Run one verified read, re-reading from disk after a short backoff when
-/// it fails its length or digest check: a mismatch can be a transient fault
-/// (torn page cache, mid-flight replacement by an atomic republish) as
-/// easily as real corruption, and a re-read distinguishes the two for free.
-/// Returns the value and the number of re-reads (0 on the clean path).
-pub(crate) fn with_read_retry<T>(
-    mut attempt: impl FnMut() -> LoaderResult<T>,
-) -> LoaderResult<(T, u64)> {
-    let mut retries = 0u64;
+/// The one gate every format file is opened through — shard, feature and
+/// label files, spill reloads, checkpoint rank files, served models. It
+/// maps `path`; fails it with a synthetic checksum mismatch when an armed
+/// `faults` plan names it (matched on the file name); checks it against
+/// its recorded `(digest, length)` and its header with
+/// [`verify_shard_bytes`]; and on a length or digest failure maps it again
+/// after a short backoff. A mismatch can be a transient fault (a torn page
+/// cache, a file replaced mid-read by an atomic republish) as easily as
+/// real corruption, and one re-read tells the two apart. Returns the
+/// mapping, the payload offset (just past the header) and the number of
+/// re-reads (0 on the clean path).
+pub fn open_verified(
+    path: &Path,
+    (ck, len): (u64, u64),
+    faults: Option<&FaultPlan>,
+) -> LoaderResult<(MappedFile, usize, u64)> {
+    let mut retries = 0;
     loop {
-        match attempt() {
+        let map = MappedFile::open(path)?;
+        let injected = faults.is_some_and(|plan| {
+            plan.shard_read_fails(&path.file_name().unwrap_or_default().to_string_lossy())
+        });
+        let verified = if injected {
+            let file = path.to_path_buf();
+            Err(LoaderError::ChecksumMismatch { file, stored: ck, computed: !ck })
+        } else {
+            verify_shard_bytes(map.bytes(), path, ck, len)
+        };
+        match verified {
+            Ok(payload_at) => return Ok((map, payload_at, retries)),
             Err(LoaderError::ChecksumMismatch { .. } | LoaderError::Truncated { .. })
                 if retries < MAX_READ_RETRIES =>
             {
                 retries += 1;
                 std::thread::sleep(READ_RETRY_BACKOFF * retries as u32);
             }
-            other => return other.map(|v| (v, retries)),
+            Err(e) => return Err(e),
         }
     }
 }
@@ -123,7 +142,7 @@ pub struct LoadStats {
     /// beyond the returned object itself.
     pub peak_transient_bytes: u64,
     /// Reads that failed verification once and succeeded on the bounded
-    /// re-read (transient-fault recovery; see `with_read_retry`).
+    /// re-read (transient-fault recovery; see [`open_verified`]).
     pub read_retries: u64,
 }
 
@@ -256,6 +275,7 @@ impl MemoryLedger {
 /// [`preprocess_to_store`] additionally hold the odd parity and
 /// labels/masks in both §5.1 output orders, making them sufficient to
 /// train from without ever materializing the global problem.
+#[derive(Clone)]
 pub struct ShardStore {
     dir: PathBuf,
     pub grid_p: usize,
@@ -274,7 +294,7 @@ pub struct ShardStore {
     pub perm_seed: u64,
     /// Digest of the source dataset's full contents, so
     /// incremental re-preprocessing never reuses shards of a different
-    /// graph (0 for raw stores and pre-fingerprint manifests).
+    /// graph (0 for raw stores).
     pub source_fp: u64,
     /// What the preprocessing run that produced this handle did (zeroed
     /// for raw stores and stores reopened via [`ShardStore::open`]; not
@@ -320,6 +340,17 @@ fn feat_name(i: usize) -> String {
 fn labels_name(parity: Parity) -> String {
     format!("labels_{}.plx", parity.tag())
 }
+
+/// The store's index file.
+const MANIFEST: &str = "manifest.txt";
+
+/// Manifest spelling of each §5.1 scheme a store can hold (`None`: raw).
+const PERM_MODES: [(Option<PermutationMode>, &str); 4] = [
+    (None, "raw"),
+    (Some(PermutationMode::None), "none"),
+    (Some(PermutationMode::Single), "single"),
+    (Some(PermutationMode::Double), "double"),
+];
 
 impl ShardStore {
     /// Write `a` (adjacency) and `features` into `dir` as a raw `p x q`
@@ -367,76 +398,27 @@ impl ShardStore {
 
     /// Open an existing store by reading its manifest.
     pub fn open(dir: &Path) -> LoaderResult<ShardStore> {
-        let path = dir.join("manifest.txt");
-        let text = fs::read_to_string(&path).map_err(|e| LoaderError::BadManifest {
-            reason: format!("{}: {}", path.display(), e),
-        })?;
-        let mut kv: BTreeMap<&str, &str> = BTreeMap::new();
-        let mut files = BTreeMap::new();
-        for line in text.lines() {
-            let Some((key, value)) = line.split_once('=') else { continue };
-            let (key, value) = (key.trim(), value.trim());
-            if let Some(name) = key.strip_prefix("file ") {
-                let mut parts = value.split_whitespace();
-                let entry = (|| {
-                    let ck = u64::from_str_radix(parts.next()?, 16).ok()?;
-                    let len: u64 = parts.next()?.parse().ok()?;
-                    Some((ck, len))
-                })()
-                .ok_or_else(|| LoaderError::BadManifest {
-                    reason: format!("unparsable file entry for {}", name),
-                })?;
-                files.insert(name.to_string(), entry);
-            } else {
-                kv.insert(key, value);
-            }
-        }
-        let format: u64 = kv
-            .get("format")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| LoaderError::BadManifest { reason: "missing format line".into() })?;
-        if format != FORMAT_VERSION {
-            return Err(LoaderError::VersionMismatch {
-                file: path,
-                found: format,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let field = |name: &str| -> LoaderResult<usize> {
-            kv.get(name).and_then(|v| v.parse().ok()).ok_or_else(|| LoaderError::BadManifest {
-                reason: format!("missing or unparsable field {}", name),
-            })
-        };
-        let perm_mode = match kv.get("perm_mode").copied() {
-            None | Some("raw") => None,
-            Some("none") => Some(PermutationMode::None),
-            Some("single") => Some(PermutationMode::Single),
-            Some("double") => Some(PermutationMode::Double),
-            Some(other) => {
-                return Err(LoaderError::BadManifest {
-                    reason: format!("unknown perm_mode {}", other),
-                })
-            }
-        };
-        // Absent means "not recorded", which disables incremental reuse
-        // rather than erroring.
-        let source_fp =
-            kv.get("source_fp").and_then(|v| u64::from_str_radix(v, 16).ok()).unwrap_or(0);
+        let m = Manifest::read(&dir.join(MANIFEST))?;
+        let mode = m.get::<String>("perm_mode")?;
+        let perm_mode = PERM_MODES.iter().find(|(_, name)| *name == mode).map(|&(p, _)| p);
+        let perm_mode = perm_mode.ok_or_else(|| m.bad(format!("unknown perm_mode {}", mode)))?;
+        let source_fp = u64::from_str_radix(&m.get::<String>("source_fp")?, 16)
+            .map_err(|_| m.bad("unparsable field source_fp"))?;
         Ok(ShardStore {
             dir: dir.to_path_buf(),
-            grid_p: field("p")?,
-            grid_q: field("q")?,
-            rows: field("rows")?,
-            cols: field("cols")?,
-            feat_dim: field("feat_dim")?,
-            parities: field("parities")?,
-            num_classes: field("classes")?,
-            total_train: field("total_train")?,
+            grid_p: m.get("p")?,
+            grid_q: m.get("q")?,
+            rows: m.get("rows")?,
+            cols: m.get("cols")?,
+            feat_dim: m.get("feat_dim")?,
+            parities: m.get("parities")?,
+            num_classes: m.get("classes")?,
+            total_train: m.get("total_train")?,
             perm_mode,
-            perm_seed: field("perm_seed")? as u64,
+            perm_seed: m.get("perm_seed")?,
             source_fp,
             preprocess: PreprocessSummary::default(),
-            files,
+            files: m.files,
             faults: None,
         })
     }
@@ -444,53 +426,27 @@ impl ShardStore {
     /// A second handle onto the same on-disk store with `plan` armed on
     /// its read path: reads consult the plan and can be made to fail with
     /// a synthetic checksum mismatch. The original handle is untouched, so
-    /// tests can run a faulted and a clean loader against one store.
-    pub fn with_faults(&self, plan: Arc<FaultPlan>) -> ShardStore {
-        ShardStore {
-            dir: self.dir.clone(),
-            grid_p: self.grid_p,
-            grid_q: self.grid_q,
-            rows: self.rows,
-            cols: self.cols,
-            feat_dim: self.feat_dim,
-            parities: self.parities,
-            num_classes: self.num_classes,
-            total_train: self.total_train,
-            perm_mode: self.perm_mode,
-            perm_seed: self.perm_seed,
-            source_fp: self.source_fp,
-            preprocess: self.preprocess,
-            files: self.files.clone(),
-            faults: Some(plan),
-        }
+    /// a faulted and a clean loader can run against one store.
+    pub(crate) fn with_faults(&self, plan: Arc<FaultPlan>) -> ShardStore {
+        ShardStore { faults: Some(plan), ..self.clone() }
     }
 
     fn write_manifest(&self) -> LoaderResult<()> {
-        publish(&self.dir.join("manifest.txt"), |f| {
-            writeln!(f, "format = {}", FORMAT_VERSION)?;
-            writeln!(f, "p = {}", self.grid_p)?;
-            writeln!(f, "q = {}", self.grid_q)?;
-            writeln!(f, "rows = {}", self.rows)?;
-            writeln!(f, "cols = {}", self.cols)?;
-            writeln!(f, "feat_dim = {}", self.feat_dim)?;
-            writeln!(f, "parities = {}", self.parities)?;
-            writeln!(f, "classes = {}", self.num_classes)?;
-            writeln!(f, "total_train = {}", self.total_train)?;
-            let mode = match self.perm_mode {
-                None => "raw",
-                Some(PermutationMode::None) => "none",
-                Some(PermutationMode::Single) => "single",
-                Some(PermutationMode::Double) => "double",
-            };
-            writeln!(f, "perm_mode = {}", mode)?;
-            writeln!(f, "perm_seed = {}", self.perm_seed)?;
-            writeln!(f, "source_fp = {:016x}", self.source_fp)?;
-            for (name, (ck, len)) in &self.files {
-                writeln!(f, "file {} = {:016x} {}", name, ck, len)?;
-            }
-            Ok(())
-        })?;
-        Ok(())
+        let (_, mode) =
+            PERM_MODES.iter().find(|(p, _)| *p == self.perm_mode).expect("PERM_MODES lists all");
+        Manifest::new(self.files.clone())
+            .with("p", self.grid_p)
+            .with("q", self.grid_q)
+            .with("rows", self.rows)
+            .with("cols", self.cols)
+            .with("feat_dim", self.feat_dim)
+            .with("parities", self.parities)
+            .with("classes", self.num_classes)
+            .with("total_train", self.total_train)
+            .with("perm_mode", mode)
+            .with("perm_seed", self.perm_seed)
+            .with("source_fp", format!("{:016x}", self.source_fp))
+            .publish(&self.dir.join(MANIFEST))
     }
 
     /// Total bytes of all shard files (what a naive loader would read on
@@ -513,50 +469,19 @@ impl ShardStore {
         Ok(())
     }
 
-    /// Manifest length of `name`, or a `BadManifest` error for unknown files.
-    fn file_len(&self, name: &str) -> LoaderResult<u64> {
-        self.files
-            .get(name)
-            .map(|&(_, len)| len)
-            .ok_or_else(|| LoaderError::BadManifest { reason: format!("{} not in manifest", name) })
-    }
-
-    /// Map and checksum-verify a file; returns the read-only mapping, the
-    /// offset where the payload starts (just past the magic/version
-    /// header) so callers decode in place without copying the file, and the
-    /// number of re-reads [`with_read_retry`] performed.
-    fn read_verified_counted(&self, name: &str) -> LoaderResult<(MappedFile, usize, u64)> {
-        let path = self.dir.join(name);
-        let &(stored_ck, stored_len) = self.files.get(name).ok_or_else(|| {
-            LoaderError::BadManifest { reason: format!("{} not in manifest", name) }
-        })?;
-        with_read_retry(|| {
-            let map = MappedFile::open(&path)?;
-            if let Some(plan) = &self.faults {
-                if plan.shard_read_fails(name) {
-                    return Err(LoaderError::ChecksumMismatch {
-                        file: path.clone(),
-                        stored: stored_ck,
-                        computed: !stored_ck, // synthetic injected mismatch
-                    });
-                }
-            }
-            let payload_at = verify_shard_bytes(map.bytes(), &path, stored_ck, stored_len)?;
-            Ok((map, payload_at))
+    /// The manifest's `(digest, length)` entry for `name`.
+    fn entry(&self, name: &str) -> LoaderResult<(u64, u64)> {
+        self.files.get(name).copied().ok_or_else(|| LoaderError::BadManifest {
+            reason: format!("{}: {} is not listed", self.dir.join(MANIFEST).display(), name),
         })
-        .map(|((map, payload_at), retries)| (map, payload_at, retries))
     }
 
-    /// Public form of the verified-map open, for downstream readers (the
-    /// serving artifact keeps every adjacency shard mapped for its whole
-    /// lifetime and decodes k-hop rows straight out of the mapping).
-    pub fn map_verified(&self, name: &str) -> LoaderResult<(MappedFile, usize)> {
-        self.read_verified_counted(name).map(|(m, p, _)| (m, p))
-    }
-
-    /// Directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// Map and verify the store file `name` through [`open_verified`]: the
+    /// read-only mapping, the payload offset (callers decode in place, and
+    /// the serving artifact keeps its shards mapped for its lifetime), and
+    /// the number of re-reads.
+    pub fn map_verified(&self, name: &str) -> LoaderResult<(MappedFile, usize, u64)> {
+        open_verified(&self.dir.join(name), self.entry(name)?, self.faults.as_deref())
     }
 
     /// On-disk name of the adjacency shard at grid position `(i, j)`.
@@ -564,22 +489,11 @@ impl ShardStore {
         adj_name(parity, i, j)
     }
 
-    /// Load the even-parity adjacency window `[r0, r1) x [c0, c1)`,
-    /// touching only the shard files it intersects.
+    /// Load the adjacency window `[r0, r1) x [c0, c1)` of the given
+    /// parity. Shard files wholly outside the window are never opened:
+    /// their manifest-recorded sizes are reported as `bytes_skipped`
+    /// instead.
     pub fn load_adjacency_window(
-        &self,
-        r0: usize,
-        r1: usize,
-        c0: usize,
-        c1: usize,
-    ) -> LoaderResult<(Csr, LoadStats)> {
-        self.load_adjacency_window_parity(Parity::Even, r0, r1, c0, c1)
-    }
-
-    /// Load an adjacency window of the given parity. Shard files wholly
-    /// outside the window are never opened: their manifest-recorded sizes
-    /// are reported as `bytes_skipped` instead.
-    pub fn load_adjacency_window_parity(
         &self,
         parity: Parity,
         r0: usize,
@@ -605,10 +519,10 @@ impl ShardStore {
                 let name = adj_name(parity, i, j);
                 if !row_hit || sc1 <= c0 || sc0 >= c1 {
                     stats.files_skipped += 1;
-                    stats.bytes_skipped += self.file_len(&name)?;
+                    stats.bytes_skipped += self.entry(&name)?.1;
                     continue;
                 }
-                let (map, payload_at, retries) = self.read_verified_counted(&name)?;
+                let (map, payload_at, retries) = self.map_verified(&name)?;
                 stats.read_retries += retries;
                 stats.note_file_read(&map);
                 // Slice to the window intersection, in shard-local coords,
@@ -660,10 +574,10 @@ impl ShardStore {
             let name = feat_name(i);
             if sr1 <= r0 || sr0 >= r1 {
                 stats.files_skipped += 1;
-                stats.bytes_skipped += self.file_len(&name)?;
+                stats.bytes_skipped += self.entry(&name)?.1;
                 continue;
             }
-            let (map, payload_at, retries) = self.read_verified_counted(&name)?;
+            let (map, payload_at, retries) = self.map_verified(&name)?;
             stats.read_retries += retries;
             stats.note_file_read(&map);
             let block = parse_matrix_rows(
@@ -694,7 +608,7 @@ impl ShardStore {
             return Err(LoaderError::Missing { what: "labels (raw store)" });
         }
         let name = labels_name(parity);
-        let (map, payload_at, retries) = self.read_verified_counted(&name)?;
+        let (map, payload_at, retries) = self.map_verified(&name)?;
         let mut stats = LoadStats::default();
         stats.read_retries += retries;
         stats.note_file_read(&map);
@@ -933,11 +847,8 @@ fn verified_prior_entry(
     prior: &BTreeMap<String, (u64, u64)>,
     name: &str,
 ) -> Option<(u64, u64)> {
-    let &(ck, len) = prior.get(name)?;
-    match MappedFile::open(&dir.join(name)) {
-        Ok(map) if map.len() as u64 == len && digest(map.bytes()) == ck => Some((ck, len)),
-        _ => None,
-    }
+    let &entry = prior.get(name)?;
+    open_verified(&dir.join(name), entry, None).ok().map(|_| entry)
 }
 
 /// Prior manifest's file map when — and only when — the existing store was
@@ -1140,7 +1051,7 @@ impl CsrPayload {
 /// Decode the `[r0, r1) x [c0, c1)` block of a CSR payload in place: only
 /// the window's row pointers and entry ranges are ever touched, so a
 /// mapped shard contributes exactly the pages the window needs.
-pub fn parse_csr_block(
+fn parse_csr_block(
     payload: &[u8],
     path: &Path,
     r0: usize,
@@ -1180,12 +1091,7 @@ pub fn parse_csr_block(
 
 /// Decode rows `[r0, r1)` of a matrix payload in place. Payload layout:
 /// `rows u64, cols u64, rows·cols×f32` row-major, little-endian.
-pub fn parse_matrix_rows(
-    payload: &[u8],
-    path: &Path,
-    r0: usize,
-    r1: usize,
-) -> LoaderResult<Matrix> {
+fn parse_matrix_rows(payload: &[u8], path: &Path, r0: usize, r1: usize) -> LoaderResult<Matrix> {
     let mut cur = Cursor { bytes: payload, pos: 0, path };
     let (rows, cols) = cur.matrix_shape()?;
     assert!(r0 <= r1 && r1 <= rows, "parse_matrix_rows: window out of bounds");
@@ -1194,18 +1100,6 @@ pub fn parse_matrix_rows(
     let mut data = vec![0.0; (r1 - r0) * cols];
     cur.f32s_into(&mut data)?;
     Ok(Matrix::from_vec(r1 - r0, cols, data))
-}
-
-/// Decode a full CSR payload (a [`parse_csr_block`] over the whole shard).
-pub fn parse_csr(payload: &[u8], path: &Path) -> LoaderResult<Csr> {
-    let geom = CsrPayload::parse(payload, path)?;
-    parse_csr_block(payload, path, 0, geom.rows, 0, geom.cols)
-}
-
-/// Decode a full matrix payload.
-pub fn parse_matrix(payload: &[u8], path: &Path) -> LoaderResult<Matrix> {
-    let rows = Cursor { bytes: payload, pos: 0, path }.count()?;
-    parse_matrix_rows(payload, path, 0, rows)
 }
 
 #[inline]
@@ -1271,7 +1165,7 @@ mod tests {
         let a = random_csr(40, 1);
         let f = uniform_matrix(40, 6, -1.0, 1.0, 2);
         let store = ShardStore::create(&dir, &a, &f, 4, 4).unwrap();
-        let (a2, _) = store.load_adjacency_window(0, 40, 0, 40).unwrap();
+        let (a2, _) = store.load_adjacency_window(Parity::Even, 0, 40, 0, 40).unwrap();
         assert_eq!(a2, a);
         let (f2, _) = store.load_feature_rows(0, 40).unwrap();
         assert_eq!(f2, f);
@@ -1286,7 +1180,7 @@ mod tests {
         let store = ShardStore::create(&dir, &a, &f, 4, 4).unwrap();
         for (r0, r1, c0, c1) in [(0, 12, 0, 48), (12, 24, 24, 48), (5, 43, 7, 29), (24, 36, 0, 12)]
         {
-            let (blk, _) = store.load_adjacency_window(r0, r1, c0, c1).unwrap();
+            let (blk, _) = store.load_adjacency_window(Parity::Even, r0, r1, c0, c1).unwrap();
             assert_eq!(blk, a.block(r0, r1, c0, c1), "window {:?}", (r0, r1, c0, c1));
         }
         fs::remove_dir_all(&dir).unwrap();
@@ -1302,7 +1196,7 @@ mod tests {
         let f = uniform_matrix(64, 8, -1.0, 1.0, 6);
         let store = ShardStore::create(&dir, &a, &f, 8, 8).unwrap();
         let total = store.total_bytes().unwrap();
-        let (_, stats) = store.load_adjacency_window(0, 8, 0, 8).unwrap();
+        let (_, stats) = store.load_adjacency_window(Parity::Even, 0, 8, 0, 8).unwrap();
         assert!(
             stats.bytes_read * 8 < total,
             "1/64 window read {} of {} total bytes",
@@ -1314,7 +1208,7 @@ mod tests {
         // Read + skipped cover every adjacency file exactly once.
         let adj_total: u64 = (0..8)
             .flat_map(|i| (0..8).map(move |j| adj_name(Parity::Even, i, j)))
-            .map(|n| store.file_len(&n).unwrap())
+            .map(|n| store.entry(&n).unwrap().1)
             .sum();
         assert_eq!(stats.bytes_read + stats.bytes_skipped, adj_total);
         fs::remove_dir_all(&dir).unwrap();
@@ -1327,7 +1221,7 @@ mod tests {
         let f = uniform_matrix(64, 8, -1.0, 1.0, 20);
         let store = ShardStore::create(&dir, &a, &f, 8, 8).unwrap();
         let mut ledger = MemoryLedger::default();
-        let (_, stats) = store.load_adjacency_window(0, 8, 0, 8).unwrap();
+        let (_, stats) = store.load_adjacency_window(Parity::Even, 0, 8, 0, 8).unwrap();
         ledger.absorb(&stats);
         let (_, fstats) = store.load_feature_rows(0, 8).unwrap();
         ledger.absorb(&fstats);
@@ -1353,7 +1247,7 @@ mod tests {
         assert_eq!(store.parities, 1);
         assert!(store.perm_mode.is_none());
         store.validate_files().unwrap();
-        let (a2, _) = store.load_adjacency_window(0, 20, 0, 20).unwrap();
+        let (a2, _) = store.load_adjacency_window(Parity::Even, 0, 20, 0, 20).unwrap();
         assert_eq!(a2, a);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1385,41 +1279,10 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&victim, &bytes).unwrap();
-        match store.load_adjacency_window(0, 16, 0, 16) {
+        match store.load_adjacency_window(Parity::Even, 0, 16, 0, 16) {
             Err(LoaderError::ChecksumMismatch { .. }) => {}
             other => panic!("expected ChecksumMismatch, got {:?}", other.map(|_| ())),
         }
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn version_mismatch_is_a_typed_error() {
-        let dir = temp_dir("version");
-        let a = random_csr(16, 13);
-        let f = uniform_matrix(16, 2, -1.0, 1.0, 14);
-        ShardStore::create(&dir, &a, &f, 1, 1).unwrap();
-        // Rewrite a shard with a bumped version header and a manifest-
-        // consistent checksum: only the version check can catch it.
-        let victim = dir.join(adj_name(Parity::Even, 0, 0));
-        let mut bytes = fs::read(&victim).unwrap();
-        bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        fs::write(&victim, &bytes).unwrap();
-        let mut patched = ShardStore::open(&dir).unwrap();
-        patched.files.insert(adj_name(Parity::Even, 0, 0), (digest(&bytes), bytes.len() as u64));
-        match patched.load_adjacency_window(0, 16, 0, 16) {
-            Err(LoaderError::VersionMismatch { found, expected, .. }) => {
-                assert_eq!(found, FORMAT_VERSION + 1);
-                assert_eq!(expected, FORMAT_VERSION);
-            }
-            other => panic!("expected VersionMismatch, got {:?}", other.map(|_| ())),
-        }
-        // An old-format manifest is rejected the same way.
-        fs::write(dir.join("manifest.txt"), "p = 1\nq = 1\nrows = 16\ncols = 16\nfeat_dim = 2\n")
-            .unwrap();
-        assert!(matches!(
-            ShardStore::open(&dir),
-            Err(LoaderError::BadManifest { .. } | LoaderError::VersionMismatch { .. })
-        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1484,7 +1347,6 @@ mod tests {
                 rows,
                 nnz
             );
-            assert!(truncated(parse_csr(&p, path).map(|_| ())), "rows {} nnz {}", rows, nnz);
         }
         // Matrix: `4 * rows * cols` must not wrap.
         for (rows, cols) in [(u64::MAX, u64::MAX), (1 << 62, 1), (1 << 31, 1 << 31), (1, u64::MAX)]
@@ -1496,11 +1358,10 @@ mod tests {
                 rows,
                 cols
             );
-            assert!(truncated(parse_matrix(&p, path).map(|_| ())), "{} x {}", rows, cols);
         }
         // An honest header still parses.
         CsrPayload::parse(&payload(&[3, 4, 2]), path).unwrap();
-        parse_matrix(&payload(&[2, 3]), path).unwrap();
+        parse_matrix_rows(&payload(&[2, 3]), path, 0, 2).unwrap();
     }
 
     #[test]
@@ -1513,7 +1374,7 @@ mod tests {
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
         assert!(matches!(
-            store.load_adjacency_window(0, 16, 0, 16),
+            store.load_adjacency_window(Parity::Even, 0, 16, 0, 16),
             Err(LoaderError::Truncated { .. })
         ));
         assert!(store.validate_files().is_err());
@@ -1532,12 +1393,12 @@ mod tests {
         let (pr, pc) = crate::setup::build_permutations(PermutationMode::Double, 11, n);
         let even = apply_permutation(&ds.adjacency, &pr, &pc);
         let odd = apply_permutation(&ds.adjacency, &pc, &pr);
-        let (e, _) = store.load_adjacency_window_parity(Parity::Even, 0, n, 0, n).unwrap();
-        let (o, _) = store.load_adjacency_window_parity(Parity::Odd, 0, n, 0, n).unwrap();
+        let (e, _) = store.load_adjacency_window(Parity::Even, 0, n, 0, n).unwrap();
+        let (o, _) = store.load_adjacency_window(Parity::Odd, 0, n, 0, n).unwrap();
         assert_eq!(e, even);
         assert_eq!(o, odd);
         // Windows match blocks of the full permuted matrices.
-        let (we, _) = store.load_adjacency_window_parity(Parity::Even, 5, n / 2, 7, n - 3).unwrap();
+        let (we, _) = store.load_adjacency_window(Parity::Even, 5, n / 2, 7, n - 3).unwrap();
         assert_eq!(we, even.block(5, n / 2, 7, n - 3));
         // Labels in even order are the P_r scatter of the originals.
         let (labels, mask, _) = store.load_labels(Parity::Even).unwrap();
@@ -1618,7 +1479,7 @@ mod tests {
         assert_eq!(third.preprocess.files_skipped, total_files - 1);
         assert_eq!(third.files, first.files);
         let n = ds.num_nodes();
-        let (a, _) = third.load_adjacency_window_parity(Parity::Odd, 0, n, 0, n).unwrap();
+        let (a, _) = third.load_adjacency_window(Parity::Odd, 0, n, 0, n).unwrap();
         assert_eq!(a.nnz(), ds.adjacency.nnz(), "rewritten shard corrupt");
 
         // A different permutation seed invalidates everything.
@@ -1641,7 +1502,7 @@ mod tests {
         let f = uniform_matrix(12, 2, -1.0, 1.0, 18);
         let store = ShardStore::create(&dir, &a, &f, 2, 2).unwrap();
         assert!(matches!(
-            store.load_adjacency_window_parity(Parity::Odd, 0, 12, 0, 12),
+            store.load_adjacency_window(Parity::Odd, 0, 12, 0, 12),
             Err(LoaderError::Missing { .. })
         ));
         assert!(matches!(store.load_labels(Parity::Even), Err(LoaderError::Missing { .. })));

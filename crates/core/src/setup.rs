@@ -445,7 +445,7 @@ fn load_layer_shard(
     let n = meta.n_real;
     let (r0, wr, c0, wc) = layer_window(meta, c, l);
     let (raw, stats) = if r0 < n && c0 < n {
-        store.load_adjacency_window_parity(
+        store.load_adjacency_window(
             Parity::for_layer(l),
             r0,
             (r0 + wr).min(n),

@@ -597,9 +597,9 @@ fn preflight_resume(
 
 /// Snapshot the run after `epochs_done` completed epochs. Collective:
 /// every rank writes its own file atomically, the world gathers the
-/// `(checksum, length)` entries, and rank 0 publishes the manifest and
-/// repoints `latest.txt` — all behind tmp + rename, so a crash at any
-/// point leaves the previous checkpoint intact.
+/// `(checksum, length)` entries, and rank 0 publishes the manifest — all
+/// behind tmp + rename, so a crash at any point leaves the previous
+/// checkpoint intact.
 fn save_checkpoint<C: Communicator>(
     policy: &CheckpointPolicy,
     config_fp: u64,
@@ -619,10 +619,9 @@ fn save_checkpoint<C: Communicator>(
     if rank == 0 {
         let pairs: Vec<(u64, u64)> = entries.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         checkpoint::publish_manifest(&epoch_dir, epochs_done, &pairs)?;
-        checkpoint::publish_latest(&policy.dir, &checkpoint::epoch_dir_name(epochs_done))?;
     }
-    // Hold every rank until the manifest and pointer are published, so a
-    // fault in the next epoch can only ever see a complete checkpoint.
+    // Hold every rank until the manifest is published, so a fault in the
+    // next epoch can only ever see a complete checkpoint.
     rt.ctx().world.barrier();
     Ok(())
 }

@@ -1,9 +1,11 @@
 //! The one on-disk format discipline every Plexus file follows: a
 //! `[MAGIC][FORMAT_VERSION]` header, a little-endian payload, and a
 //! whole-file 64-bit [`Digest`] that the owner records next to the file's
-//! length (a manifest, or the in-memory handle of a spill file). Shard
-//! stores, checkpoints, activation spills and serving artifacts all write
-//! through [`HashingWriter`] and read back through [`verify_shard_bytes`]
+//! length — in the directory's [`Manifest`], or in the in-memory handle
+//! of a spill file. Shard stores, checkpoints, activation spills and
+//! serving artifacts all write through [`HashingWriter`], index their
+//! directories with one [`Manifest`] grammar, and read back through
+//! `plexus::loader::open_verified` (which runs [`verify_shard_bytes`])
 //! and [`Cursor`], so a corrupted, truncated, version-mismatched or
 //! hostile file is a typed [`LoaderError`] — never a panic, a wrapped
 //! length, or garbage data.
@@ -14,6 +16,7 @@
 //! collision on purpose.
 
 use plexus_tensor::Matrix;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -384,6 +387,117 @@ pub fn publish(
 }
 
 // ---------------------------------------------------------------------------
+// The manifest.
+
+/// The text index of a Plexus directory: a shard store's or a checkpoint
+/// epoch's `manifest.txt`, a serving artifact's `serve.txt`. One grammar,
+/// one entry per line:
+///
+/// ```text
+/// format = 3                            (first)
+/// <key> = <value>                       (fields, in the order first set)
+/// file <name> = <digest hex> <length>   (entries, sorted by name)
+/// ```
+///
+/// Reading is strict. A missing file, a line without ` = `, a field key
+/// with a space in it, an unparsable `file` entry, and a missing or
+/// unparsable field are [`LoaderError::BadManifest`], named by path; a
+/// `format` other than [`FORMAT_VERSION`] is
+/// [`LoaderError::VersionMismatch`]. Writing goes through [`publish`], so
+/// a reader sees the previous manifest or the new one, never a torn one.
+#[derive(Clone, Debug)]
+pub struct Manifest {
+    /// The file this manifest was read from, named by its errors.
+    path: PathBuf,
+    /// `(key, value)` in file order; `format` is always first.
+    fields: Vec<(String, String)>,
+    /// File name -> `(digest, length)`.
+    pub files: BTreeMap<String, (u64, u64)>,
+}
+
+impl Manifest {
+    /// A current-format manifest listing `files`.
+    pub fn new(files: BTreeMap<String, (u64, u64)>) -> Self {
+        let fields = vec![("format".to_string(), FORMAT_VERSION.to_string())];
+        Manifest { path: PathBuf::new(), fields, files }
+    }
+
+    /// Set field `key` to `value`, in place when it is already present.
+    pub fn with(mut self, key: &str, value: impl fmt::Display) -> Self {
+        let value = value.to_string();
+        match self.fields.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => *v = value,
+            None => self.fields.push((key.to_string(), value)),
+        }
+        self
+    }
+
+    /// Field `key`, parsed.
+    pub fn get<T: std::str::FromStr>(&self, key: &str) -> LoaderResult<T> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .and_then(|(_, v)| v.parse().ok())
+            .ok_or_else(|| self.bad(format!("missing or unparsable field {}", key)))
+    }
+
+    /// The `(digest, length)` recorded for file `name`.
+    pub fn entry(&self, name: &str) -> LoaderResult<(u64, u64)> {
+        self.files.get(name).copied().ok_or_else(|| self.bad(format!("{} is not listed", name)))
+    }
+
+    /// A [`LoaderError::BadManifest`] naming this manifest.
+    pub fn bad(&self, why: impl fmt::Display) -> LoaderError {
+        LoaderError::BadManifest { reason: format!("{}: {}", self.path.display(), why) }
+    }
+
+    /// Read and check the manifest at `path`.
+    pub fn read(path: &Path) -> LoaderResult<Manifest> {
+        let mut m =
+            Manifest { path: path.to_path_buf(), fields: Vec::new(), files: BTreeMap::new() };
+        let text = fs::read_to_string(path).map_err(|e| m.bad(e))?;
+        for line in text.lines() {
+            let unparsable = || m.bad(format!("unparsable line {:?}", line));
+            let (key, value) = line.split_once(" = ").ok_or_else(unparsable)?;
+            if let Some(name) = key.strip_prefix("file ") {
+                let entry = value.split_once(' ').and_then(|(ck, len)| {
+                    Some((u64::from_str_radix(ck, 16).ok()?, len.parse().ok()?))
+                });
+                let entry = entry.ok_or_else(unparsable)?;
+                m.files.insert(name.to_string(), entry);
+            } else if key.contains(' ') {
+                return Err(unparsable());
+            } else {
+                m.fields.push((key.to_string(), value.to_string()));
+            }
+        }
+        let found: u64 = m.get("format")?;
+        if found != FORMAT_VERSION {
+            return Err(LoaderError::VersionMismatch {
+                file: m.path,
+                found,
+                expected: FORMAT_VERSION,
+            });
+        }
+        Ok(m)
+    }
+
+    /// Atomically create or replace the manifest at `path`.
+    pub fn publish(&self, path: &Path) -> LoaderResult<()> {
+        publish(path, |f| {
+            for (key, value) in &self.fields {
+                writeln!(f, "{} = {}", key, value)?;
+            }
+            for (name, (ck, len)) in &self.files {
+                writeln!(f, "file {} = {:016x} {}", name, ck, len)?;
+            }
+            Ok(())
+        })?;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Reading.
 
 /// Bounds-checked little-endian reader over an in-memory payload. Every
@@ -611,6 +725,59 @@ mod tests {
             let mut cur = Cursor { bytes: &file, pos: 0, path };
             assert!(is_truncated(cur.matrix().map(|_| ())), "{} x {}", rows, cols);
         }
+    }
+
+    fn manifest_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("plexus_manifest_{}_{}.txt", tag, std::process::id()))
+    }
+
+    #[test]
+    fn manifest_round_trips_in_the_order_written() {
+        let path = manifest_path("roundtrip");
+        let files = BTreeMap::from([("b.plx".to_string(), (0xff, 12)), ("a.plx".into(), (1, 34))]);
+        let m = Manifest::new(files.clone()).with("rows", 7).with("mode", "raw").with("rows", 9);
+        m.publish(&path).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text,
+            "format = 3\nrows = 9\nmode = raw\n\
+             file a.plx = 0000000000000001 34\nfile b.plx = 00000000000000ff 12\n"
+        );
+        let back = Manifest::read(&path).unwrap();
+        assert_eq!(back.files, files);
+        assert_eq!(back.get::<usize>("rows").unwrap(), 9);
+        assert_eq!(back.get::<String>("mode").unwrap(), "raw");
+        assert_eq!(back.entry("b.plx").unwrap(), (0xff, 12));
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn malformed_manifests_are_typed_and_name_the_file() {
+        let path = manifest_path("malformed");
+        let read = |text: &str| {
+            fs::write(&path, text).unwrap();
+            Manifest::read(&path)
+        };
+        fn is_bad<T>(r: LoaderResult<T>) -> bool {
+            matches!(r, Err(LoaderError::BadManifest { reason })
+                if reason.contains("plexus_manifest_malformed"))
+        }
+        assert!(is_bad(read("format = 3\ngarbage\n")), "a line without ` = `");
+        assert!(is_bad(read("format = 3\nfile a.plx = zz 12\n")), "an unparsable entry");
+        assert!(is_bad(read("format = 3\nfile a.plx = 00ff\n")), "an entry without a length");
+        assert!(is_bad(read("format = 3\nmodel 1 = 00ff 12\n")), "a key with a space");
+        assert!(is_bad(read("rows = 7\n")), "a missing format line");
+        assert!(is_bad(read("format = three\n")), "an unparsable format");
+        let m = read("format = 3\nrows = seven\n").unwrap();
+        assert!(is_bad(m.get::<usize>("rows")), "an unparsable field");
+        assert!(is_bad(m.get::<usize>("cols")), "a missing field");
+        assert!(is_bad(m.entry("a.plx")), "an unlisted file");
+        assert!(matches!(
+            read("format = 2\nrows = 7\n"),
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. })
+        ));
+        fs::remove_file(&path).unwrap();
+        assert!(is_bad(Manifest::read(&path)), "a missing file");
     }
 
     #[test]

@@ -6,20 +6,22 @@
 //! manifest checksums) plus one `model_<v>.plx` file per published model
 //! version (layer config + weights + the trained feature matrix — features
 //! are trainable parameters in this reproduction, so a model snapshot
-//! must carry them) and a `serve.txt` manifest naming the current
-//! version. [`freeze`] writes version 1; [`publish`] appends a new
-//! version and atomically repoints `serve.txt`, which a running
+//! must carry them), indexed by a `serve.txt` [`Manifest`] — one
+//! `file model_<v>.plx` entry per version and a `current = <v>` field.
+//! [`freeze`] writes version 1; [`publish`] appends a new version and
+//! atomically republishes `serve.txt`, which a running
 //! [`Artifact::reload_latest`] picks up without ever unmapping the graph.
 //!
-//! [`Artifact::open`] checksum-verifies and maps every adjacency shard
-//! once, then serves adjacency rows by decoding them in place from the
-//! mappings ([`RowSource`]); at no point is a shard file copied through
-//! the heap. Corrupted, truncated, or version-mismatched files surface as
-//! the loader's typed [`LoaderError`]s, never as panics or garbage.
+//! [`Artifact::open`] maps and verifies every adjacency shard once through
+//! [`open_verified`], then serves adjacency rows by decoding them in place
+//! from the mappings ([`RowSource`]); at no point is a shard or model file
+//! copied through the heap. Corrupted, truncated, or version-mismatched
+//! files surface as the loader's typed [`LoaderError`]s, never as panics
+//! or garbage.
 
 use plexus::loader::{
-    verify_shard_bytes, CsrPayload, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult,
-    Parity, ShardStore, FORMAT_VERSION,
+    open_verified, CsrPayload, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult,
+    Manifest, Parity, ShardStore,
 };
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::{khop::RowSource, MappedFile};
@@ -27,8 +29,6 @@ use plexus_sparse::shard::split_range;
 use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
 use std::collections::BTreeMap;
-use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, RwLock};
 
@@ -36,7 +36,9 @@ fn model_name(version: u64) -> String {
     format!("model_{:04}.plx", version)
 }
 
-const SERVE_MANIFEST: &str = "serve.txt";
+fn serve_manifest(dir: &Path) -> PathBuf {
+    dir.join("serve.txt")
+}
 
 /// One published model version: the network plus its trained features,
 /// decoded from a verified `model_<v>.plx`. Snapshots are immutable and
@@ -46,83 +48,6 @@ pub struct ModelSnapshot {
     pub version: u64,
     pub gcn: Gcn,
     pub features: Matrix,
-}
-
-/// The `serve.txt` manifest: model-version files and the current pointer.
-struct ServeManifest {
-    current: u64,
-    models: BTreeMap<u64, (u64, u64)>,
-}
-
-impl ServeManifest {
-    fn path(dir: &Path) -> PathBuf {
-        dir.join(SERVE_MANIFEST)
-    }
-
-    fn read(dir: &Path) -> LoaderResult<ServeManifest> {
-        let path = Self::path(dir);
-        let text = fs::read_to_string(&path).map_err(|e| LoaderError::BadManifest {
-            reason: format!("{}: {}", path.display(), e),
-        })?;
-        let mut format = None;
-        let mut current = None;
-        let mut models = BTreeMap::new();
-        for line in text.lines() {
-            let Some((key, value)) = line.split_once('=') else { continue };
-            let (key, value) = (key.trim(), value.trim());
-            if let Some(v) = key.strip_prefix("model ") {
-                let version: u64 = v.trim().parse().map_err(|_| LoaderError::BadManifest {
-                    reason: format!("unparsable model version {}", v),
-                })?;
-                let mut parts = value.split_whitespace();
-                let entry = (|| {
-                    let ck = u64::from_str_radix(parts.next()?, 16).ok()?;
-                    let len: u64 = parts.next()?.parse().ok()?;
-                    Some((ck, len))
-                })()
-                .ok_or_else(|| LoaderError::BadManifest {
-                    reason: format!("unparsable entry for model {}", version),
-                })?;
-                models.insert(version, entry);
-            } else if key == "format" {
-                format = value.parse::<u64>().ok();
-            } else if key == "current" {
-                current = value.parse::<u64>().ok();
-            }
-        }
-        let format = format.ok_or_else(|| LoaderError::BadManifest {
-            reason: "serve.txt: missing format".into(),
-        })?;
-        if format != FORMAT_VERSION {
-            return Err(LoaderError::VersionMismatch {
-                file: path,
-                found: format,
-                expected: FORMAT_VERSION,
-            });
-        }
-        let current = current.ok_or_else(|| LoaderError::BadManifest {
-            reason: "serve.txt: missing current".into(),
-        })?;
-        if !models.contains_key(&current) {
-            return Err(LoaderError::BadManifest {
-                reason: format!("serve.txt: current version {} has no model entry", current),
-            });
-        }
-        Ok(ServeManifest { current, models })
-    }
-
-    /// Write via temp file + rename, so a concurrently reloading server
-    /// only ever sees a complete manifest.
-    fn write(&self, dir: &Path) -> LoaderResult<()> {
-        plexus_graph::format::publish(&Self::path(dir), |f| {
-            writeln!(f, "format = {}\ncurrent = {}", FORMAT_VERSION, self.current)?;
-            for (v, (ck, len)) in &self.models {
-                writeln!(f, "model {} = {:016x} {}", v, ck, len)?;
-            }
-            Ok(())
-        })?;
-        Ok(())
-    }
 }
 
 /// Serialize one model version (config + weights + features) in the
@@ -179,22 +104,20 @@ pub fn freeze(
     assert_eq!(model.config.input_dim, features.cols(), "freeze: feature dim mismatch");
     ShardStore::create(dir, a_hat, features, p, q)?;
     let entry = write_model(dir, 1, model, features)?;
-    let manifest = ServeManifest { current: 1, models: BTreeMap::from([(1, entry)]) };
-    manifest.write(dir)?;
+    let files = BTreeMap::from([(model_name(1), entry)]);
+    Manifest::new(files).with("current", 1).publish(&serve_manifest(dir))?;
     Ok(1)
 }
 
 /// Publish a retrained model into an existing artifact as the next
 /// version. The new `model_<v>.plx` lands before `serve.txt` is atomically
-/// repointed, so a serving process either sees the old version or the
+/// republished, so a serving process either sees the old version or the
 /// complete new one — never a torn state. Returns the new version.
 pub fn publish(dir: &Path, model: &Gcn, features: &Matrix) -> LoaderResult<u64> {
-    let mut manifest = ServeManifest::read(dir)?;
-    let version = manifest.current + 1;
-    let entry = write_model(dir, version, model, features)?;
-    manifest.models.insert(version, entry);
-    manifest.current = version;
-    manifest.write(dir)?;
+    let mut manifest = Manifest::read(&serve_manifest(dir))?;
+    let version = manifest.get::<u64>("current")? + 1;
+    manifest.files.insert(model_name(version), write_model(dir, version, model, features)?);
+    manifest.with("current", version).publish(&serve_manifest(dir))?;
     Ok(version)
 }
 
@@ -247,7 +170,7 @@ impl Artifact {
             let mut row = Vec::with_capacity(store.grid_q);
             for j in 0..store.grid_q {
                 let name = ShardStore::shard_name(Parity::Even, i, j);
-                let (map, payload_at) = store.map_verified(&name)?;
+                let (map, payload_at, _) = store.map_verified(&name)?;
                 stats.note_file_read(&map);
                 let geom = CsrPayload::parse(&map.bytes()[payload_at..], &dir.join(&name))?;
                 let (sc0, sc1) = split_range(store.cols, store.grid_q, j);
@@ -261,13 +184,9 @@ impl Artifact {
             shards.push(row);
         }
         band_starts.push(store.rows);
-        let manifest = ServeManifest::read(dir)?;
-        let snapshot = Self::load_model(dir, &manifest, manifest.current, &mut stats)?;
-        if snapshot.features.rows() != store.rows {
-            return Err(LoaderError::BadManifest {
-                reason: "model feature rows disagree with the store".into(),
-            });
-        }
+        let manifest = Manifest::read(&serve_manifest(dir))?;
+        let current = manifest.get("current")?;
+        let snapshot = Self::load_model(dir, &manifest, current, store.rows, &mut stats)?;
         Ok(Artifact {
             dir: dir.to_path_buf(),
             rows: store.rows,
@@ -278,20 +197,24 @@ impl Artifact {
         })
     }
 
+    /// Verify and decode model `version`, whose features must cover the
+    /// store's `rows` nodes.
     fn load_model(
         dir: &Path,
-        manifest: &ServeManifest,
+        manifest: &Manifest,
         version: u64,
+        rows: usize,
         stats: &mut LoadStats,
     ) -> LoaderResult<ModelSnapshot> {
-        let &(ck, len) = manifest.models.get(&version).ok_or_else(|| LoaderError::BadManifest {
-            reason: format!("no entry for model version {}", version),
-        })?;
-        let path = dir.join(model_name(version));
-        let map = MappedFile::open(&path)?;
-        let payload_at = verify_shard_bytes(map.bytes(), &path, ck, len)?;
+        let name = model_name(version);
+        let path = dir.join(&name);
+        let (map, payload_at, _) = open_verified(&path, manifest.entry(&name)?, None)?;
         stats.note_file_read(&map);
-        parse_model(&map.bytes()[payload_at..], &path, version)
+        let snapshot = parse_model(&map.bytes()[payload_at..], &path, version)?;
+        if snapshot.features.rows() != rows {
+            return Err(manifest.bad(format!("{} feature rows disagree with the store", name)));
+        }
+        Ok(snapshot)
     }
 
     /// The current model snapshot. Cheap (one read-lock + `Arc` clone);
@@ -307,20 +230,15 @@ impl Artifact {
     /// draining, and the mapped graph is untouched. Returns the new
     /// version, or `None` when already current.
     pub fn reload_latest(&self) -> LoaderResult<Option<u64>> {
-        let manifest = ServeManifest::read(&self.dir)?;
-        if manifest.current <= self.snapshot().version {
+        let manifest = Manifest::read(&serve_manifest(&self.dir))?;
+        let current = manifest.get("current")?;
+        if current <= self.snapshot().version {
             return Ok(None);
         }
         let mut stats = LoadStats::default();
-        let snapshot = Self::load_model(&self.dir, &manifest, manifest.current, &mut stats)?;
-        if snapshot.features.rows() != self.rows {
-            return Err(LoaderError::BadManifest {
-                reason: "reloaded model feature rows disagree with the store".into(),
-            });
-        }
-        let version = snapshot.version;
+        let snapshot = Self::load_model(&self.dir, &manifest, current, self.rows, &mut stats)?;
         *self.model.write().expect("model lock poisoned") = Arc::new(snapshot);
-        Ok(Some(version))
+        Ok(Some(current))
     }
 
     /// I/O accounting of [`Artifact::open`]: on mmap-capable targets every
@@ -333,11 +251,6 @@ impl Artifact {
     /// Number of nodes (adjacency rows) served.
     pub fn num_nodes(&self) -> usize {
         self.rows
-    }
-
-    /// Directory this artifact lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn band_of(&self, v: u32) -> (usize, usize) {

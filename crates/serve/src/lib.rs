@@ -17,7 +17,7 @@
 //! Layers of the subsystem:
 //!
 //! - [`freeze`] / [`publish`] — write version 1 of an artifact; append
-//!   retrained versions with an atomic manifest repoint.
+//!   retrained versions with an atomic manifest republish.
 //! - [`Artifact`] — verified, mmap-backed read view; implements
 //!   [`RowSource`](plexus_graph::khop::RowSource) so k-hop extraction
 //!   walks adjacency rows straight out of the mappings.

@@ -13,7 +13,7 @@
 //! * 3D-parallel == serial training on random graphs and random grids.
 
 use plexus::grid::GridConfig;
-use plexus::loader::preprocess_to_store;
+use plexus::loader::{preprocess_to_store, Parity};
 use plexus::setup::{build_permutations, PermutationMode};
 use plexus::trainer::{train_distributed, DistTrainOptions};
 use plexus_comm::{run_world, Communicator, ReduceOp};
@@ -560,13 +560,13 @@ proptest! {
         let (pr, pc) = build_permutations(mode, perm_seed, n);
         let expected = apply_permutation(&a, &pr, &pc);
         // Full round trip plus an arbitrary window of the even parity.
-        let (full, _) = store.load_adjacency_window(0, n, 0, n).unwrap();
+        let (full, _) = store.load_adjacency_window(Parity::Even, 0, n, 0, n).unwrap();
         prop_assert_eq!(&full, &expected);
         let (mut r0, mut r1, mut c0, mut c1) =
             (win.0 % (n + 1), win.1 % (n + 1), win.2 % (n + 1), win.3 % (n + 1));
         if r0 > r1 { std::mem::swap(&mut r0, &mut r1); }
         if c0 > c1 { std::mem::swap(&mut c0, &mut c1); }
-        let (window, stats) = store.load_adjacency_window(r0, r1, c0, c1).unwrap();
+        let (window, stats) = store.load_adjacency_window(Parity::Even, r0, r1, c0, c1).unwrap();
         prop_assert_eq!(&window, &expected.block(r0, r1, c0, c1));
         // Every even-parity file is either read or skipped, never both.
         prop_assert_eq!(stats.files_read + stats.files_skipped, p * q);

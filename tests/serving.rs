@@ -9,11 +9,16 @@
 //!   contract — same kernels, same dispatch, same accumulation order).
 //! * Robustness: corrupted, truncated, magic-damaged, and
 //!   version-mismatched artifacts fail to open with the matching typed
-//!   [`LoaderError`], never a panic or a silently wrong answer.
+//!   [`LoaderError`], never a panic or a silently wrong answer; so are
+//!   manifests with a line outside the one grammar every directory index
+//!   (store, checkpoint, artifact) shares.
 
-use plexus::loader::{digest, LoaderError};
+use plexus::checkpoint::{Checkpoint, CheckpointPolicy};
+use plexus::grid::GridConfig;
+use plexus::loader::{digest, LoaderError, ShardStore};
+use plexus::trainer::{train_from_source, DistTrainOptions, ProblemSource};
 use plexus_gnn::{Gcn, GcnConfig};
-use plexus_graph::Graph;
+use plexus_graph::{datasets::OGBN_PRODUCTS, Graph, LoadedDataset};
 use plexus_serve::{argmax, freeze, publish, Artifact, QueryEngine};
 use plexus_tensor::{uniform_matrix, Matrix};
 use proptest::prelude::*;
@@ -269,8 +274,8 @@ fn resign_model(dir: &std::path::Path, patch: impl Fn(&mut Vec<u8>)) {
         .unwrap()
         .lines()
         .map(|l| {
-            if l.starts_with("model 1 ") {
-                format!("model 1 = {:016x} {}", ck, bytes.len())
+            if l.starts_with("file model_0001.plx ") {
+                format!("file model_0001.plx = {:016x} {}", ck, bytes.len())
             } else {
                 l.to_string()
             }
@@ -354,6 +359,42 @@ fn manifest_current_without_entry_is_bad_manifest() {
     fs::write(&manifest, text).unwrap();
     assert!(matches!(Artifact::open(&dir), Err(LoaderError::BadManifest { .. })));
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Shard stores, checkpoint epochs and serving artifacts are indexed by one
+/// manifest grammar: a line outside it is a typed error from each reader,
+/// never a line skipped.
+#[test]
+fn a_line_outside_the_manifest_grammar_is_bad_manifest_everywhere() {
+    let append_garbage = |path: &std::path::Path| {
+        let text = fs::read_to_string(path).unwrap();
+        fs::write(path, text + "garbage\n").unwrap();
+    };
+    let is_bad = |r: Result<(), LoaderError>| matches!(r, Err(LoaderError::BadManifest { .. }));
+
+    let (dir, ..) = small_artifact("garbage_store");
+    append_garbage(&dir.join("manifest.txt"));
+    assert!(is_bad(ShardStore::open(&dir).map(|_| ())), "store manifest");
+    fs::remove_dir_all(&dir).unwrap();
+
+    let (dir, ..) = small_artifact("garbage_serve");
+    append_garbage(&dir.join("serve.txt"));
+    assert!(is_bad(Artifact::open(&dir).map(|_| ())), "serve manifest");
+    fs::remove_dir_all(&dir).unwrap();
+
+    let ds = LoadedDataset::generate(OGBN_PRODUCTS, 64, Some(4), 3);
+    let root = case_dir("garbage_checkpoint");
+    let opts = DistTrainOptions {
+        hidden_dim: 8,
+        checkpoint: Some(CheckpointPolicy::new(&root)),
+        ..Default::default()
+    };
+    train_from_source(ProblemSource::InMemory(&ds), GridConfig::new(1, 1, 1), &opts, 1).unwrap();
+    let epoch = root.join("epoch_1");
+    Checkpoint::open(&epoch).unwrap();
+    append_garbage(&epoch.join("manifest.txt"));
+    assert!(is_bad(Checkpoint::open(&epoch).map(|_| ())), "checkpoint manifest");
+    fs::remove_dir_all(&root).unwrap();
 }
 
 /// Hot-path sanity at the integration level: publish + reload under an
