@@ -229,7 +229,8 @@ pub(crate) fn publish_manifest(
     Manifest::new(files)
         .with("epochs_done", epochs_done)
         .with("world", entries.len())
-        .publish(&epoch_dir.join("manifest.txt"))
+        .publish(&epoch_dir.join("manifest.txt"))?;
+    Ok(())
 }
 
 /// A published checkpoint: one epoch directory with a verified manifest.
@@ -302,16 +303,9 @@ impl Checkpoint {
         let stored_rank = cur.u64()? as usize;
         let stored_world = cur.u64()? as usize;
         if stored_rank != rank || stored_world != self.world {
-            return Err(LoaderError::BadManifest {
-                reason: format!(
-                    "{}: holds rank {}/{} but manifest expects rank {}/{}",
-                    path.display(),
-                    stored_rank,
-                    stored_world,
-                    rank,
-                    self.world
-                ),
-            });
+            let world = self.world;
+            let why = format!("{name} holds rank {stored_rank}/{stored_world}, not {rank}/{world}");
+            return Err(self.manifest.bad(why));
         }
         let epochs_done = cur.u64()? as usize;
         let n_history = cur.u64()? as usize;
@@ -360,7 +354,7 @@ impl Checkpoint {
 mod tests {
     use super::*;
     use crate::layer::TimeSplit;
-    use crate::loader::digest;
+    use crate::loader::{digest, FORMAT_VERSION};
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("plexus_ckpt_{}_{}", tag, std::process::id()));
@@ -484,6 +478,28 @@ mod tests {
     }
 
     #[test]
+    fn version_mismatched_rank_file_is_typed() {
+        let root = tmp_root("version");
+        let epoch_dir = write_checkpoint(&root, 1, &sample_state(7, 1));
+        let path = epoch_dir.join(rank_file_name(0));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        // Re-point the manifest at the patched bytes so the version check
+        // (not the checksum) is what trips.
+        publish_manifest(&epoch_dir, 1, &[(digest(&bytes), bytes.len() as u64)]).unwrap();
+        let ck = Checkpoint::open(&epoch_dir).unwrap();
+        match ck.load_rank(0) {
+            Err(LoaderError::VersionMismatch { found, expected, .. }) => {
+                assert_eq!(found, FORMAT_VERSION + 1);
+                assert_eq!(expected, FORMAT_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {:?}", other.map(|_| ())),
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
     fn v2_checkpoint_directory_is_refused() {
         let root = tmp_root("v2");
         let epoch_dir = write_checkpoint(&root, 1, &sample_state(7, 1));
@@ -535,6 +551,29 @@ mod tests {
                 cols
             );
         }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn manifest_from_another_format_is_a_version_error() {
+        let root = tmp_root("manifest_version");
+        let epoch_dir = root.join("epoch_1");
+        fs::create_dir_all(&epoch_dir).unwrap();
+        fs::write(
+            epoch_dir.join("manifest.txt"),
+            format!("format = {}\nepochs_done = 1\nworld = 0\n", FORMAT_VERSION + 3),
+        )
+        .unwrap();
+        assert!(matches!(Checkpoint::open(&epoch_dir), Err(LoaderError::VersionMismatch { .. })));
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn missing_manifest_is_a_bad_manifest_error() {
+        let root = tmp_root("no_manifest");
+        let epoch_dir = root.join("epoch_2");
+        fs::create_dir_all(&epoch_dir).unwrap();
+        assert!(matches!(Checkpoint::open(&epoch_dir), Err(LoaderError::BadManifest { .. })));
         fs::remove_dir_all(&root).unwrap();
     }
 }

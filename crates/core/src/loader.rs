@@ -24,8 +24,8 @@
 //!    bytes — the quantities behind the paper's memory reductions.
 //!
 //! The binary format is versioned ([`FORMAT_VERSION`]) and every file's
-//! [`digest`] is recorded in the store's [`Manifest`]; every file is
-//! opened through [`open_verified`], so a corrupted, truncated, or
+//! [`digest`] is recorded in the store's [`Manifest`]; every file a reader
+//! decodes is opened through [`open_verified`], so a corrupted, truncated, or
 //! version-mismatched file surfaces as a typed [`LoaderError`] instead of
 //! garbage data. The header, digest, manifest, bulk codecs and
 //! bounds-checked cursor are [`plexus_graph::format`]'s, re-exported here.
@@ -300,8 +300,9 @@ pub struct ShardStore {
     /// for raw stores and stores reopened via [`ShardStore::open`]; not
     /// persisted in the manifest).
     pub preprocess: PreprocessSummary,
-    /// filename -> (digest, file length in bytes).
-    files: BTreeMap<String, (u64, u64)>,
+    /// The manifest this store was opened from or last published: file
+    /// name -> (digest, file length in bytes).
+    manifest: Manifest,
     /// Armed fault-injection plan consulted on every verified read (test
     /// harness only; `None` — the production default — costs nothing).
     faults: Option<Arc<FaultPlan>>,
@@ -369,8 +370,12 @@ impl ShardStore {
         let mut files = BTreeMap::new();
         for i in 0..p {
             let (r0, r1) = split_range(a.rows(), p, i);
-            let band = a.block(r0, r1, 0, a.cols());
-            write_band_shards(dir, &mut files, &band, Parity::Even, i, a.cols(), q)?;
+            for j in 0..q {
+                let (c0, c1) = split_range(a.cols(), q, j);
+                let name = adj_name(Parity::Even, i, j);
+                let entry = write_csr(&dir.join(&name), &a.block(r0, r1, c0, c1))?;
+                files.insert(name, entry);
+            }
             let name = feat_name(i);
             let entry = write_matrix(&dir.join(&name), &features.row_block(r0, r1))?;
             files.insert(name, entry);
@@ -389,11 +394,10 @@ impl ShardStore {
             perm_seed: 0,
             source_fp: 0,
             preprocess: PreprocessSummary::default(),
-            files,
+            manifest: Manifest::new(files),
             faults: None,
         };
-        store.write_manifest()?;
-        Ok(store)
+        store.write_manifest()
     }
 
     /// Open an existing store by reading its manifest.
@@ -418,7 +422,7 @@ impl ShardStore {
             perm_seed: m.get("perm_seed")?,
             source_fp,
             preprocess: PreprocessSummary::default(),
-            files: m.files,
+            manifest: m,
             faults: None,
         })
     }
@@ -431,10 +435,11 @@ impl ShardStore {
         ShardStore { faults: Some(plan), ..self.clone() }
     }
 
-    fn write_manifest(&self) -> LoaderResult<()> {
+    /// Publish this store's manifest and keep it as the store's index.
+    fn write_manifest(mut self) -> LoaderResult<ShardStore> {
         let (_, mode) =
             PERM_MODES.iter().find(|(p, _)| *p == self.perm_mode).expect("PERM_MODES lists all");
-        Manifest::new(self.files.clone())
+        self.manifest = Manifest::new(std::mem::take(&mut self.manifest.files))
             .with("p", self.grid_p)
             .with("q", self.grid_q)
             .with("rows", self.rows)
@@ -446,19 +451,20 @@ impl ShardStore {
             .with("perm_mode", mode)
             .with("perm_seed", self.perm_seed)
             .with("source_fp", format!("{:016x}", self.source_fp))
-            .publish(&self.dir.join(MANIFEST))
+            .publish(&self.dir.join(MANIFEST))?;
+        Ok(self)
     }
 
     /// Total bytes of all shard files (what a naive loader would read on
     /// every rank).
     pub fn total_bytes(&self) -> LoaderResult<u64> {
-        Ok(self.files.values().map(|&(_, len)| len).sum())
+        Ok(self.manifest.files.values().map(|&(_, len)| len).sum())
     }
 
     /// Cheap integrity check: every manifest entry exists on disk with the
     /// recorded length. Content checksums are verified lazily on load.
     pub fn validate_files(&self) -> LoaderResult<()> {
-        for (name, &(_, len)) in &self.files {
+        for (name, &(_, len)) in &self.manifest.files {
             let path = self.dir.join(name);
             let meta =
                 fs::metadata(&path).map_err(|_| LoaderError::Truncated { file: path.clone() })?;
@@ -469,19 +475,21 @@ impl ShardStore {
         Ok(())
     }
 
-    /// The manifest's `(digest, length)` entry for `name`.
-    fn entry(&self, name: &str) -> LoaderResult<(u64, u64)> {
-        self.files.get(name).copied().ok_or_else(|| LoaderError::BadManifest {
-            reason: format!("{}: {} is not listed", self.dir.join(MANIFEST).display(), name),
-        })
-    }
-
-    /// Map and verify the store file `name` through [`open_verified`]: the
-    /// read-only mapping, the payload offset (callers decode in place, and
-    /// the serving artifact keeps its shards mapped for its lifetime), and
-    /// the number of re-reads.
-    pub fn map_verified(&self, name: &str) -> LoaderResult<(MappedFile, usize, u64)> {
-        open_verified(&self.dir.join(name), self.entry(name)?, self.faults.as_deref())
+    /// Map and verify the store file `name` through [`open_verified`],
+    /// counting the read and any re-read in `stats`. Returns the read-only
+    /// mapping and the payload offset: callers decode in place, and the
+    /// serving artifact keeps its shards mapped for its lifetime.
+    pub fn map_verified(
+        &self,
+        name: &str,
+        stats: &mut LoadStats,
+    ) -> LoaderResult<(MappedFile, usize)> {
+        let entry = self.manifest.entry(name)?;
+        let (map, payload_at, retries) =
+            open_verified(&self.dir.join(name), entry, self.faults.as_deref())?;
+        stats.read_retries += retries;
+        stats.note_file_read(&map);
+        Ok((map, payload_at))
     }
 
     /// On-disk name of the adjacency shard at grid position `(i, j)`.
@@ -519,12 +527,10 @@ impl ShardStore {
                 let name = adj_name(parity, i, j);
                 if !row_hit || sc1 <= c0 || sc0 >= c1 {
                     stats.files_skipped += 1;
-                    stats.bytes_skipped += self.entry(&name)?.1;
+                    stats.bytes_skipped += self.manifest.entry(&name)?.1;
                     continue;
                 }
-                let (map, payload_at, retries) = self.map_verified(&name)?;
-                stats.read_retries += retries;
-                stats.note_file_read(&map);
+                let (map, payload_at) = self.map_verified(&name, &mut stats)?;
                 // Slice to the window intersection, in shard-local coords,
                 // decoding only the intersecting rows straight out of the
                 // mapping — the shard is never materialized whole.
@@ -574,12 +580,10 @@ impl ShardStore {
             let name = feat_name(i);
             if sr1 <= r0 || sr0 >= r1 {
                 stats.files_skipped += 1;
-                stats.bytes_skipped += self.entry(&name)?.1;
+                stats.bytes_skipped += self.manifest.entry(&name)?.1;
                 continue;
             }
-            let (map, payload_at, retries) = self.map_verified(&name)?;
-            stats.read_retries += retries;
-            stats.note_file_read(&map);
+            let (map, payload_at) = self.map_verified(&name, &mut stats)?;
             let block = parse_matrix_rows(
                 &map.bytes()[payload_at..],
                 &self.dir.join(&name),
@@ -608,10 +612,8 @@ impl ShardStore {
             return Err(LoaderError::Missing { what: "labels (raw store)" });
         }
         let name = labels_name(parity);
-        let (map, payload_at, retries) = self.map_verified(&name)?;
         let mut stats = LoadStats::default();
-        stats.read_retries += retries;
-        stats.note_file_read(&map);
+        let (map, payload_at) = self.map_verified(&name, &mut stats)?;
         let path = self.dir.join(&name);
         let mut cur = Cursor { bytes: &map.bytes()[payload_at..], pos: 0, path: &path };
         // Five bytes per node must be present before anything is allocated.
@@ -712,11 +714,10 @@ pub fn preprocess_to_store(
         perm_seed,
         source_fp,
         preprocess: summary,
-        files,
+        manifest: Manifest::new(files),
         faults: None,
     };
-    store.write_manifest()?;
-    Ok(store)
+    store.write_manifest()
 }
 
 /// One file a preprocessing band produced: its manifest entry plus whether
@@ -841,14 +842,18 @@ fn feat_band_files(
 
 /// The prior manifest entry for `name`, but only when the bytes on disk
 /// still hash to it (a tampered or truncated file is rewritten, never
-/// trusted).
+/// trusted). One look, no re-read: a mismatch already means the file is
+/// rewritten, so [`open_verified`]'s retry could not help.
 fn verified_prior_entry(
     dir: &Path,
     prior: &BTreeMap<String, (u64, u64)>,
     name: &str,
 ) -> Option<(u64, u64)> {
-    let &entry = prior.get(name)?;
-    open_verified(&dir.join(name), entry, None).ok().map(|_| entry)
+    let &(ck, len) = prior.get(name)?;
+    match MappedFile::open(&dir.join(name)) {
+        Ok(map) if map.len() as u64 == len && digest(map.bytes()) == ck => Some((ck, len)),
+        _ => None,
+    }
 }
 
 /// Prior manifest's file map when — and only when — the existing store was
@@ -878,7 +883,7 @@ fn reusable_prior_files(
         && source_fp != 0
         && prior.source_fp == source_fp;
     if matches {
-        prior.files
+        prior.manifest.files
     } else {
         BTreeMap::new()
     }
@@ -904,27 +909,6 @@ fn dataset_fingerprint(ds: &LoadedDataset) -> io::Result<u64> {
 /// A bool mask as the one-byte-per-entry form the label files store.
 fn mask_bytes(mask: &[bool]) -> Vec<u8> {
     mask.iter().map(|&m| m as u8).collect()
-}
-
-/// Split a row band into `q` column shards and write them (the raw
-/// [`ShardStore::create`] path; preprocessed stores go through
-/// [`adj_band_files`]).
-fn write_band_shards(
-    dir: &Path,
-    files: &mut BTreeMap<String, (u64, u64)>,
-    band: &Csr,
-    parity: Parity,
-    i: usize,
-    total_cols: usize,
-    q: usize,
-) -> LoaderResult<()> {
-    for j in 0..q {
-        let (c0, c1) = split_range(total_cols, q, j);
-        let name = adj_name(parity, i, j);
-        let entry = write_csr(&dir.join(&name), &band.block(0, band.rows(), c0, c1))?;
-        files.insert(name, entry);
-    }
-    Ok(())
 }
 
 /// High-water tracker for merge buffers during a windowed load.
@@ -1208,7 +1192,7 @@ mod tests {
         // Read + skipped cover every adjacency file exactly once.
         let adj_total: u64 = (0..8)
             .flat_map(|i| (0..8).map(move |j| adj_name(Parity::Even, i, j)))
-            .map(|n| store.entry(&n).unwrap().1)
+            .map(|n| store.manifest.entry(&n).unwrap().1)
             .sum();
         assert_eq!(stats.bytes_read + stats.bytes_skipped, adj_total);
         fs::remove_dir_all(&dir).unwrap();
@@ -1287,6 +1271,38 @@ mod tests {
     }
 
     #[test]
+    fn version_mismatch_is_a_typed_error() {
+        let dir = temp_dir("version");
+        let a = random_csr(16, 13);
+        let f = uniform_matrix(16, 2, -1.0, 1.0, 14);
+        ShardStore::create(&dir, &a, &f, 1, 1).unwrap();
+        // Rewrite a shard with a bumped version header and a manifest-
+        // consistent checksum: only the version check can catch it.
+        let victim = dir.join(adj_name(Parity::Even, 0, 0));
+        let mut bytes = fs::read(&victim).unwrap();
+        bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        fs::write(&victim, &bytes).unwrap();
+        let mut patched = ShardStore::open(&dir).unwrap();
+        let entry = (digest(&bytes), bytes.len() as u64);
+        patched.manifest.files.insert(adj_name(Parity::Even, 0, 0), entry);
+        match patched.load_adjacency_window(Parity::Even, 0, 16, 0, 16) {
+            Err(LoaderError::VersionMismatch { found, expected, .. }) => {
+                assert_eq!(found, FORMAT_VERSION + 1);
+                assert_eq!(expected, FORMAT_VERSION);
+            }
+            other => panic!("expected VersionMismatch, got {:?}", other.map(|_| ())),
+        }
+        // An old-format manifest is rejected the same way.
+        fs::write(dir.join("manifest.txt"), "p = 1\nq = 1\nrows = 16\ncols = 16\nfeat_dim = 2\n")
+            .unwrap();
+        assert!(matches!(
+            ShardStore::open(&dir),
+            Err(LoaderError::BadManifest { .. } | LoaderError::VersionMismatch { .. })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn v2_store_is_refused_and_never_reused() {
         use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
         let ds = LoadedDataset::generate(OGBN_PRODUCTS, 64, Some(4), 37);
@@ -1308,9 +1324,9 @@ mod tests {
         let victim = adj_name(Parity::Even, 0, 0);
         let mut bytes = fs::read(dir.join(&victim)).unwrap();
         bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
-        store.files.insert(victim.clone(), (digest(&bytes), bytes.len() as u64));
+        store.manifest.files.insert(victim.clone(), (digest(&bytes), bytes.len() as u64));
         fs::write(dir.join(&victim), &bytes).unwrap();
-        match store.map_verified(&victim) {
+        match store.map_verified(&victim, &mut LoadStats::default()) {
             Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. }) => {}
             other => panic!("expected VersionMismatch 2 -> 3, got {:?}", other.map(|_| ())),
         }
@@ -1424,8 +1440,8 @@ mod tests {
         };
         let par = on_pool(4, &dir_par);
         let ser = on_pool(1, &dir_ser);
-        assert_eq!(par.files, ser.files, "manifest entries differ");
-        for name in par.files.keys() {
+        assert_eq!(par.manifest.files, ser.manifest.files, "manifest entries differ");
+        for name in par.manifest.files.keys() {
             let a = fs::read(dir_par.join(name)).unwrap();
             let b = fs::read(dir_ser.join(name)).unwrap();
             assert_eq!(a, b, "{} differs between parallel and serial writers", name);
@@ -1459,13 +1475,13 @@ mod tests {
         // A re-preprocess that died while writing its manifest leaves a
         // partial `manifest.txt.tmp`; the published manifest is untouched.
         fs::write(dir.join("manifest.txt.tmp"), "format = 3\np = ").unwrap();
-        assert_eq!(ShardStore::open(&dir).unwrap().files, first.files);
+        assert_eq!(ShardStore::open(&dir).unwrap().manifest.files, first.manifest.files);
 
         // Same parameters, same dataset: everything verifies and skips.
         let second = preprocess_to_store(&ds, &dir, PermutationMode::Double, 7, 3, 3).unwrap();
         assert_eq!(second.preprocess.files_written, 0, "rewrote up-to-date files");
         assert_eq!(second.preprocess.files_skipped, total_files);
-        assert_eq!(second.files, first.files, "reuse changed the manifest");
+        assert_eq!(second.manifest.files, first.manifest.files, "reuse changed the manifest");
         assert!(!dir.join("manifest.txt.tmp").exists(), "re-publish left its temp file");
 
         // Tamper with one shard: exactly that file is rewritten.
@@ -1477,7 +1493,7 @@ mod tests {
         let third = preprocess_to_store(&ds, &dir, PermutationMode::Double, 7, 3, 3).unwrap();
         assert_eq!(third.preprocess.files_written, 1, "only the tampered file needs rewriting");
         assert_eq!(third.preprocess.files_skipped, total_files - 1);
-        assert_eq!(third.files, first.files);
+        assert_eq!(third.manifest.files, first.manifest.files);
         let n = ds.num_nodes();
         let (a, _) = third.load_adjacency_window(Parity::Odd, 0, n, 0, n).unwrap();
         assert_eq!(a.nnz(), ds.adjacency.nnz(), "rewritten shard corrupt");

@@ -399,11 +399,13 @@ pub fn publish(
 /// file <name> = <digest hex> <length>   (entries, sorted by name)
 /// ```
 ///
-/// Reading is strict. A missing file, a line without ` = `, a field key
-/// with a space in it, an unparsable `file` entry, and a missing or
-/// unparsable field are [`LoaderError::BadManifest`], named by path; a
+/// Reading is strict. The first line is checked before the rest: a first
+/// line that is not `format = N` is [`LoaderError::BadManifest`], and a
 /// `format` other than [`FORMAT_VERSION`] is
-/// [`LoaderError::VersionMismatch`]. Writing goes through [`publish`], so
+/// [`LoaderError::VersionMismatch`] whatever the other lines say. After
+/// it, a line without ` = `, a field key with a space in it, an
+/// unparsable `file` entry, a missing or unparsable field, and a missing
+/// file are `BadManifest`, named by path. Writing goes through [`publish`], so
 /// a reader sees the previous manifest or the new one, never a torn one.
 #[derive(Clone, Debug)]
 pub struct Manifest {
@@ -456,7 +458,23 @@ impl Manifest {
         let mut m =
             Manifest { path: path.to_path_buf(), fields: Vec::new(), files: BTreeMap::new() };
         let text = fs::read_to_string(path).map_err(|e| m.bad(e))?;
-        for line in text.lines() {
+        // The format line comes first and is checked before anything else,
+        // so a directory written under another format is a version error
+        // whatever grammar the rest of its lines follow.
+        let mut lines = text.lines();
+        let first = lines.next().unwrap_or_default();
+        let found = first.strip_prefix("format = ").and_then(|v| v.parse::<u64>().ok());
+        let found =
+            found.ok_or_else(|| m.bad(format!("first line {:?} is not the format", first)))?;
+        if found != FORMAT_VERSION {
+            return Err(LoaderError::VersionMismatch {
+                file: m.path,
+                found,
+                expected: FORMAT_VERSION,
+            });
+        }
+        m.fields.push(("format".to_string(), found.to_string()));
+        for line in lines {
             let unparsable = || m.bad(format!("unparsable line {:?}", line));
             let (key, value) = line.split_once(" = ").ok_or_else(unparsable)?;
             if let Some(name) = key.strip_prefix("file ") {
@@ -471,19 +489,12 @@ impl Manifest {
                 m.fields.push((key.to_string(), value.to_string()));
             }
         }
-        let found: u64 = m.get("format")?;
-        if found != FORMAT_VERSION {
-            return Err(LoaderError::VersionMismatch {
-                file: m.path,
-                found,
-                expected: FORMAT_VERSION,
-            });
-        }
         Ok(m)
     }
 
-    /// Atomically create or replace the manifest at `path`.
-    pub fn publish(&self, path: &Path) -> LoaderResult<()> {
+    /// Atomically create or replace the manifest at `path`. Returns it as
+    /// a read would: naming `path` in its errors.
+    pub fn publish(mut self, path: &Path) -> LoaderResult<Manifest> {
         publish(path, |f| {
             for (key, value) in &self.fields {
                 writeln!(f, "{} = {}", key, value)?;
@@ -493,7 +504,8 @@ impl Manifest {
             }
             Ok(())
         })?;
-        Ok(())
+        self.path = path.to_path_buf();
+        Ok(self)
     }
 }
 
@@ -767,6 +779,8 @@ mod tests {
         assert!(is_bad(read("format = 3\nfile a.plx = 00ff\n")), "an entry without a length");
         assert!(is_bad(read("format = 3\nmodel 1 = 00ff 12\n")), "a key with a space");
         assert!(is_bad(read("rows = 7\n")), "a missing format line");
+        assert!(is_bad(read("rows = 7\nformat = 3\n")), "a format line that is not first");
+        assert!(is_bad(read("")), "an empty manifest");
         assert!(is_bad(read("format = three\n")), "an unparsable format");
         let m = read("format = 3\nrows = seven\n").unwrap();
         assert!(is_bad(m.get::<usize>("rows")), "an unparsable field");
@@ -774,6 +788,12 @@ mod tests {
         assert!(is_bad(m.entry("a.plx")), "an unlisted file");
         assert!(matches!(
             read("format = 2\nrows = 7\n"),
+            Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. })
+        ));
+        // Another format's lines need not follow this grammar: the version
+        // decides first.
+        assert!(matches!(
+            read("format = 2\nmodel 1 = 00ff 12\n"),
             Err(LoaderError::VersionMismatch { found: 2, expected: 3, .. })
         ));
         fs::remove_file(&path).unwrap();

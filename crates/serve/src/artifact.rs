@@ -170,8 +170,7 @@ impl Artifact {
             let mut row = Vec::with_capacity(store.grid_q);
             for j in 0..store.grid_q {
                 let name = ShardStore::shard_name(Parity::Even, i, j);
-                let (map, payload_at, _) = store.map_verified(&name)?;
-                stats.note_file_read(&map);
+                let (map, payload_at) = store.map_verified(&name, &mut stats)?;
                 let geom = CsrPayload::parse(&map.bytes()[payload_at..], &dir.join(&name))?;
                 let (sc0, sc1) = split_range(store.cols, store.grid_q, j);
                 if geom.rows != sr1 - sr0 || geom.cols != sc1 - sc0 {

@@ -15,7 +15,7 @@
 
 use plexus::checkpoint::{Checkpoint, CheckpointPolicy};
 use plexus::grid::GridConfig;
-use plexus::loader::{digest, LoaderError, ShardStore};
+use plexus::loader::{digest, LoaderError, Manifest, ShardStore};
 use plexus::trainer::{train_from_source, DistTrainOptions, ProblemSource};
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::{datasets::OGBN_PRODUCTS, Graph, LoadedDataset};
@@ -267,22 +267,11 @@ fn resign_model(dir: &std::path::Path, patch: impl Fn(&mut Vec<u8>)) {
     let model = dir.join("model_0001.plx");
     let mut bytes = fs::read(&model).unwrap();
     patch(&mut bytes);
-    let ck = digest(&bytes);
     fs::write(&model, &bytes).unwrap();
-    let manifest = dir.join("serve.txt");
-    let text = fs::read_to_string(&manifest)
-        .unwrap()
-        .lines()
-        .map(|l| {
-            if l.starts_with("file model_0001.plx ") {
-                format!("file model_0001.plx = {:016x} {}", ck, bytes.len())
-            } else {
-                l.to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    fs::write(&manifest, text).unwrap();
+    let path = dir.join("serve.txt");
+    let mut manifest = Manifest::read(&path).unwrap();
+    manifest.files.insert("model_0001.plx".into(), (digest(&bytes), bytes.len() as u64));
+    manifest.publish(&path).unwrap();
 }
 
 #[test]
