@@ -4,7 +4,6 @@
 
 use crate::layer::{gcn_layer_backward_ws, gcn_layer_forward_ws, LayerCache};
 use plexus_sparse::{spmm_into, Csr};
-use plexus_tensor::ops::relu_into;
 use plexus_tensor::{gemm_nn_cached_b, glorot_uniform, KernelWorkspace, Matrix};
 
 /// Model hyperparameters.
@@ -81,73 +80,33 @@ impl Gcn {
         self.forward_ws(&mut KernelWorkspace::new(), a, features)
     }
 
-    /// Inference forward over per-layer extracted sub-adjacencies — the
-    /// serving engine's batch (and single-query) entry point. `subs[l]` is
-    /// layer `l`'s k-hop sub-CSR (rows = that layer's output nodes, cols =
-    /// its input nodes) and `h0` is layer 0's *aggregated* input, the
-    /// `subs[0] · X0` block over the gathered input-feature rows (the
-    /// serving extraction cache stores it per hot query set, since it
-    /// depends only on the frozen graph, the sorted query set, and the
-    /// model version's trained features). Returns the logits, one row per
-    /// row of the last sub-adjacency.
+    /// The last layer alone, for serving: `Â_sub · X · W_{L-1}`, no
+    /// activation. `a` is a sub-adjacency (rows = the queried nodes, cols =
+    /// their 1-hop support) and `x` holds the support's rows of the last
+    /// layer's full-graph input `H^(L-1)`. Returns the logits, one row per
+    /// row of `a`, from `ws`'s pool.
     ///
-    /// Uses one workspace per layer so each layer's packed weight panels
-    /// stay cached under `weights_version` across batches: at steady state
-    /// a batch runs with zero allocations and zero repacking. Every row of
-    /// the result is bitwise identical to the same node's row under
-    /// [`Gcn::forward`] on the full graph — the kernels, their dispatch
-    /// (which looks only at operand shapes) and the per-row accumulation
-    /// order (ascending CSR entries, preserved by the monotone k-hop
-    /// column remap) are all identical.
-    pub fn forward_from_aggregated_ws(
+    /// The packed weight panels stay cached in `ws` under
+    /// `weights_version`, so at steady state a call allocates nothing and
+    /// repacks nothing. Every row of the result is bitwise identical to the
+    /// same node's row under [`Gcn::forward`]: SpMM accumulates each row in
+    /// ascending-entry order (which a monotone column remap preserves), and
+    /// the GEMM's per-row operation sequence depends only on `(k, n)`.
+    pub fn last_layer_forward_ws(
         &self,
-        layer_ws: &mut [KernelWorkspace],
-        subs: &[Csr],
-        h0: &Matrix,
+        ws: &mut KernelWorkspace,
+        a: &Csr,
+        x: &Matrix,
         weights_version: u64,
     ) -> Matrix {
-        let num_layers = self.weights.len();
-        assert_eq!(subs.len(), num_layers, "forward_from_aggregated_ws: one sub-CSR per layer");
-        assert_eq!(layer_ws.len(), num_layers, "one workspace per layer");
-        assert_eq!(subs[0].rows(), h0.rows(), "forward_from_aggregated_ws: h0 row mismatch");
-        // Layer 0's combine straight off the aggregated block.
-        let w0 = &self.weights[0];
-        let ws = &mut layer_ws[0];
-        let mut q = ws.take_scratch(h0.rows(), w0.cols());
-        gemm_nn_cached_b(ws, &mut q, h0, w0, weights_version, 1.0, 0.0);
-        let mut x = if num_layers > 1 {
-            let mut out = ws.take_scratch(q.rows(), q.cols());
-            relu_into(&q, &mut out);
-            ws.recycle(q);
-            out
-        } else {
-            q
-        };
-        // Pool that owns `x` right now: recycling a buffer back into the
-        // pool it was taken from keeps every per-layer pool self-contained
-        // at steady state (no cross-pool migration, no repeat allocations).
-        let mut src = 0;
-        for l in 1..num_layers {
-            let (a, w) = (&subs[l], &self.weights[l]);
-            assert_eq!(a.cols(), x.rows(), "forward_from_aggregated_ws: layer {l} input mismatch");
-            let mut h = layer_ws[l].take_scratch(a.rows(), x.cols());
-            spmm_into(a, &x, &mut h);
-            layer_ws[src].recycle(x);
-            src = l;
-            let ws = &mut layer_ws[l];
-            let mut q = ws.take_scratch(h.rows(), w.cols());
-            gemm_nn_cached_b(ws, &mut q, &h, w, weights_version, 1.0, 0.0);
-            ws.recycle(h);
-            if l + 1 < num_layers {
-                let mut out = ws.take_scratch(q.rows(), q.cols());
-                relu_into(&q, &mut out);
-                ws.recycle(q);
-                x = out;
-            } else {
-                x = q;
-            }
-        }
-        x
+        let w = self.weights.last().expect("a GCN has at least one layer");
+        assert_eq!(a.cols(), x.rows(), "last_layer_forward_ws: support row mismatch");
+        let mut h = ws.take_scratch(a.rows(), x.cols());
+        spmm_into(a, x, &mut h);
+        let mut q = ws.take_scratch(h.rows(), w.cols());
+        gemm_nn_cached_b(ws, &mut q, &h, w, weights_version, 1.0, 0.0);
+        ws.recycle(h);
+        q
     }
 
     /// [`Gcn::forward`] with caller-owned kernel buffers: every layer's

@@ -2,9 +2,11 @@
 //!
 //! An `L`-layer GCN prediction for a query set `Q` only reads the rows
 //! of the normalized adjacency reachable within `L` hops of `Q`. This
-//! module computes, per layer, the exact node sets and sub-CSR blocks a
-//! batched serve forward needs, with an ordering discipline chosen for
-//! the tree's bitwise-equality contract:
+//! module computes, per layer, the exact node sets and sub-CSR blocks of
+//! that field. The serving engine uses one hop of it (its snapshots hold
+//! the last layer's input) and whole row bands for the load-time forward;
+//! the ordering discipline is chosen for the tree's bitwise-equality
+//! contract:
 //!
 //! * every node set is **sorted ascending and deduplicated**, so the
 //!   global→local column remap is monotone;

@@ -1,69 +1,28 @@
-//! The k-hop extraction cache: the serve-side fast path for hot query
-//! sets and hot nodes.
+//! The extraction cache: hot queried nodes' 1-hop support slices.
 //!
-//! Extraction, not the forward, dominates serving (the repo benchmark's
-//! `graph.khop_extract_ms` is over half of `serve.predict_cold_ms`, and a
-//! single hub query costs as much as a 32-batch because its 3-hop field
-//! reaches most of the graph). This cache removes that cost for repeated
-//! work:
-//!
-//! * **Extraction blocks** — per sorted-unique query set, the full
-//!   [`Extraction`]: the per-layer node sets, the per-layer sub-CSR
-//!   blocks, and the layer-0 *aggregated* feature block
-//!   `h0 = subs[0] · X0` (a pure function of the frozen graph, the query
-//!   set, and the model version's trained features — so caching it is as
-//!   bitwise-safe as caching the sub-CSRs, and it lets a warm query skip
-//!   the feature gather and the widest SpMM too). Keyed by
-//!   `(model version, layers, query-set digest)`, with the sorted set
-//!   stored in the entry and compared on every hit so a digest collision
-//!   degrades to a miss, never a wrong answer.
-//! * **Per-node 1-hop support slices** — the decoded adjacency row
-//!   (columns + values) of each *queried* node, so overlapping query
-//!   streams stop re-decoding hot hub rows out of the mmapped shards.
+//! A query runs only the last layer (the snapshot holds the full-graph
+//! hidden layer), so its extraction is one sub-CSR over the queried rows.
+//! This cache keeps each *queried* node's decoded adjacency row (columns +
+//! values), admitted on the fetch that missed it, so overlapping query
+//! streams stop re-decoding hot hub rows out of the mmapped shards.
 //!
 //! Entries are stamped with the model version they were built under; a
 //! lookup for any other version is a miss, and
 //! [`ExtractionCache::invalidate`] (called by the server's
 //! `reload_latest`) drops everything eagerly. The cache is shared across
-//! workers behind one mutex — entries are coarse (whole extraction
-//! blocks), so the hold time is a map probe, not a computation — and is
-//! LRU-bounded by bytes: every entry's byte size joins a ledger-style
-//! total, and inserts evict least-recently-used entries until the total
-//! is back under budget. A zero budget disables caching outright.
+//! workers behind one mutex — the hold time is a map probe, not a
+//! computation — and is LRU-bounded by bytes: every entry's byte size
+//! joins a ledger-style total, and inserts evict least-recently-used
+//! entries until the total is back under budget. A zero budget disables
+//! caching outright.
 
-use plexus_graph::format::Digest;
 use plexus_graph::khop::RowSource;
-use plexus_sparse::Csr;
-use plexus_tensor::Matrix;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Default per-server extraction-cache budget (bytes).
 pub const DEFAULT_EXTRACTION_CACHE_BYTES: usize = 32 << 20;
-
-/// One cached extraction: everything the forward needs that depends only
-/// on `(frozen graph, sorted query set, model version)`.
-pub struct Extraction {
-    /// The sorted-unique query set this block was built for.
-    pub queries: Vec<u32>,
-    /// `layers + 1` sorted node sets (see
-    /// [`KhopWorkspace::khop_node_sets`](plexus_graph::KhopWorkspace::khop_node_sets)).
-    pub sets: Vec<Vec<u32>>,
-    /// Per-layer sub-CSR blocks.
-    pub subs: Vec<Csr>,
-    /// Layer-0 aggregated features: `subs[0] ·` (gathered feature rows).
-    pub h0: Matrix,
-}
-
-impl Extraction {
-    /// Resident bytes, for the cache ledger.
-    pub fn bytes(&self) -> usize {
-        let sets: usize = self.sets.iter().map(|s| s.len() * 4).sum();
-        let subs: usize = self.subs.iter().map(|s| s.mem_bytes() as usize).sum();
-        self.queries.len() * 4 + sets + subs + self.h0.as_slice().len() * 4
-    }
-}
 
 /// A cached per-node 1-hop slice: the node's adjacency row, decoded once.
 struct SupportSlice {
@@ -71,31 +30,19 @@ struct SupportSlice {
     vals: Vec<f32>,
 }
 
-enum Slot {
-    Block(std::sync::Arc<Extraction>),
-    Support(std::sync::Arc<SupportSlice>),
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum Key {
-    /// Digest of `(layers, sorted query set)`.
-    Block(u64),
-    /// Node id.
-    Support(u32),
-}
-
 struct Entry {
     version: u64,
     tick: u64,
     bytes: usize,
-    slot: Slot,
+    slice: Arc<SupportSlice>,
 }
 
 #[derive(Default)]
 struct Inner {
-    map: HashMap<Key, Entry>,
-    /// LRU order: tick → key. Ticks are unique (monotone counter).
-    order: BTreeMap<u64, Key>,
+    /// Node id → its slice.
+    map: HashMap<u32, Entry>,
+    /// LRU order: tick → node. Ticks are unique (monotone counter).
+    order: BTreeMap<u64, u32>,
     tick: u64,
     bytes: usize,
 }
@@ -103,12 +50,7 @@ struct Inner {
 /// Counter snapshot of an [`ExtractionCache`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExtractionStats {
-    /// Whole-extraction block hits (the batch skipped k-hop + sub-CSR
-    /// build + feature gather + layer-0 SpMM entirely).
-    pub block_hits: u64,
-    /// Block lookups that missed (cold or stale-version query sets).
-    pub block_misses: u64,
-    /// Per-node 1-hop slice hits during set expansion / extraction.
+    /// Per-node 1-hop slice hits during extraction.
     pub support_hits: u64,
     /// Per-node slice lookups that missed.
     pub support_misses: u64,
@@ -123,8 +65,6 @@ pub struct ExtractionStats {
 pub struct ExtractionCache {
     budget: usize,
     inner: Mutex<Inner>,
-    block_hits: AtomicU64,
-    block_misses: AtomicU64,
     support_hits: AtomicU64,
     support_misses: AtomicU64,
     evicted: AtomicU64,
@@ -137,8 +77,6 @@ impl ExtractionCache {
         ExtractionCache {
             budget,
             inner: Mutex::new(Inner::default()),
-            block_hits: AtomicU64::new(0),
-            block_misses: AtomicU64::new(0),
             support_hits: AtomicU64::new(0),
             support_misses: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -154,8 +92,6 @@ impl ExtractionCache {
     pub fn stats(&self) -> ExtractionStats {
         let bytes = self.inner.lock().expect("extraction cache poisoned").bytes as u64;
         ExtractionStats {
-            block_hits: self.block_hits.load(Ordering::Relaxed),
-            block_misses: self.block_misses.load(Ordering::Relaxed),
             support_hits: self.support_hits.load(Ordering::Relaxed),
             support_misses: self.support_misses.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
@@ -172,108 +108,61 @@ impl ExtractionCache {
         inner.bytes = 0;
     }
 
-    /// Look up the extraction block for `(version, layers, queries)`.
-    /// `queries` must be sorted-unique; the stored set is compared on a
-    /// digest hit so collisions read as misses.
-    pub fn lookup_block(
+    /// Append node `v`'s 1-hop slice to `cols` (and `vals`, when given):
+    /// from the cache on a hit, otherwise decoded from `src` and admitted
+    /// for the next batch that queries `v`.
+    fn fetch_into(
         &self,
-        version: u64,
-        layers: usize,
-        queries: &[u32],
-    ) -> Option<std::sync::Arc<Extraction>> {
-        let key = Key::Block(block_digest(layers, queries));
-        let mut inner = self.inner.lock().expect("extraction cache poisoned");
-        let hit = match inner.map.get(&key) {
-            Some(e) if e.version == version => match &e.slot {
-                Slot::Block(ext) if ext.queries == queries => Some(std::sync::Arc::clone(ext)),
-                _ => None,
-            },
-            _ => None,
-        };
-        match hit {
-            Some(ext) => {
-                touch(&mut inner, key);
-                self.block_hits.fetch_add(1, Ordering::Relaxed);
-                Some(ext)
-            }
-            None => {
-                self.block_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Insert an extraction block computed under `version`.
-    pub fn insert_block(&self, version: u64, layers: usize, ext: std::sync::Arc<Extraction>) {
-        let bytes = ext.bytes();
-        let key = Key::Block(block_digest(layers, &ext.queries));
-        self.insert(key, version, bytes, Slot::Block(ext));
-    }
-
-    /// Serve node `v`'s cached 1-hop slice into `cols`/`vals` (pass
-    /// `None` for `vals` when only the support is needed). Returns false
-    /// on a miss.
-    fn lookup_support_into(
-        &self,
+        src: &impl RowSource,
         version: u64,
         v: u32,
         cols: &mut Vec<u32>,
         vals: Option<&mut Vec<f32>>,
-    ) -> bool {
-        let key = Key::Support(v);
+    ) {
         let mut inner = self.inner.lock().expect("extraction cache poisoned");
-        let hit = match inner.map.get(&key) {
-            Some(e) if e.version == version => match &e.slot {
-                Slot::Support(s) => Some(std::sync::Arc::clone(s)),
-                _ => None,
-            },
+        let hit = match inner.map.get(&v) {
+            Some(e) if e.version == version => Some(Arc::clone(&e.slice)),
             _ => None,
         };
-        match hit {
+        if hit.is_some() {
+            touch(&mut inner, v);
+        }
+        drop(inner);
+        let slice = match hit {
             Some(slice) => {
-                touch(&mut inner, key);
-                drop(inner);
                 self.support_hits.fetch_add(1, Ordering::Relaxed);
-                cols.extend_from_slice(&slice.cols);
-                if let Some(vals) = vals {
-                    vals.extend_from_slice(&slice.vals);
-                }
-                true
+                slice
             }
             None => {
                 self.support_misses.fetch_add(1, Ordering::Relaxed);
-                false
+                let mut slice = SupportSlice { cols: Vec::new(), vals: Vec::new() };
+                src.row_entries(v, &mut slice.cols, &mut slice.vals);
+                let slice = Arc::new(slice);
+                self.insert(version, v, Arc::clone(&slice));
+                slice
             }
+        };
+        cols.extend_from_slice(&slice.cols);
+        if let Some(vals) = vals {
+            vals.extend_from_slice(&slice.vals);
         }
     }
 
-    /// Whether node `v` already has a live slice under `version` (probe
-    /// without touching counters or LRU order).
-    pub fn has_support(&self, version: u64, v: u32) -> bool {
-        let inner = self.inner.lock().expect("extraction cache poisoned");
-        matches!(inner.map.get(&Key::Support(v)), Some(e) if e.version == version)
-    }
-
-    /// Admit node `v`'s decoded 1-hop slice.
-    pub fn insert_support(&self, version: u64, v: u32, cols: Vec<u32>, vals: Vec<f32>) {
-        let bytes = cols.len() * 4 + vals.len() * 4;
-        let slot = Slot::Support(std::sync::Arc::new(SupportSlice { cols, vals }));
-        self.insert(Key::Support(v), version, bytes, slot);
-    }
-
-    fn insert(&self, key: Key, version: u64, bytes: usize, slot: Slot) {
+    /// Admit node `v`'s decoded 1-hop slice computed under `version`.
+    fn insert(&self, version: u64, v: u32, slice: Arc<SupportSlice>) {
+        let bytes = slice.cols.len() * 4 + slice.vals.len() * 4;
         if self.budget == 0 || bytes > self.budget {
             return;
         }
         let mut inner = self.inner.lock().expect("extraction cache poisoned");
-        if let Some(old) = inner.map.remove(&key) {
+        if let Some(old) = inner.map.remove(&v) {
             inner.order.remove(&old.tick);
             inner.bytes -= old.bytes;
         }
         inner.tick += 1;
         let tick = inner.tick;
-        inner.map.insert(key, Entry { version, tick, bytes, slot });
-        inner.order.insert(tick, key);
+        inner.map.insert(v, Entry { version, tick, bytes, slice });
+        inner.order.insert(tick, v);
         inner.bytes += bytes;
         // LRU eviction back under budget. The just-inserted entry has the
         // newest tick, so it goes last — and only if it alone overflows.
@@ -291,25 +180,14 @@ impl ExtractionCache {
     }
 }
 
-/// Move `key` to the most-recently-used position.
-fn touch(inner: &mut Inner, key: Key) {
+/// Move node `v`'s entry to the most-recently-used position.
+fn touch(inner: &mut Inner, v: u32) {
     inner.tick += 1;
     let tick = inner.tick;
-    let entry = inner.map.get_mut(&key).expect("touch on live entry");
+    let entry = inner.map.get_mut(&v).expect("touch on live entry");
     let old = std::mem::replace(&mut entry.tick, tick);
     inner.order.remove(&old);
-    inner.order.insert(tick, key);
-}
-
-/// The format digest of the layer count and the sorted query set (which
-/// folds the set's length in).
-fn block_digest(layers: usize, queries: &[u32]) -> u64 {
-    let mut d = Digest::new();
-    d.put(&(layers as u64).to_le_bytes());
-    for q in queries {
-        d.put(&q.to_le_bytes());
-    }
-    d.finish()
+    inner.order.insert(tick, v);
 }
 
 /// A [`RowSource`] view over the artifact that serves hot per-node 1-hop
@@ -318,11 +196,8 @@ fn block_digest(layers: usize, queries: &[u32]) -> u64 {
 /// extraction through this wrapper is bitwise-identical to extraction
 /// straight off the source.
 ///
-/// Only rows in `candidates` (the batch's sorted query set — the only
-/// nodes the engine admits slices for) probe the cache at all: a k-hop
-/// expansion touches orders of magnitude more rows than it queries, and
-/// probing the shared mutex per expansion row would cost more in lock
-/// traffic than the guaranteed misses could ever return.
+/// Only rows in `candidates` (the batch's sorted query set) go through
+/// the cache, so it holds queried nodes only.
 pub(crate) struct CachedRows<'a, S: RowSource> {
     pub src: &'a S,
     pub cache: Option<&'a ExtractionCache>,
@@ -342,110 +217,113 @@ impl<S: RowSource> RowSource for CachedRows<'_, S> {
     }
 
     fn row_support(&self, v: u32, out: &mut Vec<u32>) {
-        if let Some(cache) = self.cache_for(v) {
-            if cache.lookup_support_into(self.version, v, out, None) {
-                return;
-            }
+        match self.cache_for(v) {
+            Some(cache) => cache.fetch_into(self.src, self.version, v, out, None),
+            None => self.src.row_support(v, out),
         }
-        self.src.row_support(v, out);
     }
 
     fn row_entries(&self, v: u32, cols: &mut Vec<u32>, vals: &mut Vec<f32>) {
-        if let Some(cache) = self.cache_for(v) {
-            if cache.lookup_support_into(self.version, v, cols, Some(vals)) {
-                return;
-            }
+        match self.cache_for(v) {
+            Some(cache) => cache.fetch_into(self.src, self.version, v, cols, Some(vals)),
+            None => self.src.row_entries(v, cols, vals),
         }
-        self.src.row_entries(v, cols, vals);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plexus_sparse::Csr;
 
-    fn block(nq: usize, bytes_per_set: usize) -> std::sync::Arc<Extraction> {
-        std::sync::Arc::new(Extraction {
-            queries: (0..nq as u32).collect(),
-            sets: vec![vec![0; bytes_per_set / 4]],
-            subs: vec![],
-            h0: Matrix::zeros(1, 1),
-        })
+    /// Node `v`'s row holds `len(v)` entries: `8 * len(v)` ledger bytes.
+    fn graph(len: impl Fn(u32) -> usize) -> Csr {
+        let (mut row_ptr, mut cols, mut vals) = (vec![0], Vec::new(), Vec::new());
+        for v in 0..10u32 {
+            cols.extend(0..len(v) as u32);
+            vals.extend((0..len(v)).map(|k| k as f32 + 0.5));
+            row_ptr.push(cols.len());
+        }
+        Csr::from_raw(10, 512, row_ptr, cols, vals)
+    }
+
+    /// Fetch `v` under `version`; true when it was a hit.
+    fn fetch(cache: &ExtractionCache, src: &Csr, version: u64, v: u32) -> bool {
+        let hits = cache.stats().support_hits;
+        let (mut cols, mut vals) = (Vec::new(), Vec::new());
+        cache.fetch_into(src, version, v, &mut cols, Some(&mut vals));
+        assert_eq!((&cols[..], &vals[..]), src.row_entries(v as usize), "node {v}");
+        cache.stats().support_hits > hits
+    }
+
+    fn resident(cache: &ExtractionCache, v: u32) -> bool {
+        cache.inner.lock().unwrap().map.contains_key(&v)
     }
 
     #[test]
-    fn block_roundtrip_is_version_stamped() {
-        let cache = ExtractionCache::new(1 << 20);
-        let ext = block(4, 64);
-        cache.insert_block(7, 3, std::sync::Arc::clone(&ext));
-        assert!(cache.lookup_block(7, 3, &ext.queries).is_some());
-        assert!(cache.lookup_block(8, 3, &ext.queries).is_none(), "new version must miss");
-        assert!(cache.lookup_block(7, 2, &ext.queries).is_none(), "layer count keys the digest");
+    fn slice_roundtrip_is_version_stamped() {
+        let (src, cache) = (graph(|_| 3), ExtractionCache::new(1 << 20));
+        assert!(!fetch(&cache, &src, 7, 3), "first fetch decodes");
+        assert!(fetch(&cache, &src, 7, 3));
+        let mut cols = vec![9];
+        cache.fetch_into(&src, 7, 3, &mut cols, None);
+        assert_eq!(cols, [9, 0, 1, 2], "appended");
+        assert!(!fetch(&cache, &src, 8, 3), "new version must miss");
+        assert!(!fetch(&cache, &src, 8, 4), "other node must miss");
         let stats = cache.stats();
-        assert_eq!(stats.block_hits, 1);
-        assert_eq!(stats.block_misses, 2);
-        assert_eq!(stats.bytes, ext.bytes() as u64);
+        assert_eq!((stats.support_hits, stats.support_misses), (2, 3));
+        assert_eq!(stats.bytes, 48);
     }
 
     #[test]
     fn invalidate_clears_everything() {
-        let cache = ExtractionCache::new(1 << 20);
-        cache.insert_block(1, 3, block(4, 64));
-        cache.insert_support(1, 9, vec![1, 2, 3], vec![0.5; 3]);
+        let (src, cache) = (graph(|_| 3), ExtractionCache::new(1 << 20));
+        fetch(&cache, &src, 1, 9);
         cache.invalidate();
         assert_eq!(cache.stats().bytes, 0);
-        assert!(cache.lookup_block(1, 3, &[0, 1, 2, 3]).is_none());
-        assert!(!cache.has_support(1, 9));
+        assert!(!fetch(&cache, &src, 1, 9));
     }
 
     #[test]
     fn lru_evicts_oldest_under_byte_pressure() {
-        // Each block ~> 1KiB of sets; budget fits about three.
-        let one = block(1, 1024).bytes();
-        let cache = ExtractionCache::new(3 * one + one / 2);
+        // Each slice is 1 KiB; the budget fits three and a half.
+        let (src, cache) = (graph(|_| 128), ExtractionCache::new(3584));
         for v in 0..4u32 {
-            let mut ext = block(1, 1024);
-            std::sync::Arc::get_mut(&mut ext).unwrap().queries = vec![v];
-            cache.insert_block(1, 3, ext);
+            fetch(&cache, &src, 1, v);
         }
         let stats = cache.stats();
         assert!(stats.evicted >= 1, "budget pressure must evict");
         assert!(stats.bytes <= cache.budget() as u64);
         // The most recent insert survives; the oldest is gone.
-        assert!(cache.lookup_block(1, 3, &[3]).is_some());
-        assert!(cache.lookup_block(1, 3, &[0]).is_none());
+        assert!(resident(&cache, 3));
+        assert!(!resident(&cache, 0));
     }
 
     #[test]
     fn touch_protects_recently_used_entries() {
-        let one = block(1, 1024).bytes();
-        let cache = ExtractionCache::new(2 * one + one / 2);
+        let (src, cache) = (graph(|_| 128), ExtractionCache::new(2560));
         for v in 0..2u32 {
-            let mut ext = block(1, 1024);
-            std::sync::Arc::get_mut(&mut ext).unwrap().queries = vec![v];
-            cache.insert_block(1, 3, ext);
+            fetch(&cache, &src, 1, v);
         }
         // Touch the older entry, then overflow: the untouched one dies.
-        assert!(cache.lookup_block(1, 3, &[0]).is_some());
-        let mut ext = block(1, 1024);
-        std::sync::Arc::get_mut(&mut ext).unwrap().queries = vec![9];
-        cache.insert_block(1, 3, ext);
-        assert!(cache.lookup_block(1, 3, &[0]).is_some(), "recently used entry evicted");
-        assert!(cache.lookup_block(1, 3, &[1]).is_none());
+        assert!(fetch(&cache, &src, 1, 0));
+        fetch(&cache, &src, 1, 9);
+        assert!(resident(&cache, 0), "recently used entry evicted");
+        assert!(!resident(&cache, 1));
     }
 
     #[test]
     fn zero_budget_disables_caching() {
-        let cache = ExtractionCache::new(0);
-        cache.insert_block(1, 3, block(4, 64));
-        assert!(cache.lookup_block(1, 3, &[0, 1, 2, 3]).is_none());
+        let (src, cache) = (graph(|_| 4), ExtractionCache::new(0));
+        fetch(&cache, &src, 1, 3);
+        assert!(!fetch(&cache, &src, 1, 3));
         assert_eq!(cache.stats().bytes, 0);
     }
 
     #[test]
     fn oversized_entry_is_refused_not_thrashed() {
-        let cache = ExtractionCache::new(128);
-        cache.insert_block(1, 3, block(1, 4096));
+        let (src, cache) = (graph(|v| if v == 3 { 512 } else { 1 }), ExtractionCache::new(128));
+        fetch(&cache, &src, 1, 3);
         let stats = cache.stats();
         assert_eq!(stats.bytes, 0);
         assert_eq!(stats.evicted, 0, "an oversized entry must be refused up front");

@@ -1,38 +1,34 @@
-//! The query engine: answer node-classification requests by extracting
-//! the k-hop receptive field of the batch straight from the mapped
-//! adjacency and running it through the trainer's own kernel path.
+//! The query engine: answer node-classification requests in one hop from
+//! the snapshot's full-graph hidden layer `H^(L-1)`.
+//!
+//! The graph and the model a snapshot serves are frozen, so the first
+//! `L - 1` layers are the same for every query; [`Artifact`] computes them
+//! once per model version at load. A batch then runs only the last layer:
+//! the sorted-unique queries' 1-hop support, one sub-CSR (rows = the
+//! queries, cols = their support) extracted straight from the mapped
+//! adjacency, the support's rows of `H^(L-1)` gathered, one SpMM and one
+//! cached-B GEMM ([`Gcn::last_layer_forward_ws`](plexus_gnn::Gcn::last_layer_forward_ws)).
 //!
 //! Bitwise parity with training is the core contract. The packed GEMM and
 //! the CSR SpMM both produce output row `i` through an operation sequence
 //! that depends only on the operand *row contents* — SpMM accumulates
 //! per-row in ascending-entry order, the GEMM has one kernel whose
 //! per-row order is a function of `(k, n)` alone, never of the row count.
-//! K-hop node sets are kept sorted ascending, so the column remap in
-//! [`KhopWorkspace::extract_sub_csr`] is monotone and
-//! preserves entry order; every extracted row is therefore elementwise
-//! identical to the corresponding full-graph row, and the served logits
-//! come out bitwise equal to the trainer's forward on the same nodes.
+//! The support set is sorted ascending, so the column remap in
+//! [`KhopWorkspace::extract_sub_csr`] is monotone and preserves entry
+//! order; every extracted row is therefore elementwise identical to the
+//! corresponding full-graph row, `H^(L-1)` is the trainer's own, and the
+//! served logits come out bitwise equal to the trainer's forward on the
+//! same nodes.
 //!
-//! The extraction itself runs through two reuse layers:
-//!
-//! * a per-worker [`KhopWorkspace`] (merge-union + scatter-remap kernels
-//!   with pooled, epoch-stamped tables), so a cold extraction allocates
-//!   only the sets and blocks it returns;
-//! * a shared [`ExtractionCache`] (enabled by default) holding whole
-//!   [`Extraction`] blocks — node sets, sub-CSRs, and the layer-0
-//!   aggregated feature block — plus per-node 1-hop slices. A warm batch
-//!   skips the k-hop walk, the sub-CSR builds, the feature gather, *and*
-//!   the layer-0 SpMM, entering the forward at
-//!   [`forward_from_aggregated_ws`](plexus_gnn::Gcn::forward_from_aggregated_ws).
-//!   Cached inputs are the same bits the cold path computes, and the
-//!   remaining kernel calls are the same calls, so warm answers stay
-//!   bitwise identical (asserted by `tests/serving.rs`).
+//! Queried rows are fetched through the shared [`ExtractionCache`], which
+//! keeps each queried node's decoded 1-hop slice, so a hot node's row
+//! skips the mmap decode.
 
 use crate::artifact::{Artifact, ModelSnapshot};
-use crate::cache::{CachedRows, Extraction, ExtractionCache, DEFAULT_EXTRACTION_CACHE_BYTES};
+use crate::cache::{CachedRows, ExtractionCache, DEFAULT_EXTRACTION_CACHE_BYTES};
 use plexus_graph::KhopWorkspace;
-use plexus_sparse::{spmm_into, Csr};
-use plexus_tensor::{KernelWorkspace, Matrix};
+use plexus_tensor::KernelWorkspace;
 use std::sync::Arc;
 
 /// One answered query.
@@ -47,15 +43,17 @@ pub struct Prediction {
     pub logits: Vec<f32>,
 }
 
-/// Per-worker inference state: one [`KernelWorkspace`] per layer plus a
-/// pooled [`KhopWorkspace`], so packed-B panels, scratch matrices and the
-/// extraction tables are all reused across batches — after a warmup batch
-/// of each shape class, steady-state serving does no kernel allocations
-/// and no weight repacking. Engines may additionally share an
-/// [`ExtractionCache`]; [`QueryEngine::new`] gives each engine a private
-/// one so caching is on by default.
+/// Per-worker inference state: one [`KernelWorkspace`] for the last layer
+/// (the only one a query runs) plus a pooled [`KhopWorkspace`], so
+/// packed-B panels, scratch matrices and the extraction tables are all
+/// reused across batches — after a warmup batch of each shape class,
+/// steady-state serving does no kernel allocations and no weight
+/// repacking. Engines may additionally share an [`ExtractionCache`];
+/// [`QueryEngine::new`] gives each engine a private one so caching is on
+/// by default.
 pub struct QueryEngine {
-    layer_ws: Vec<KernelWorkspace>,
+    num_layers: usize,
+    ws: KernelWorkspace,
     khop: KhopWorkspace,
     cache: Option<Arc<ExtractionCache>>,
 }
@@ -68,19 +66,14 @@ impl QueryEngine {
     }
 
     /// An engine using `cache` — the server passes one cache to every
-    /// worker so hot query sets warm across the whole pool.
+    /// worker so hot nodes' slices warm across the whole pool.
     pub fn with_cache(num_layers: usize, cache: Arc<ExtractionCache>) -> Self {
-        assert!(num_layers > 0, "QueryEngine: need at least one layer");
         let cache = if cache.budget() == 0 { None } else { Some(cache) };
-        QueryEngine {
-            layer_ws: (0..num_layers).map(|_| KernelWorkspace::new()).collect(),
-            khop: KhopWorkspace::new(),
-            cache,
-        }
+        QueryEngine { num_layers, ws: KernelWorkspace::new(), khop: KhopWorkspace::new(), cache }
     }
 
-    /// An engine with extraction caching disabled — every batch runs the
-    /// full cold path (benchmarks use this as the before side).
+    /// An engine with the slice cache disabled — every queried row is
+    /// decoded from the mapped shards.
     pub fn without_cache(num_layers: usize) -> Self {
         Self::with_cache(num_layers, Arc::new(ExtractionCache::new(0)))
     }
@@ -90,16 +83,17 @@ impl QueryEngine {
         self.cache.as_ref()
     }
 
-    /// Total workspace allocation events across all layers — flat between
-    /// two calls means the batch ran zero-alloc.
+    /// Workspace allocation events so far — flat between two calls means
+    /// the batch ran zero-alloc.
     pub fn alloc_events(&self) -> u64 {
-        self.layer_ws.iter().map(|ws| ws.alloc_events()).sum()
+        self.ws.alloc_events()
     }
 
     /// Answer a batch of node-classification queries. Returns one
     /// [`Prediction`] per entry of `nodes`, in request order (duplicates
     /// allowed). Panics if a node id is out of range — the server front
-    /// end validates ids before they reach the engine.
+    /// end validates ids before they reach the engine — or if the model's
+    /// depth is not the engine's.
     pub fn predict_batch(
         &mut self,
         artifact: &Artifact,
@@ -107,36 +101,31 @@ impl QueryEngine {
         nodes: &[u32],
     ) -> Vec<Prediction> {
         assert_eq!(
-            self.layer_ws.len(),
-            snap.gcn.config.num_layers,
+            self.num_layers, snap.gcn.config.num_layers,
             "QueryEngine depth does not match the model"
         );
-        let layers = snap.gcn.config.num_layers;
         let mut top: Vec<u32> = nodes.to_vec();
         top.sort_unstable();
         top.dedup();
-        let ext = match self.cache.as_ref().and_then(|c| c.lookup_block(snap.version, layers, &top))
-        {
-            Some(ext) => ext,
-            None => {
-                let ext = Arc::new(self.build_extraction(artifact, snap, top, layers));
-                if let Some(cache) = &self.cache {
-                    cache.insert_block(snap.version, layers, Arc::clone(&ext));
-                }
-                ext
-            }
+        let rows = CachedRows {
+            src: artifact,
+            cache: self.cache.as_deref(),
+            version: snap.version,
+            candidates: &top,
         };
-        let logits = snap.gcn.forward_from_aggregated_ws(
-            &mut self.layer_ws,
-            &ext.subs,
-            &ext.h0,
-            snap.version,
-        );
-        let top = &ext.queries;
+        let support = self.khop.khop_node_sets(&rows, &top, 1).swap_remove(0);
+        let a = self.khop.extract_sub_csr(&rows, &top, &support);
+        let hidden = &snap.hidden;
+        let mut x = self.ws.take_scratch(support.len(), hidden.cols());
+        for (i, &v) in support.iter().enumerate() {
+            x.row_mut(i).copy_from_slice(hidden.row(v as usize));
+        }
+        let logits = snap.gcn.last_layer_forward_ws(&mut self.ws, &a, &x, snap.version);
+        self.ws.recycle(x);
         let out = nodes
             .iter()
             .map(|&v| {
-                let row = top.binary_search(&v).expect("query node present in its own k-hop set");
+                let row = top.binary_search(&v).expect("query node present in its own batch");
                 let lrow = logits.row(row);
                 Prediction {
                     node: v,
@@ -146,58 +135,8 @@ impl QueryEngine {
                 }
             })
             .collect();
-        self.layer_ws[layers - 1].recycle(logits);
+        self.ws.recycle(logits);
         out
-    }
-
-    /// The cold path: walk the receptive field, build the per-layer
-    /// blocks, gather the innermost features and aggregate them through
-    /// layer 0's sub-adjacency. Row fetches go through [`CachedRows`], so
-    /// hot per-node 1-hop slices skip the mmap decode; queried nodes'
-    /// slices are admitted for the next overlapping batch.
-    fn build_extraction(
-        &mut self,
-        artifact: &Artifact,
-        snap: &ModelSnapshot,
-        top: Vec<u32>,
-        layers: usize,
-    ) -> Extraction {
-        if let Some(cache) = &self.cache {
-            // Admit the query nodes' own rows (their 1-hop slices): the
-            // LRU stays scoped to *queried* nodes rather than flooding
-            // with every expansion row of a hub's receptive field.
-            let (mut cols, mut vals) = (Vec::new(), Vec::new());
-            for &v in &top {
-                if !cache.has_support(snap.version, v) {
-                    cols.clear();
-                    vals.clear();
-                    plexus_graph::RowSource::row_entries(artifact, v, &mut cols, &mut vals);
-                    cache.insert_support(snap.version, v, cols.clone(), vals.clone());
-                }
-            }
-        }
-        let rows = CachedRows {
-            src: artifact,
-            cache: self.cache.as_deref(),
-            version: snap.version,
-            candidates: &top,
-        };
-        let sets = self.khop.khop_node_sets(&rows, &top, layers);
-        let subs: Vec<Csr> =
-            (0..layers).map(|l| self.khop.extract_sub_csr(&rows, &sets[l + 1], &sets[l])).collect();
-        // Gather the innermost hop's feature rows into pooled scratch and
-        // aggregate through layer 0's block; the cache keeps `h0` (an
-        // owned matrix) rather than the gathered features — it is smaller
-        // whenever hidden ≤ input width and saves the widest SpMM too.
-        let feat = &snap.features;
-        let mut x0 = self.layer_ws[0].take_scratch(sets[0].len(), feat.cols());
-        for (i, &v) in sets[0].iter().enumerate() {
-            x0.row_mut(i).copy_from_slice(feat.row(v as usize));
-        }
-        let mut h0 = Matrix::zeros(subs[0].rows(), feat.cols());
-        spmm_into(&subs[0], &x0, &mut h0);
-        self.layer_ws[0].recycle(x0);
-        Extraction { queries: top, sets, subs, h0 }
     }
 }
 

@@ -8,10 +8,11 @@
 //! adjacency into an immutable, versioned, checksummed artifact that
 //! reuses the shard-file format (`MAGIC`/`FORMAT_VERSION` headers,
 //! manifest digests). [`Artifact::open`] verifies everything
-//! once and maps the shards read-only; queries are answered by
-//! extracting the batch's k-hop receptive field in place from the
-//! mappings and running it through the trainer's own packed-GEMM/SpMM
-//! kernel path, so served logits are **bitwise identical** to the
+//! once, maps the shards read-only, and runs the model's first `L - 1`
+//! layers over the whole graph once, keeping the last layer's input
+//! `H^(L-1)`. A query is then one hop: the batch's 1-hop sub-CSR,
+//! extracted in place from the mappings, through the trainer's own SpMM
+//! and packed GEMM, so served logits are **bitwise identical** to the
 //! trainer's forward pass on the same nodes.
 //!
 //! Layers of the subsystem:
@@ -19,14 +20,14 @@
 //! - [`freeze`] / [`publish`] — write version 1 of an artifact; append
 //!   retrained versions with an atomic manifest republish.
 //! - [`Artifact`] — verified, mmap-backed read view; implements
-//!   [`RowSource`](plexus_graph::khop::RowSource) so k-hop extraction
-//!   walks adjacency rows straight out of the mappings.
-//! - [`QueryEngine`] — per-worker kernel + k-hop workspaces; batched
-//!   k-hop-extract + forward, zero-alloc at steady state.
-//! - [`ExtractionCache`] — version-stamped, byte-bounded LRU over whole
-//!   extraction blocks (node sets + sub-CSRs + the layer-0 aggregated
-//!   feature block) and hot per-node 1-hop slices; shared across
-//!   workers, invalidated on hot reload, on by default.
+//!   [`RowSource`](plexus_graph::khop::RowSource) so extraction reads
+//!   adjacency rows straight out of the mappings; each [`ModelSnapshot`]
+//!   carries its full-graph hidden layer, computed at load.
+//! - [`QueryEngine`] — per-worker kernel + extraction workspaces; batched
+//!   one-hop extract + last layer, zero-alloc at steady state.
+//! - [`ExtractionCache`] — version-stamped, byte-bounded LRU over hot
+//!   queried nodes' 1-hop slices; shared across workers, invalidated on
+//!   hot reload, on by default.
 //! - [`Server`] — bounded queue, adaptive batcher, worker pool,
 //!   version-stamped prediction cache, hot reload without draining.
 //!
@@ -38,7 +39,7 @@ pub mod engine;
 pub mod server;
 
 pub use artifact::{freeze, publish, Artifact, ModelSnapshot};
-pub use cache::{Extraction, ExtractionCache, ExtractionStats, DEFAULT_EXTRACTION_CACHE_BYTES};
+pub use cache::{ExtractionCache, ExtractionStats, DEFAULT_EXTRACTION_CACHE_BYTES};
 pub use engine::{argmax, Prediction, QueryEngine};
 pub use server::{ServeConfig, ServeError, Server, ServerStats, SubmitPolicy};
 

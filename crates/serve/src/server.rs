@@ -5,9 +5,10 @@
 //! read-mostly prediction cache stamped with the model version so a hot
 //! reload invalidates it implicitly — stale entries simply stop matching.
 //!
-//! Hot reload never drains the server: [`Server::reload_latest`] swaps
-//! the model snapshot atomically; batches already in flight finish on the
-//! `Arc` they captured, the next batch picks up the new weights.
+//! Hot reload never drains the server: [`Server::reload_latest`] computes
+//! the new version's hidden layer, then swaps the model snapshot
+//! atomically; batches already in flight finish on the `Arc` they
+//! captured, the next batch picks up the new weights.
 
 use crate::artifact::Artifact;
 use crate::cache::{ExtractionCache, DEFAULT_EXTRACTION_CACHE_BYTES};
@@ -59,7 +60,7 @@ impl std::error::Error for ServeError {}
 /// Front-end tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads; each owns per-layer kernel workspaces.
+    /// Worker threads; each owns its own query engine.
     pub workers: usize,
     /// Flush a batch once it reaches this many requests.
     pub max_batch: usize,
@@ -68,9 +69,8 @@ pub struct ServeConfig {
     /// Bounded submission-queue capacity; what happens when it fills is
     /// decided by `submit`.
     pub queue_cap: usize,
-    /// Byte budget of the shared k-hop extraction cache (node sets,
-    /// sub-CSR blocks, layer-0 aggregates, per-node 1-hop slices). `0`
-    /// disables extraction caching entirely.
+    /// Byte budget of the shared extraction cache (queried nodes' 1-hop
+    /// slices). `0` disables extraction caching entirely.
     pub extraction_cache_bytes: usize,
     /// Admission control when the queue is full: block (default) or shed.
     pub submit: SubmitPolicy,
@@ -105,9 +105,10 @@ pub struct ServerStats {
     pub reloads: u64,
     /// Submissions refused under [`SubmitPolicy::Shed`].
     pub shed: u64,
-    /// Extraction-cache hits (whole blocks + per-node 1-hop slices).
+    /// Extraction-cache hits: queried rows served from a cached 1-hop
+    /// slice instead of decoded from the mapped shards.
     pub extraction_hits: u64,
-    /// Extraction-cache misses.
+    /// Extraction-cache misses: queried rows decoded from the shards.
     pub extraction_misses: u64,
     /// Extraction-cache entries evicted by the byte-budget LRU.
     pub extraction_evicted: u64,
@@ -130,7 +131,7 @@ struct Shared {
     /// Version-stamped prediction cache: a hit counts only when the entry
     /// was computed by the currently served model version.
     cache: Vec<RwLock<HashMap<u32, Prediction>>>,
-    /// K-hop extraction cache, shared by every worker's engine.
+    /// Extraction cache, shared by every worker's engine.
     extraction: Arc<ExtractionCache>,
     served: AtomicU64,
     batches: AtomicU64,
@@ -271,8 +272,8 @@ impl Server {
             cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
             reloads: self.shared.reloads.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
-            extraction_hits: ext.block_hits + ext.support_hits,
-            extraction_misses: ext.block_misses + ext.support_misses,
+            extraction_hits: ext.support_hits,
+            extraction_misses: ext.support_misses,
             extraction_evicted: ext.evicted,
             extraction_bytes: ext.bytes,
         }
