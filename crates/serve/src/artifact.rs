@@ -300,8 +300,10 @@ impl Artifact {
     /// Re-read `serve.txt` and, when it points at a newer version, verify
     /// and decode that model, compute its hidden layer, and only then swap
     /// it in atomically. Queries already in flight keep their snapshot; new
-    /// batches see the new weights. No draining, and the mapped graph is
-    /// untouched. Returns the new version, or `None` when already current.
+    /// batches see the new weights, and the new model may have another
+    /// depth. No draining, and the mapped graph is untouched. Returns the
+    /// new version, or `None` when already current — including when a
+    /// concurrent reload installed a version at least as new first.
     pub fn reload_latest(&self) -> LoaderResult<Option<u64>> {
         let manifest = Manifest::read(&serve_manifest(&self.dir))?;
         let current = manifest.get("current")?;
@@ -309,9 +311,19 @@ impl Artifact {
             return Ok(None);
         }
         let mut stats = LoadStats::default();
-        let snapshot = load_model(&self.dir, &self.adj, &manifest, current, &mut stats)?;
-        *self.model.write().expect("model lock poisoned") = Arc::new(snapshot);
-        Ok(Some(current))
+        Ok(self.install(load_model(&self.dir, &self.adj, &manifest, current, &mut stats)?))
+    }
+
+    /// Swap `snapshot` in if it is newer than the live one, checked under
+    /// the write lock: the served version never goes down.
+    fn install(&self, snapshot: ModelSnapshot) -> Option<u64> {
+        let mut live = self.model.write().expect("model lock poisoned");
+        if snapshot.version <= live.version {
+            return None;
+        }
+        let version = snapshot.version;
+        *live = Arc::new(snapshot);
+        Some(version)
     }
 
     /// I/O accounting of [`Artifact::open`]: on mmap-capable targets every
@@ -417,5 +429,33 @@ mod tests {
                 std::fs::remove_dir_all(&dir).unwrap();
             }
         }
+    }
+
+    #[test]
+    fn a_reload_that_finishes_late_never_installs_an_older_version() {
+        let ds = LoadedDataset::generate(OGBN_PRODUCTS, 64, Some(4), 3);
+        let config = GcnConfig {
+            input_dim: ds.features.cols(),
+            hidden_dim: 4,
+            num_classes: ds.num_classes,
+            num_layers: 2,
+            seed: 5,
+        };
+        let dir = std::env::temp_dir().join(format!("plexus_install_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        freeze(&dir, &ds.adjacency, &Gcn::new(config.clone()), &ds.features, 2, 2).unwrap();
+        let art = Artifact::open(&dir).unwrap();
+        for seed in [6, 7] {
+            publish(&dir, &Gcn::new(GcnConfig { seed, ..config.clone() }), &ds.features).unwrap();
+        }
+        // Two reloads that read `current` as 2 and 3 and finish 3 first.
+        let manifest = Manifest::read(&serve_manifest(&dir)).unwrap();
+        let load = |v| load_model(&dir, &art.adj, &manifest, v, &mut LoadStats::default());
+        let (v2, v3) = (load(2).unwrap(), load(3).unwrap());
+        assert_eq!(art.install(v3), Some(3));
+        assert_eq!(art.install(v2), None, "the late, older reload must not install");
+        assert_eq!(art.snapshot().version, 3);
+        assert_eq!(art.reload_latest().unwrap(), None, "already current");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

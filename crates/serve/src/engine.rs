@@ -21,15 +21,13 @@
 //! served logits come out bitwise equal to the trainer's forward on the
 //! same nodes.
 //!
-//! Queried rows are fetched through the shared [`ExtractionCache`], which
-//! keeps each queried node's decoded 1-hop slice, so a hot node's row
-//! skips the mmap decode.
+//! The engine holds no per-model state: it runs the last layer of
+//! whatever snapshot it is handed, so a hot reload may change the model's
+//! depth under a running engine.
 
 use crate::artifact::{Artifact, ModelSnapshot};
-use crate::cache::{CachedRows, ExtractionCache, DEFAULT_EXTRACTION_CACHE_BYTES};
 use plexus_graph::KhopWorkspace;
 use plexus_tensor::KernelWorkspace;
-use std::sync::Arc;
 
 /// One answered query.
 #[derive(Clone, Debug)]
@@ -48,39 +46,24 @@ pub struct Prediction {
 /// packed-B panels, scratch matrices and the extraction tables are all
 /// reused across batches — after a warmup batch of each shape class,
 /// steady-state serving does no kernel allocations and no weight
-/// repacking. Engines may additionally share an [`ExtractionCache`];
-/// [`QueryEngine::new`] gives each engine a private one so caching is on
-/// by default.
+/// repacking. Queried rows are decoded in place from the artifact's
+/// mapped shards.
 pub struct QueryEngine {
-    num_layers: usize,
     ws: KernelWorkspace,
     khop: KhopWorkspace,
-    cache: Option<Arc<ExtractionCache>>,
 }
 
 impl QueryEngine {
-    /// A fresh engine for a `num_layers`-deep model, with a private
-    /// extraction cache at the default byte budget.
-    pub fn new(num_layers: usize) -> Self {
-        Self::with_cache(num_layers, Arc::new(ExtractionCache::new(DEFAULT_EXTRACTION_CACHE_BYTES)))
+    /// A fresh engine. `_num_layers` is ignored: the engine serves a model
+    /// of any depth.
+    pub fn new(_num_layers: usize) -> Self {
+        QueryEngine { ws: KernelWorkspace::new(), khop: KhopWorkspace::new() }
     }
 
-    /// An engine using `cache` — the server passes one cache to every
-    /// worker so hot nodes' slices warm across the whole pool.
-    pub fn with_cache(num_layers: usize, cache: Arc<ExtractionCache>) -> Self {
-        let cache = if cache.budget() == 0 { None } else { Some(cache) };
-        QueryEngine { num_layers, ws: KernelWorkspace::new(), khop: KhopWorkspace::new(), cache }
-    }
-
-    /// An engine with the slice cache disabled — every queried row is
-    /// decoded from the mapped shards.
+    /// Alias of [`QueryEngine::new`]; the repo benchmark still calls it.
+    /// Stays until the next benchmark-scoped change.
     pub fn without_cache(num_layers: usize) -> Self {
-        Self::with_cache(num_layers, Arc::new(ExtractionCache::new(0)))
-    }
-
-    /// The shared extraction cache, if caching is enabled.
-    pub fn cache(&self) -> Option<&Arc<ExtractionCache>> {
-        self.cache.as_ref()
+        Self::new(num_layers)
     }
 
     /// Workspace allocation events so far — flat between two calls means
@@ -92,29 +75,18 @@ impl QueryEngine {
     /// Answer a batch of node-classification queries. Returns one
     /// [`Prediction`] per entry of `nodes`, in request order (duplicates
     /// allowed). Panics if a node id is out of range — the server front
-    /// end validates ids before they reach the engine — or if the model's
-    /// depth is not the engine's.
+    /// end validates ids before they reach the engine.
     pub fn predict_batch(
         &mut self,
         artifact: &Artifact,
         snap: &ModelSnapshot,
         nodes: &[u32],
     ) -> Vec<Prediction> {
-        assert_eq!(
-            self.num_layers, snap.gcn.config.num_layers,
-            "QueryEngine depth does not match the model"
-        );
         let mut top: Vec<u32> = nodes.to_vec();
         top.sort_unstable();
         top.dedup();
-        let rows = CachedRows {
-            src: artifact,
-            cache: self.cache.as_deref(),
-            version: snap.version,
-            candidates: &top,
-        };
-        let support = self.khop.khop_node_sets(&rows, &top, 1).swap_remove(0);
-        let a = self.khop.extract_sub_csr(&rows, &top, &support);
+        let support = self.khop.khop_node_sets(artifact, &top, 1).swap_remove(0);
+        let a = self.khop.extract_sub_csr(artifact, &top, &support);
         let hidden = &snap.hidden;
         let mut x = self.ws.take_scratch(support.len(), hidden.cols());
         for (i, &v) in support.iter().enumerate() {

@@ -24,22 +24,19 @@
 //!   adjacency rows straight out of the mappings; each [`ModelSnapshot`]
 //!   carries its full-graph hidden layer, computed at load.
 //! - [`QueryEngine`] — per-worker kernel + extraction workspaces; batched
-//!   one-hop extract + last layer, zero-alloc at steady state.
-//! - [`ExtractionCache`] — version-stamped, byte-bounded LRU over hot
-//!   queried nodes' 1-hop slices; shared across workers, invalidated on
-//!   hot reload, on by default.
+//!   one-hop extract (rows read straight from the mappings) + last layer,
+//!   zero-alloc at steady state, for a model of any depth.
 //! - [`Server`] — bounded queue, adaptive batcher, worker pool,
-//!   version-stamped prediction cache, hot reload without draining.
+//!   version-stamped prediction cache (the only serving cache), hot
+//!   reload without draining.
 //!
 //! [`ShardStore`]: plexus::loader::ShardStore
 
 pub mod artifact;
-pub mod cache;
 pub mod engine;
 pub mod server;
 
 pub use artifact::{freeze, publish, Artifact, ModelSnapshot};
-pub use cache::{ExtractionCache, ExtractionStats, DEFAULT_EXTRACTION_CACHE_BYTES};
 pub use engine::{argmax, Prediction, QueryEngine};
 pub use server::{ServeConfig, ServeError, Server, ServerStats, SubmitPolicy};
 
@@ -225,16 +222,19 @@ mod tests {
         let again = server.query(nodes[0]);
         assert_eq!(again.model_version, 1);
         assert!(server.stats().cache_hits >= 1);
-        // Hot reload: publish v2, swap in without restarting workers.
-        let gcn2 = Gcn::new(GcnConfig { seed: 4242, ..gcn.config.clone() });
+        // Hot reload: publish a v2 one layer deeper, swap it in without
+        // restarting workers.
+        let depth = gcn.config.num_layers + 1;
+        let gcn2 = Gcn::new(GcnConfig { seed: 4242, num_layers: depth, ..gcn.config.clone() });
         publish(&dir, &gcn2, &ds.features).unwrap();
         assert_eq!(server.reload_latest().unwrap(), Some(2));
         assert_eq!(server.current_version(), 2);
         let full2 = gcn2.forward(&ds.adjacency, &ds.features).logits;
-        let pred = server.query(nodes[0]);
-        assert_eq!(pred.model_version, 2, "stale cache entry must not satisfy a new version");
-        for (a, b) in pred.logits.iter().zip(full2.row(pred.node as usize)) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for pred in server.query_many(&nodes[..8]) {
+            assert_eq!(pred.model_version, 2, "stale cache entry must not satisfy a new version");
+            for (a, b) in pred.logits.iter().zip(full2.row(pred.node as usize)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "node {} at depth {depth}", pred.node);
+            }
         }
         assert_eq!(server.stats().reloads, 1);
         assert_eq!(server.stats().shed, 0, "Block admission must never shed");
@@ -253,7 +253,6 @@ mod tests {
             max_wait: Duration::from_micros(50),
             queue_cap: 1,
             submit: SubmitPolicy::Shed,
-            ..Default::default()
         };
         let server = Server::start(&dir, cfg).unwrap();
         // A single-slot queue behind a single worker: burst-submitting
@@ -327,7 +326,6 @@ mod tests {
             max_wait: Duration::from_micros(50),
             queue_cap: 2,
             submit: SubmitPolicy::Block,
-            ..Default::default()
         };
         let server = Server::start(&dir, cfg).unwrap();
         let nodes: Vec<u32> = (0..64).collect();

@@ -5,13 +5,16 @@
 //! read-mostly prediction cache stamped with the model version so a hot
 //! reload invalidates it implicitly — stale entries simply stop matching.
 //!
+//! The prediction cache is the only serving cache: a worker sees only
+//! nodes new to the live version, and reads their rows straight from the
+//! artifact's mapped shards.
+//!
 //! Hot reload never drains the server: [`Server::reload_latest`] computes
 //! the new version's hidden layer, then swaps the model snapshot
 //! atomically; batches already in flight finish on the `Arc` they
-//! captured, the next batch picks up the new weights.
+//! captured, the next batch picks up the new weights — of any depth.
 
 use crate::artifact::Artifact;
-use crate::cache::{ExtractionCache, DEFAULT_EXTRACTION_CACHE_BYTES};
 use crate::engine::{Prediction, QueryEngine};
 use parking_lot::{Condvar, Mutex};
 use plexus::loader::LoaderResult;
@@ -69,9 +72,6 @@ pub struct ServeConfig {
     /// Bounded submission-queue capacity; what happens when it fills is
     /// decided by `submit`.
     pub queue_cap: usize,
-    /// Byte budget of the shared extraction cache (queried nodes' 1-hop
-    /// slices). `0` disables extraction caching entirely.
-    pub extraction_cache_bytes: usize,
     /// Admission control when the queue is full: block (default) or shed.
     pub submit: SubmitPolicy,
 }
@@ -83,7 +83,6 @@ impl Default for ServeConfig {
             max_batch: 64,
             max_wait: Duration::from_micros(500),
             queue_cap: 1024,
-            extraction_cache_bytes: DEFAULT_EXTRACTION_CACHE_BYTES,
             submit: SubmitPolicy::Block,
         }
     }
@@ -105,14 +104,14 @@ pub struct ServerStats {
     pub reloads: u64,
     /// Submissions refused under [`SubmitPolicy::Shed`].
     pub shed: u64,
-    /// Extraction-cache hits: queried rows served from a cached 1-hop
-    /// slice instead of decoded from the mapped shards.
+    /// Always 0. The four `extraction_*` fields stay only because the
+    /// repo benchmark still reads them, until its next change.
     pub extraction_hits: u64,
-    /// Extraction-cache misses: queried rows decoded from the shards.
+    /// Always 0; see `extraction_hits`.
     pub extraction_misses: u64,
-    /// Extraction-cache entries evicted by the byte-budget LRU.
+    /// Always 0; see `extraction_hits`.
     pub extraction_evicted: u64,
-    /// Bytes currently held by the extraction cache (its ledger).
+    /// Always 0; see `extraction_hits`.
     pub extraction_bytes: u64,
 }
 
@@ -131,8 +130,6 @@ struct Shared {
     /// Version-stamped prediction cache: a hit counts only when the entry
     /// was computed by the currently served model version.
     cache: Vec<RwLock<HashMap<u32, Prediction>>>,
-    /// Extraction cache, shared by every worker's engine.
-    extraction: Arc<ExtractionCache>,
     served: AtomicU64,
     batches: AtomicU64,
     cache_hits: AtomicU64,
@@ -159,7 +156,6 @@ impl Server {
             not_full: Condvar::new(),
             closed: AtomicBool::new(false),
             cache: (0..CACHE_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            extraction: Arc::new(ExtractionCache::new(cfg.extraction_cache_bytes)),
             served: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
@@ -249,10 +245,6 @@ impl Server {
     pub fn reload_latest(&self) -> LoaderResult<Option<u64>> {
         let swapped = self.shared.artifact.reload_latest()?;
         if swapped.is_some() {
-            // Stale-version extraction entries can never hit again (every
-            // lookup carries the live version); drop them eagerly so the
-            // byte budget is free for the new version's working set.
-            self.shared.extraction.invalidate();
             self.shared.reloads.fetch_add(1, Ordering::Relaxed);
         }
         Ok(swapped)
@@ -265,17 +257,13 @@ impl Server {
 
     /// Snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        let ext = self.shared.extraction.stats();
         ServerStats {
             served: self.shared.served.load(Ordering::Relaxed),
             batches: self.shared.batches.load(Ordering::Relaxed),
             cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
             reloads: self.shared.reloads.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
-            extraction_hits: ext.support_hits,
-            extraction_misses: ext.support_misses,
-            extraction_evicted: ext.evicted,
-            extraction_bytes: ext.bytes,
+            ..ServerStats::default()
         }
     }
 
@@ -343,8 +331,9 @@ impl Drop for Server {
 }
 
 fn worker_loop(shared: &Shared) {
-    let depth = shared.artifact.snapshot().gcn.config.num_layers;
-    let mut engine = QueryEngine::with_cache(depth, Arc::clone(&shared.extraction));
+    // The engine serves whatever depth each snapshot has; the argument is
+    // ignored.
+    let mut engine = QueryEngine::new(0);
     let mut batch: Vec<Request> = Vec::with_capacity(shared.cfg.max_batch);
     let mut nodes: Vec<u32> = Vec::with_capacity(shared.cfg.max_batch);
     loop {
