@@ -42,19 +42,19 @@ fn a2a_bandwidth(g: usize, m: &MachineSpec) -> f64 {
     }
 }
 
-/// BNS-GCN epoch model on `g` GPUs.
-///
-/// * `boundary_frac` — average halo size as a fraction of partition size;
-/// * `straggler` — max/mean skew of per-partition boundary sizes (the
-///   all-to-all finishes with its slowest participant; >= 1.0).
-pub fn bns_epoch_time_skewed(
+/// Max/mean skew of per-partition boundary sizes: the all-to-all finishes
+/// with its slowest participant. 2.5 is what BFS partitionings of the
+/// scaled instances measure.
+const BOUNDARY_STRAGGLER: f64 = 2.5;
+
+/// BNS-GCN epoch model on `g` GPUs, where `boundary_frac` is the average
+/// halo size as a fraction of partition size.
+pub fn bns_epoch_time(
     w: &Workload,
     g: usize,
     m: &MachineSpec,
     boundary_frac: f64,
-    straggler: f64,
 ) -> EpochPrediction {
-    assert!(straggler >= 1.0, "straggler skew must be >= 1");
     let gf = g as f64;
     let n_own = w.nodes / gf;
     let n_ext = n_own * (1.0 + boundary_frac);
@@ -81,22 +81,13 @@ pub fn bns_epoch_time_skewed(
         // halo volume and its message processing), hence the skew
         // multiplies the full exchange time.
         let halo_bytes = n_own * boundary_frac * d_in * 4.0;
-        comm += 2.0 * straggler * all_to_all_time(halo_bytes, g, beta_a2a, A2A_MESSAGE_LATENCY);
+        comm += 2.0
+            * BOUNDARY_STRAGGLER
+            * all_to_all_time(halo_bytes, g, beta_a2a, A2A_MESSAGE_LATENCY);
         // Replicated-weight gradient all-reduce.
         comm += all_reduce_time(d_in * d_out * 4.0, g, beta_ring);
     }
     EpochPrediction { comp_s: comp, comm_s: comm }
-}
-
-/// BNS-GCN epoch model with a typical boundary skew of 2.5 (what BFS
-/// partitionings of the scaled instances measure).
-pub fn bns_epoch_time(
-    w: &Workload,
-    g: usize,
-    m: &MachineSpec,
-    boundary_frac: f64,
-) -> EpochPrediction {
-    bns_epoch_time_skewed(w, g, m, boundary_frac, 2.5)
 }
 
 /// Boundary-fraction law anchored to the paper's own measurement: for
@@ -108,30 +99,6 @@ pub fn bns_epoch_time(
 /// common partition count.
 pub fn paper_boundary_frac(k: usize, density_scale: f64) -> f64 {
     (0.26 * (k as f64 / 32.0).powf(0.35) * density_scale).clamp(0.005, 8.0)
-}
-
-/// CAGNET 1D epoch model: a full-feature all-gather per layer.
-pub fn cagnet_1d_epoch_time(w: &Workload, g: usize, m: &MachineSpec) -> EpochPrediction {
-    sa_epoch_time(w, g, m, 1.0)
-}
-
-/// CAGNET 1.5D epoch model: replicating the row partition `c` ways splits
-/// the all-gather across `c` independent rings, dividing the gathered
-/// volume per ring by `c` at the cost of a final `c`-way reduction — the
-/// lower-constant middle ground the paper notes "scales better" than
-/// CAGNET's own 2D/3D variants.
-pub fn cagnet_15d_epoch_time(w: &Workload, g: usize, c: usize, m: &MachineSpec) -> EpochPrediction {
-    assert!(c >= 1 && g.is_multiple_of(c), "1.5D: replication factor must divide G");
-    let base = sa_epoch_time(w, g / c, m, 1.0);
-    let beta =
-        if g <= m.gpus_per_node { m.beta_intra } else { m.beta_inter / m.gpus_per_node as f64 };
-    // Volume per ring shrinks by c; add the cross-replica reduction of the
-    // aggregated rows.
-    let reduce_bytes = (w.nodes / (g / c) as f64) * w.dims[0] as f64 * 4.0;
-    EpochPrediction {
-        comp_s: base.comp_s / c as f64,
-        comm_s: base.comm_s / c as f64 + all_reduce_time(reduce_bytes, c, beta),
-    }
 }
 
 /// Sparsity-aware CAGNET (SA): the gathered volume is scaled by
@@ -219,19 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn cagnet_15d_replication_reduces_comm() {
-        let w = products14m();
-        let m = perlmutter();
-        let d1 = cagnet_1d_epoch_time(&w, 64, &m);
-        let d15 = cagnet_15d_epoch_time(&w, 64, 4, &m);
-        assert!(d15.comm_s < d1.comm_s, "replication should cut gather volume");
-    }
-
-    #[test]
     fn sa_volume_reduction_helps() {
         let w = products14m();
         let m = perlmutter();
-        let plain = cagnet_1d_epoch_time(&w, 64, &m);
+        let plain = sa_epoch_time(&w, 64, &m, 1.0);
         let sa = sa_epoch_time(&w, 64, &m, 0.3);
         assert!(sa.comm_s < plain.comm_s * 0.5);
         assert_eq!(sa.comp_s, plain.comp_s);
@@ -243,8 +201,8 @@ mod tests {
         // non-scalability the paper's Table-1 critique points at.
         let w = products14m();
         let m = perlmutter();
-        let t64 = cagnet_1d_epoch_time(&w, 64, &m).comm_s;
-        let t512 = cagnet_1d_epoch_time(&w, 512, &m).comm_s;
+        let t64 = sa_epoch_time(&w, 64, &m, 1.0).comm_s;
+        let t512 = sa_epoch_time(&w, 512, &m, 1.0).comm_s;
         assert!(t512 > t64 * 0.8, "1D comm must not scale down: {:.4} vs {:.4}", t512, t64);
     }
 

@@ -8,9 +8,9 @@
 //!   exchange (sampling rate 1.0, the setting the paper compares under),
 //!   functional over the thread communicator and exactly equivalent to
 //!   serial training;
-//! * [`cagnet`] — CAGNET's 1D tensor-parallel algorithm, functional, plus
-//!   the SA (sparsity-aware) volume reduction as a cost-model knob;
-//! * [`costmodels`] — at-scale epoch-time models for both baselines,
+//! * [`cagnet`] — CAGNET's 1D tensor-parallel algorithm, functional;
+//! * [`costmodels`] — at-scale epoch-time models for BNS-GCN and for SA
+//!   (sparsity-aware CAGNET, which exists here as a cost model only),
 //!   driven by measured partition statistics and the shared machine
 //!   models, used to regenerate the Fig. 8/9 comparisons.
 
@@ -18,13 +18,8 @@ pub mod bns;
 pub mod cagnet;
 pub mod costmodels;
 pub mod partition;
-pub mod sa;
 
 pub use bns::{train_bns, BnsRunResult};
 pub use cagnet::{train_cagnet_1d, CagnetRunResult};
-pub use costmodels::{
-    bns_epoch_time, bns_epoch_time_skewed, cagnet_15d_epoch_time, cagnet_1d_epoch_time,
-    paper_boundary_frac, sa_epoch_time,
-};
+pub use costmodels::{bns_epoch_time, paper_boundary_frac, sa_epoch_time};
 pub use partition::{partition_graph, PartitionInfo};
-pub use sa::{train_sa, SaRunResult};

@@ -1,5 +1,5 @@
 //! The paper-reproduction harness: every kept figure / table / section of
-//! the Plexus evaluation (§4.1, Figs. 5, 6, 8–10, Tables 2–4) is one entry
+//! the Plexus evaluation (Figs. 5, 6, 8–10, Tables 2–4) is one entry
 //! of `SECTIONS`, driven by the single `repro` bench target:
 //!
 //! ```text
@@ -24,7 +24,6 @@ mod fig5;
 mod fig6;
 mod fig8;
 mod fig9;
-mod sec41;
 mod table2;
 mod table3;
 mod table4;
@@ -42,7 +41,6 @@ struct Section {
 /// `examples/out_of_core` prints the §5.4 per-rank I/O and
 /// `loader::tests::partial_window_reads_less_and_accounts_skips` asserts it.
 const SECTIONS: &[Section] = &[
-    Section { name: "sec41", what: "§4.1 computational-model regression", run: sec41::run },
     Section { name: "fig5", what: "Fig. 5 predicted vs observed epoch time", run: fig5::run },
     Section { name: "table2", what: "Table 2 SpMM metrics, config U vs V", run: table2::run },
     Section { name: "table3", what: "Table 3 permutation load balance", run: table3::run },

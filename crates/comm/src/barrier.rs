@@ -96,10 +96,6 @@ impl PoisonBarrier {
         }
         self.cv.notify_all();
     }
-
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().poisoned
-    }
 }
 
 #[cfg(test)]

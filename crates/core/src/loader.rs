@@ -497,6 +497,31 @@ impl ShardStore {
         adj_name(parity, i, j)
     }
 
+    /// Map and verify the adjacency shard at grid position `(i, j)` through
+    /// [`map_verified`](Self::map_verified) and parse its CSR header. A
+    /// shape other than the grid's `split_range` bounds is a
+    /// `BadManifest` naming the shard, so a window never indexes past a
+    /// shard that disagrees with the store it is listed in.
+    pub fn map_adjacency_shard(
+        &self,
+        parity: Parity,
+        i: usize,
+        j: usize,
+        stats: &mut LoadStats,
+    ) -> LoaderResult<(MappedFile, usize, CsrPayload)> {
+        let name = adj_name(parity, i, j);
+        let (map, payload_at) = self.map_verified(&name, stats)?;
+        let geom = CsrPayload::parse(&map.bytes()[payload_at..], &self.dir.join(&name))?;
+        let (sr0, sr1) = split_range(self.rows, self.grid_p, i);
+        let (sc0, sc1) = split_range(self.cols, self.grid_q, j);
+        if geom.rows != sr1 - sr0 || geom.cols != sc1 - sc0 {
+            return Err(LoaderError::BadManifest {
+                reason: format!("{}: shard shape disagrees with the grid", name),
+            });
+        }
+        Ok((map, payload_at, geom))
+    }
+
     /// Load the adjacency window `[r0, r1) x [c0, c1)` of the given
     /// parity. Shard files wholly outside the window are never opened:
     /// their manifest-recorded sizes are reported as `bytes_skipped`
@@ -530,7 +555,7 @@ impl ShardStore {
                     stats.bytes_skipped += self.manifest.entry(&name)?.1;
                     continue;
                 }
-                let (map, payload_at) = self.map_verified(&name, &mut stats)?;
+                let (map, payload_at, geom) = self.map_adjacency_shard(parity, i, j, &mut stats)?;
                 // Slice to the window intersection, in shard-local coords,
                 // decoding only the intersecting rows straight out of the
                 // mapping — the shard is never materialized whole.
@@ -540,6 +565,7 @@ impl ShardStore {
                 let lc1 = c1.min(sc1) - sc0;
                 let block = parse_csr_block(
                     &map.bytes()[payload_at..],
+                    &geom,
                     &self.dir.join(&name),
                     lr0,
                     lr1,
@@ -1030,20 +1056,44 @@ impl CsrPayload {
     pub fn val(&self, payload: &[u8], k: usize) -> f32 {
         le_f32(payload, self.values_at + 4 * k)
     }
+
+    /// One pass over every row pointer and column id, for a reader that
+    /// decodes rows without per-row checks: `row_ptr` must start at 0,
+    /// never decrease and end at `nnz` (else `Truncated`, as a window read
+    /// reports it), and every column id must be below `cols` (else
+    /// `BadManifest` naming the file).
+    pub fn check_entries(&self, payload: &[u8], path: &Path) -> LoaderResult<()> {
+        let mut prev = 0;
+        for r in 0..=self.rows {
+            let p = self.row_start(payload, r);
+            if p < prev || (r == 0 && p != 0) || (r == self.rows && p != self.nnz) {
+                return Err(LoaderError::Truncated { file: path.to_path_buf() });
+            }
+            prev = p;
+        }
+        let cols = &payload[self.col_idx_at..self.values_at];
+        if cols.chunks_exact(4).any(|b| le_u32(b, 0) as usize >= self.cols) {
+            return Err(LoaderError::BadManifest {
+                reason: format!("{}: column id outside the shard", path.display()),
+            });
+        }
+        Ok(())
+    }
 }
 
-/// Decode the `[r0, r1) x [c0, c1)` block of a CSR payload in place: only
-/// the window's row pointers and entry ranges are ever touched, so a
-/// mapped shard contributes exactly the pages the window needs.
+/// Decode the `[r0, r1) x [c0, c1)` block of a CSR payload with parsed
+/// header `geom`, in place: only the window's row pointers and entry
+/// ranges are ever touched, so a mapped shard contributes exactly the
+/// pages the window needs.
 fn parse_csr_block(
     payload: &[u8],
+    geom: &CsrPayload,
     path: &Path,
     r0: usize,
     r1: usize,
     c0: usize,
     c1: usize,
 ) -> LoaderResult<Csr> {
-    let geom = CsrPayload::parse(payload, path)?;
     assert!(
         r0 <= r1 && r1 <= geom.rows && c0 <= c1 && c1 <= geom.cols,
         "parse_csr_block: window out of bounds"

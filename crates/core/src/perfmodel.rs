@@ -52,34 +52,6 @@ impl EpochPrediction {
     }
 }
 
-/// Eq. 4.4's three regression features for the whole network under `grid`:
-/// `[Σ√flops, Σ√flops·fwd_penalty, Σ√flops·bwd_penalty]` summed across
-/// layers. The §4.1 bench fits a [`plexus_simnet::LinearModel`] over these
-/// against measured SpMM times.
-pub fn comp_cost_features(w: &Workload, grid: GridConfig) -> [f64; 3] {
-    let mut f = [0.0f64; 3];
-    for l in 0..w.num_layers() {
-        let roles = roles_for_layer(l);
-        let d_in = w.dims[l] as f64;
-        let g_c = grid.dim(roles.contract) as f64; // splits A's common dim
-        let g_k = grid.dim(roles.feat) as f64; // splits F's columns
-        let g_r = grid.dim(roles.rows) as f64;
-        let flops_cost = w.nonzeros * d_in;
-        let sqrt_flops = flops_cost.sqrt();
-        // fwd_penalty = (N / G_contract) / (D / G_feat): the forward SpMM's
-        // common dimension over its dense width — §4.1's N/Gx · Gy/D_L0
-        // with layer 0's roles C=X, K=Y.
-        let fwd_penalty = (w.nodes / g_c) * (g_k / d_in);
-        // The backward SpMM contracts over the rows axis instead (N/Gz
-        // term in §4.1).
-        let bwd_penalty = (w.nodes / g_r) * (g_k / d_in);
-        f[0] += sqrt_flops;
-        f[1] += sqrt_flops * fwd_penalty;
-        f[2] += sqrt_flops * bwd_penalty;
-    }
-    f
-}
-
 /// Rank-space stride of each axis under the paper's placement priority
 /// ("prioritizing Y, X, and then Z parallelism within a node"): Y is
 /// innermost, then X, then Z.
@@ -217,18 +189,6 @@ mod tests {
     fn products_workload() -> Workload {
         // ogbn-products from Table 4 with the paper's 3-layer/128 model.
         Workload::new(2_449_029, 126_167_053, 100, 128, 47, 3)
-    }
-
-    #[test]
-    fn comp_features_are_config_sensitive() {
-        let w = products_workload();
-        let balanced = comp_cost_features(&w, GridConfig::new(4, 4, 4));
-        let skinny = comp_cost_features(&w, GridConfig::new(1, 64, 1));
-        // flops term identical (total work conserved)...
-        assert!((balanced[0] - skinny[0]).abs() / balanced[0] < 1e-12);
-        // ...but the tall-skinny config pays a far larger penalty term —
-        // the U-vs-V effect of Table 2.
-        assert!(skinny[1] > balanced[1] * 10.0, "{} vs {}", skinny[1], balanced[1]);
     }
 
     #[test]

@@ -1252,10 +1252,11 @@ mod tests {
 
     #[test]
     fn simulated_sparse_gather_beats_dense_at_scale() {
-        // The ISSUE acceptance bar for the sparse collectives: on a
-        // low-degree RMAT input the 512- and 1024-rank studies must charge
-        // strictly fewer per-epoch feature-gather bytes under SparseRows
-        // than Dense, with both sides read back from the traffic ledger.
+        // The sparse collectives' bar: on a low-degree RMAT input the 512-
+        // and 1024-rank studies, with and without 1.5D replication, must
+        // charge strictly fewer per-epoch feature-gather bytes under
+        // SparseRows than Dense, with both sides read back from the
+        // traffic ledger.
         let spec = DatasetSpec {
             kind: DatasetKind::OgbnProducts,
             name: "rmat-lowdeg",
@@ -1268,39 +1269,42 @@ mod tests {
         let ds = LoadedDataset::generate(spec, 4096, Some(16), 11);
         let epochs = 2;
         for grid in [GridConfig::new(8, 8, 8), GridConfig::new(16, 8, 8)] {
-            let run = |plan: CommPlan| {
-                let opts =
-                    DistTrainOptions { hidden_dim: 16, comm_plan: plan, ..Default::default() };
-                simulate_epochs(&ds, grid, &opts, epochs, SimCostModel::new(25e9, 1e-6))
-            };
-            let dense = run(CommPlan::Dense);
-            let sparse = run(CommPlan::SparseRows);
-            // The runs differ only in the layer-0 feature gather, so the
-            // dense-AllGather byte difference on the Z group isolates it.
-            let z_allgather = |r: &SimRunReport| -> usize {
-                r.traffic
-                    .iter()
-                    .filter(|e| e.op == CollOp::AllGather && e.group == "z")
-                    .map(|e| e.bytes)
-                    .sum()
-            };
-            let dense_feature = z_allgather(&dense) - z_allgather(&sparse);
-            let sparse_events: Vec<_> =
-                sparse.traffic.iter().filter(|e| e.op == CollOp::AllGatherRows).collect();
-            assert_eq!(
-                sparse_events.len(),
-                epochs,
-                "{}: one sparse gather per epoch",
-                grid.label()
-            );
-            let sparse_feature: usize = sparse_events.iter().map(|e| e.bytes).sum();
-            assert!(
-                sparse_feature > 0 && sparse_feature < dense_feature,
-                "{}: sparse feature-gather bytes {} not below dense {}",
-                grid.label(),
-                sparse_feature,
-                dense_feature
-            );
+            for replication in [1, 2] {
+                let run = |plan: CommPlan| {
+                    let opts = DistTrainOptions {
+                        hidden_dim: 16,
+                        comm_plan: plan,
+                        replication,
+                        ..Default::default()
+                    };
+                    simulate_epochs(&ds, grid, &opts, epochs, SimCostModel::new(25e9, 1e-6))
+                };
+                let dense = run(CommPlan::Dense);
+                let sparse = run(CommPlan::SparseRows);
+                // The runs differ only in the layer-0 feature gather, so the
+                // dense-AllGather byte difference on the feature-owner group
+                // (Z, or under replication the `Gz / c` owners across the
+                // replica clusters) isolates it.
+                let owner = if replication > 1 { "zc" } else { "z" };
+                let owner_allgather = |r: &SimRunReport| -> usize {
+                    r.traffic
+                        .iter()
+                        .filter(|e| e.op == CollOp::AllGather && e.group == owner)
+                        .map(|e| e.bytes)
+                        .sum()
+                };
+                let dense_feature = owner_allgather(&dense) - owner_allgather(&sparse);
+                let sparse_events: Vec<_> =
+                    sparse.traffic.iter().filter(|e| e.op == CollOp::AllGatherRows).collect();
+                let label = format!("{} rep {}", grid.label(), replication);
+                assert_eq!(sparse_events.len(), epochs, "{label}: one sparse gather per epoch");
+                let sparse_feature: usize = sparse_events.iter().map(|e| e.bytes).sum();
+                assert!(
+                    sparse_feature > 0 && sparse_feature < dense_feature,
+                    "{label}: sparse feature-gather bytes {sparse_feature} not below dense \
+                     {dense_feature}"
+                );
+            }
         }
     }
 

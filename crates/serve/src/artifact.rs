@@ -246,8 +246,9 @@ pub struct Artifact {
 
 impl Artifact {
     /// Open and fully verify an artifact. Every shard and the current
-    /// model file are checksummed against their manifests here, and the
-    /// model's hidden layer is computed; failures are typed
+    /// model file are checksummed against their manifests here, every
+    /// shard's shape, row pointers and column ids are checked once, and
+    /// the model's hidden layer is computed; failures are typed
     /// [`LoaderError`]s.
     pub fn open(dir: &Path) -> LoaderResult<Artifact> {
         let store = ShardStore::open(dir)?;
@@ -260,19 +261,15 @@ impl Artifact {
         let mut shards = Vec::with_capacity(store.grid_p);
         let mut band_starts = Vec::with_capacity(store.grid_p + 1);
         for i in 0..store.grid_p {
-            let (sr0, sr1) = split_range(store.rows, store.grid_p, i);
-            band_starts.push(sr0);
+            band_starts.push(split_range(store.rows, store.grid_p, i).0);
             let mut row = Vec::with_capacity(store.grid_q);
             for j in 0..store.grid_q {
-                let name = ShardStore::shard_name(Parity::Even, i, j);
-                let (map, payload_at) = store.map_verified(&name, &mut stats)?;
-                let geom = CsrPayload::parse(&map.bytes()[payload_at..], &dir.join(&name))?;
-                let (sc0, sc1) = split_range(store.cols, store.grid_q, j);
-                if geom.rows != sr1 - sr0 || geom.cols != sc1 - sc0 {
-                    return Err(LoaderError::BadManifest {
-                        reason: format!("{}: shard shape disagrees with the grid", name),
-                    });
-                }
+                let (map, payload_at, geom) =
+                    store.map_adjacency_shard(Parity::Even, i, j, &mut stats)?;
+                // Rows are decoded without per-row checks from here on.
+                let path = dir.join(ShardStore::shard_name(Parity::Even, i, j));
+                geom.check_entries(&map.bytes()[payload_at..], &path)?;
+                let sc0 = split_range(store.cols, store.grid_q, j).0;
                 row.push(MappedShard { map, payload_at, geom, sc0 });
             }
             shards.push(row);

@@ -13,16 +13,12 @@
 //!   on this rank's data shapes while the ring equations charge a virtual
 //!   clock, so thousand-rank grids run as perf-model studies without a
 //!   thousand threads;
-//! * [`regression`] — ordinary least squares via normal equations, R² and
-//!   RMSE, reproducing the §4.1 model-fitting methodology without an ML
-//!   dependency;
 //! * [`gpumem`] — a GPU memory-access simulator (CTA grid sizing, 32-byte
 //!   sector coalescing, a small LRU L2 cache) that regenerates the
 //!   *mechanism* behind Table 2's Nsight metrics.
 
 pub mod gpumem;
 pub mod machine;
-pub mod regression;
 pub mod ring;
 pub mod simcomm;
 
@@ -31,6 +27,5 @@ pub use gpumem::{
     SpmmKernelMetrics,
 };
 pub use machine::{frontier, perlmutter, MachineSpec};
-pub use regression::{LinearModel, RegressionReport};
 pub use ring::{all_gather_time, all_reduce_time, all_to_all_time, reduce_scatter_time};
 pub use simcomm::{SimClock, SimComm, SimCostModel};

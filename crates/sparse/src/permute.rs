@@ -60,12 +60,6 @@ pub fn apply_permutation(a: &Csr, pr: &[u32], pc: &[u32]) -> Csr {
     coo.to_csr()
 }
 
-/// Apply a single permutation symmetrically: `P A Pᵀ` (the naïve §5.1
-/// scheme used as the "single permutation" ablation).
-pub fn apply_symmetric_permutation(a: &Csr, p: &[u32]) -> Csr {
-    apply_permutation(a, p, p)
-}
-
 /// Build output rows `[r0, r1)` of `P_r A P_cᵀ` without materializing the
 /// full permuted matrix — the streaming path of the out-of-core ingest
 /// pipeline. `inv_pr` is the inverse of the row permutation (output row
@@ -133,16 +127,6 @@ fn permuted_rows_serial(a: &Csr, inv_pr: &[u32], pc: &[u32], r0: usize, r1: usiz
     Csr::from_raw(r1 - r0, a.cols(), row_ptr, col_idx, values)
 }
 
-/// Permute the entries of a vector of per-node data: `out[p[i]] = data[i]`.
-pub fn permute_vec<T: Clone + Default>(data: &[T], p: &[u32]) -> Vec<T> {
-    assert_eq!(data.len(), p.len(), "permute_vec: length mismatch");
-    let mut out = vec![T::default(); data.len()];
-    for (i, &pi) in p.iter().enumerate() {
-        out[pi as usize] = data[i].clone();
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +160,7 @@ mod tests {
     fn permutation_moves_entries() {
         let a = sample();
         let p: Vec<u32> = vec![2, 0, 3, 1]; // i -> p[i]
-        let b = apply_symmetric_permutation(&a, &p);
+        let b = apply_permutation(&a, &p, &p);
         // (0,1) -> (2,0); (3,0) -> (1,2); (0,0) -> (2,2)
         assert_eq!(b.get(2, 0), 1.0);
         assert_eq!(b.get(1, 2), 4.0);
@@ -204,13 +188,6 @@ mod tests {
         let b = apply_permutation(&a, &pr, &pc);
         let back = apply_permutation(&b, &inverse_permutation(&pr), &inverse_permutation(&pc));
         assert_eq!(back, a);
-    }
-
-    #[test]
-    fn permute_vec_matches_matrix_row_movement() {
-        let data = vec![10, 20, 30, 40];
-        let p: Vec<u32> = vec![2, 0, 3, 1];
-        assert_eq!(permute_vec(&data, &p), vec![20, 40, 10, 30]);
     }
 
     #[test]

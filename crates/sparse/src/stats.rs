@@ -48,25 +48,6 @@ fn summarize(p: usize, q: usize, counts: Vec<usize>) -> BalanceStats {
     BalanceStats { grid: (p, q), counts, max, min, mean, max_over_mean, cv }
 }
 
-/// Row-wise nonzero histogram summary: degree skew drives both the load
-/// imbalance the permutations fix and the SpMM variability that blocked
-/// aggregation (§5.2) smooths out.
-#[derive(Clone, Debug)]
-pub struct RowNnzStats {
-    pub max: usize,
-    pub mean: f64,
-    pub p99: usize,
-}
-
-pub fn row_nnz_stats(a: &Csr) -> RowNnzStats {
-    let mut counts: Vec<usize> = (0..a.rows()).map(|r| a.row_nnz(r)).collect();
-    counts.sort_unstable();
-    let max = counts.last().copied().unwrap_or(0);
-    let mean = counts.iter().sum::<usize>() as f64 / counts.len().max(1) as f64;
-    let p99 = if counts.is_empty() { 0 } else { counts[(counts.len() - 1) * 99 / 100] };
-    RowNnzStats { max, mean, p99 }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,19 +93,5 @@ mod tests {
         let a = coo.to_csr();
         let stats = nnz_balance(&a, 3, 3);
         assert_eq!(stats.counts.iter().sum::<usize>(), a.nnz());
-    }
-
-    #[test]
-    fn row_stats_capture_skew() {
-        let mut coo = Coo::new(100, 100);
-        for c in 0..50u32 {
-            coo.push(0, c, 1.0); // hub row
-        }
-        for r in 1..100u32 {
-            coo.push(r, 0, 1.0);
-        }
-        let s = row_nnz_stats(&coo.to_csr());
-        assert_eq!(s.max, 50);
-        assert!(s.mean < 2.0);
     }
 }

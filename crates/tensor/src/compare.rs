@@ -65,12 +65,6 @@ pub fn assert_close(a: &Matrix, b: &Matrix, tol: f32, context: &str) {
     }
 }
 
-/// Scalar version of the same mixed tolerance check.
-pub fn scalar_close(a: f32, b: f32, tol: f32) -> bool {
-    let abs = (a - b).abs();
-    abs <= tol || abs / a.abs().max(b.abs()).max(1e-12) <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +102,5 @@ mod tests {
         let mut b = Matrix::zeros(1, 3);
         b[(0, 1)] = 1.0;
         assert_close(&a, &b, 1e-6, "position");
-    }
-
-    #[test]
-    fn scalar_close_mixed_tolerance() {
-        assert!(scalar_close(0.0, 1e-7, 1e-6));
-        assert!(scalar_close(1e9, 1.000001e9, 1e-5));
-        assert!(!scalar_close(1.0, 2.0, 1e-3));
     }
 }

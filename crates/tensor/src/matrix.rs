@@ -127,21 +127,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Two disjoint mutable rows (used by in-place row swaps).
-    pub fn two_rows_mut(&mut self, i: usize, j: usize) -> (&mut [f32], &mut [f32]) {
-        assert!(i != j, "two_rows_mut requires distinct rows");
-        let c = self.cols;
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let (a, b) = self.data.split_at_mut(hi * c);
-        let lo_row = &mut a[lo * c..lo * c + c];
-        let hi_row = &mut b[..c];
-        if i < j {
-            (lo_row, hi_row)
-        } else {
-            (hi_row, lo_row)
-        }
-    }
-
     /// Copy of a contiguous row range `[r0, r1)` as a new matrix.
     pub fn row_block(&self, r0: usize, r1: usize) -> Matrix {
         assert!(
@@ -251,21 +236,6 @@ impl Matrix {
         Matrix::from_vec(rows, cols, data)
     }
 
-    /// Stack matrices horizontally (all must share `rows`).
-    pub fn hstack(blocks: &[Matrix]) -> Matrix {
-        assert!(!blocks.is_empty(), "hstack of zero blocks");
-        let rows = blocks[0].rows;
-        let cols: usize = blocks.iter().map(|b| b.cols).sum();
-        let mut out = Matrix::zeros(rows, cols);
-        let mut c0 = 0;
-        for b in blocks {
-            assert_eq!(b.rows, rows, "hstack: inconsistent row counts");
-            out.set_block(0, c0, b);
-            c0 += b.cols;
-        }
-        out
-    }
-
     /// Pad with zero rows/cols up to the given shape (no-op if already there).
     pub fn zero_padded(&self, rows: usize, cols: usize) -> Matrix {
         assert!(rows >= self.rows && cols >= self.cols, "zero_padded: target smaller than source");
@@ -285,11 +255,6 @@ impl Matrix {
             out.row_mut(i).copy_from_slice(self.row(src));
         }
         out
-    }
-
-    /// Frobenius norm.
-    pub fn frob_norm(&self) -> f32 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>().sqrt() as f32
     }
 
     /// Sum of all entries, accumulated in f64 for stability.
@@ -374,7 +339,10 @@ mod tests {
         assert_eq!(Matrix::vstack(&[top, bottom]), m);
         let left = m.col_block(0, 2);
         let right = m.col_block(2, 6);
-        assert_eq!(Matrix::hstack(&[left, right]), m);
+        let mut joined = Matrix::zeros(8, 6);
+        joined.set_block(0, 0, &left);
+        joined.set_block(0, 2, &right);
+        assert_eq!(joined, m);
         assert_eq!(m.block(2, 5, 1, 4)[(0, 0)], m[(2, 1)]);
     }
 
@@ -404,14 +372,5 @@ mod tests {
         assert_eq!(p[(1, 1)], m[(1, 1)]);
         assert_eq!(p[(3, 2)], 0.0);
         assert_eq!(p.block(0, 2, 0, 2), m);
-    }
-
-    #[test]
-    fn two_rows_mut_disjoint() {
-        let mut m = Matrix::from_fn(3, 2, |i, _| i as f32);
-        let (a, b) = m.two_rows_mut(2, 0);
-        a.swap_with_slice(b);
-        assert_eq!(m.row(0), &[2.0, 2.0]);
-        assert_eq!(m.row(2), &[0.0, 0.0]);
     }
 }

@@ -34,29 +34,11 @@ pub fn relu_backward_inplace(grad: &mut Matrix, pre_activation: &Matrix) {
     }
 }
 
-/// `a += alpha * b`.
-pub fn axpy(a: &mut Matrix, alpha: f32, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "axpy: shape mismatch {:?} vs {:?}", a.shape(), b.shape());
-    for (x, &y) in a.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x += alpha * y;
-    }
-}
-
 /// `a *= s`.
 pub fn scale(a: &mut Matrix, s: f32) {
     for x in a.as_mut_slice() {
         *x *= s;
     }
-}
-
-/// Elementwise `a ⊙ b` into a new matrix.
-pub fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.shape(), b.shape(), "hadamard: shape mismatch");
-    let mut out = a.clone();
-    for (x, &y) in out.as_mut_slice().iter_mut().zip(b.as_slice()) {
-        *x *= y;
-    }
-    out
 }
 
 /// Numerically-stable row-wise softmax.
@@ -151,11 +133,9 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale_compose() {
-        let mut a = Matrix::full(2, 2, 1.0);
-        let b = Matrix::full(2, 2, 2.0);
-        axpy(&mut a, 0.5, &b);
+    fn scale_multiplies_every_entry() {
+        let mut a = Matrix::from_vec(2, 2, vec![1.0, -2.0, 0.5, 0.0]);
         scale(&mut a, 2.0);
-        assert_eq!(a.as_slice(), &[4.0, 4.0, 4.0, 4.0]);
+        assert_eq!(a.as_slice(), &[2.0, -4.0, 1.0, 0.0]);
     }
 }

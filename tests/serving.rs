@@ -12,14 +12,15 @@
 //!   to the live version's forward across a publish + reload to a model
 //!   of another depth.
 //! * Robustness: corrupted, truncated, magic-damaged, and
-//!   version-mismatched artifacts fail to open with the matching typed
-//!   [`LoaderError`], never a panic or a silently wrong answer; so are
+//!   version-mismatched artifacts, and re-signed shards whose shape, row
+//!   pointers or column ids are hostile, fail to open with the matching
+//!   typed [`LoaderError`], never a panic or a silently wrong answer; so are
 //!   manifests with a line outside the one grammar every directory index
 //!   (store, checkpoint, artifact) shares.
 
 use plexus::checkpoint::{Checkpoint, CheckpointPolicy};
 use plexus::grid::GridConfig;
-use plexus::loader::{digest, LoaderError, Manifest, ShardStore};
+use plexus::loader::{digest, LoaderError, Manifest, Parity, ShardStore};
 use plexus::trainer::{train_from_source, DistTrainOptions, ProblemSource};
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::{datasets::OGBN_PRODUCTS, Graph, LoadedDataset};
@@ -319,6 +320,74 @@ fn hostile_model_lengths_are_truncated_not_wraps_or_panics() {
         );
         fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Patch an adjacency shard's bytes and re-sign the store manifest, so the
+/// shard passes its checksum and only the patched content is hostile.
+fn resign_shard(dir: &std::path::Path, name: &str, patch: impl Fn(&mut Vec<u8>)) {
+    let shard = dir.join(name);
+    let mut bytes = fs::read(&shard).unwrap();
+    patch(&mut bytes);
+    fs::write(&shard, &bytes).unwrap();
+    let path = dir.join("manifest.txt");
+    let mut manifest = Manifest::read(&path).unwrap();
+    manifest.files.insert(name.into(), (digest(&bytes), bytes.len() as u64));
+    manifest.publish(&path).unwrap();
+}
+
+/// Byte offsets in a shard file (16-byte header, then `rows, cols, nnz`
+/// and the row pointers) of the row count, `row_ptr[r]` and `col_idx[0]`.
+const SHARD_ROWS_AT: usize = 16;
+fn row_ptr_at(r: usize) -> usize {
+    SHARD_ROWS_AT + 24 + 8 * r
+}
+fn first_col_at(bytes: &[u8]) -> usize {
+    let rows = u64::from_le_bytes(bytes[SHARD_ROWS_AT..SHARD_ROWS_AT + 8].try_into().unwrap());
+    row_ptr_at(rows as usize + 1)
+}
+
+#[test]
+fn shard_shape_off_the_grid_is_bad_manifest_for_every_reader() {
+    let (dir, ..) = small_artifact("shape");
+    resign_shard(&dir, "adj_e_0_0.plx", |b| {
+        let rows = u64::from_le_bytes(b[SHARD_ROWS_AT..SHARD_ROWS_AT + 8].try_into().unwrap());
+        b[SHARD_ROWS_AT..SHARD_ROWS_AT + 8].copy_from_slice(&(rows - 1).to_le_bytes());
+    });
+    let store = ShardStore::open(&dir).unwrap();
+    match store.load_adjacency_window(Parity::Even, 0, store.rows, 0, store.cols) {
+        Err(LoaderError::BadManifest { reason }) => {
+            assert!(reason.contains("adj_e_0_0"), "{reason}")
+        }
+        other => panic!("expected BadManifest, got {:?}", other.err()),
+    }
+    assert!(matches!(Artifact::open(&dir), Err(LoaderError::BadManifest { .. })));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn hostile_shard_row_pointers_and_columns_are_typed_errors_not_panics() {
+    let (dir, ..) = small_artifact("hostile_rows");
+    resign_shard(&dir, "adj_e_0_1.plx", |b| {
+        b[row_ptr_at(1)..row_ptr_at(1) + 8].copy_from_slice(&(1u64 << 40).to_le_bytes())
+    });
+    match Artifact::open(&dir) {
+        Err(LoaderError::Truncated { file }) => assert!(file.ends_with("adj_e_0_1.plx")),
+        other => panic!("row pointer: expected Truncated, got {:?}", other.err()),
+    }
+    fs::remove_dir_all(&dir).unwrap();
+
+    let (dir, ..) = small_artifact("hostile_cols");
+    resign_shard(&dir, "adj_e_0_0.plx", |b| {
+        let at = first_col_at(b);
+        b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+    });
+    match Artifact::open(&dir) {
+        Err(LoaderError::BadManifest { reason }) => {
+            assert!(reason.contains("adj_e_0_0"), "{reason}")
+        }
+        other => panic!("column id: expected BadManifest, got {:?}", other.err()),
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
