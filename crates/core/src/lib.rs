@@ -73,8 +73,8 @@ pub use layer::{
     Aggregation, CommOverlap, CommPlan, DistLayer, DistLayerCache, GemmTuning, TimeSplit,
 };
 pub use loader::{
-    preprocess_to_store, LoadStats, LoaderError, LoaderResult, MemoryLedger, Parity,
-    PreprocessSummary, ShardStore,
+    preprocess_to_store, LoadStats, LoaderError, LoaderResult, MemoryLedger, PreprocessSummary,
+    ShardStore,
 };
 pub use setup::{build_permutations, GlobalProblem, PermutationMode, ProblemMeta, RankData};
 pub use trainer::{

@@ -9,13 +9,15 @@
 //! Two stages mirror that pipeline:
 //!
 //! 1. **Offline preprocessing** — [`preprocess_to_store`] applies the §5.1
-//!    permutation scheme *while writing* a [`ShardStore`]: both layer
-//!    parities of the permuted adjacency (`P_r Â P_cᵀ` and `P_c Â P_rᵀ`)
-//!    are emitted row band by row band through
-//!    [`plexus_sparse::permute::permuted_row_band`], so at no point do two
-//!    full copies of Â coexist (peak extra memory is one band, `~nnz/p`).
-//!    Feature row bands, labels/masks in both output orders, and a
-//!    versioned manifest with per-shard checksums complete the store.
+//!    permutation scheme *while writing* a [`ShardStore`]: the even-layer
+//!    operand `P_r Â P_cᵀ` is emitted row band by row band through
+//!    [`plexus_sparse::permute::permuted_row_band`], so at no point does a
+//!    second full copy of Â exist (peak extra memory is one band,
+//!    `~nnz/p`). Odd layers need no shards of their own: Â is symmetric,
+//!    so `P_c Â P_rᵀ` is that operand transposed, and a rank reads its odd
+//!    windows mirrored (see [`crate::setup`]). Feature row bands, one
+//!    label/mask file in node order, and a versioned manifest with
+//!    per-shard checksums complete the store.
 //! 2. **Per-rank loading** — `load_*` methods read back only the files a
 //!    rank's window intersects, skipping non-intersecting files *without
 //!    opening them* (sizes come from the manifest) and reporting both
@@ -96,33 +98,6 @@ pub fn open_verified(
     }
 }
 
-/// Which adjacency permutation variant a file holds: even layers consume
-/// `P_r Â P_cᵀ`, odd layers `P_c Â P_rᵀ` (§5.1). Labels follow the same
-/// convention — `Even` means the `P_r` output order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Parity {
-    Even,
-    Odd,
-}
-
-impl Parity {
-    /// The parity layer `l` consumes.
-    pub fn for_layer(l: usize) -> Parity {
-        if l.is_multiple_of(2) {
-            Parity::Even
-        } else {
-            Parity::Odd
-        }
-    }
-
-    fn tag(self) -> &'static str {
-        match self {
-            Parity::Even => "e",
-            Parity::Odd => "o",
-        }
-    }
-}
-
 /// What one windowed load touched on disk: the §5.4 quantities (bytes a
 /// rank actually read vs. the bytes it proved it could skip without
 /// opening), plus the transient merge-buffer high-water mark.
@@ -163,8 +138,8 @@ impl LoadStats {
 /// Per-rank memory accounting for the ingest pipeline *and* the training
 /// loop's activation state: I/O totals from [`LoadStats`], resident/peak
 /// adjacency and feature bytes (the §5.4 claim — `~nnz/(G_r·G_c)` per
-/// layer for the sharded path against `2·nnz` for the in-memory path),
-/// plus the activation-residency counters synced from the trainer's
+/// layer for the sharded path against a global copy of Â for the in-memory
+/// path), plus the activation-residency counters synced from the trainer's
 /// [`ActivationStore`](crate::activation::ActivationStore).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryLedger {
@@ -270,11 +245,12 @@ impl MemoryLedger {
 
 /// An on-disk 2D-sharded dataset (format v3).
 ///
-/// Raw stores written by [`ShardStore::create`] hold one adjacency parity
-/// plus feature bands. Preprocessed stores written by
-/// [`preprocess_to_store`] additionally hold the odd parity and
-/// labels/masks in both §5.1 output orders, making them sufficient to
-/// train from without ever materializing the global problem.
+/// Every store holds one adjacency (`adj_e_{i}_{j}.plx`: the `e` names the
+/// even-layer operand) plus feature bands. Raw stores written by
+/// [`ShardStore::create`] hold exactly that. Preprocessed stores written by
+/// [`preprocess_to_store`] hold it permuted, plus labels/masks in node
+/// order (`labels.plx`), making them sufficient to train from without ever
+/// materializing the global problem.
 #[derive(Clone)]
 pub struct ShardStore {
     dir: PathBuf,
@@ -283,8 +259,6 @@ pub struct ShardStore {
     pub rows: usize,
     pub cols: usize,
     pub feat_dim: usize,
-    /// 1 for raw stores, 2 for preprocessed (even + odd) stores.
-    pub parities: usize,
     /// Class count of the source dataset (0 for raw stores).
     pub num_classes: usize,
     /// Number of training nodes (0 for raw stores).
@@ -330,17 +304,12 @@ impl PreprocessSummary {
     }
 }
 
-fn adj_name(parity: Parity, i: usize, j: usize) -> String {
-    format!("adj_{}_{}_{}.plx", parity.tag(), i, j)
-}
-
 fn feat_name(i: usize) -> String {
     format!("feat_{}.plx", i)
 }
 
-fn labels_name(parity: Parity) -> String {
-    format!("labels_{}.plx", parity.tag())
-}
+/// The label/mask file of a preprocessed store, in node order.
+const LABELS: &str = "labels.plx";
 
 /// The store's index file.
 const MANIFEST: &str = "manifest.txt";
@@ -355,8 +324,8 @@ const PERM_MODES: [(Option<PermutationMode>, &str); 4] = [
 
 impl ShardStore {
     /// Write `a` (adjacency) and `features` into `dir` as a raw `p x q`
-    /// shard grid (single parity, no labels). `dir` is created; existing
-    /// shard files are overwritten.
+    /// shard grid (no labels). `dir` is created; existing shard files are
+    /// overwritten.
     pub fn create(
         dir: &Path,
         a: &Csr,
@@ -372,7 +341,7 @@ impl ShardStore {
             let (r0, r1) = split_range(a.rows(), p, i);
             for j in 0..q {
                 let (c0, c1) = split_range(a.cols(), q, j);
-                let name = adj_name(Parity::Even, i, j);
+                let name = Self::shard_name(i, j);
                 let entry = write_csr(&dir.join(&name), &a.block(r0, r1, c0, c1))?;
                 files.insert(name, entry);
             }
@@ -387,7 +356,6 @@ impl ShardStore {
             rows: a.rows(),
             cols: a.cols(),
             feat_dim: features.cols(),
-            parities: 1,
             num_classes: 0,
             total_train: 0,
             perm_mode: None,
@@ -415,7 +383,6 @@ impl ShardStore {
             rows: m.get("rows")?,
             cols: m.get("cols")?,
             feat_dim: m.get("feat_dim")?,
-            parities: m.get("parities")?,
             num_classes: m.get("classes")?,
             total_train: m.get("total_train")?,
             perm_mode,
@@ -445,7 +412,6 @@ impl ShardStore {
             .with("rows", self.rows)
             .with("cols", self.cols)
             .with("feat_dim", self.feat_dim)
-            .with("parities", self.parities)
             .with("classes", self.num_classes)
             .with("total_train", self.total_train)
             .with("perm_mode", mode)
@@ -492,9 +458,15 @@ impl ShardStore {
         Ok((map, payload_at))
     }
 
+    /// Whether the manifest lists `labels.plx`: raw stores and stores written
+    /// with per-parity label files do not.
+    pub(crate) fn has_labels(&self) -> bool {
+        self.manifest.files.contains_key(LABELS)
+    }
+
     /// On-disk name of the adjacency shard at grid position `(i, j)`.
-    pub fn shard_name(parity: Parity, i: usize, j: usize) -> String {
-        adj_name(parity, i, j)
+    pub fn shard_name(i: usize, j: usize) -> String {
+        format!("adj_e_{}_{}.plx", i, j)
     }
 
     /// Map and verify the adjacency shard at grid position `(i, j)` through
@@ -504,12 +476,11 @@ impl ShardStore {
     /// shard that disagrees with the store it is listed in.
     pub fn map_adjacency_shard(
         &self,
-        parity: Parity,
         i: usize,
         j: usize,
         stats: &mut LoadStats,
     ) -> LoaderResult<(MappedFile, usize, CsrPayload)> {
-        let name = adj_name(parity, i, j);
+        let name = Self::shard_name(i, j);
         let (map, payload_at) = self.map_verified(&name, stats)?;
         let geom = CsrPayload::parse(&map.bytes()[payload_at..], &self.dir.join(&name))?;
         let (sr0, sr1) = split_range(self.rows, self.grid_p, i);
@@ -522,22 +493,17 @@ impl ShardStore {
         Ok((map, payload_at, geom))
     }
 
-    /// Load the adjacency window `[r0, r1) x [c0, c1)` of the given
-    /// parity. Shard files wholly outside the window are never opened:
-    /// their manifest-recorded sizes are reported as `bytes_skipped`
-    /// instead.
+    /// Load the adjacency window `[r0, r1) x [c0, c1)`. Shard files wholly
+    /// outside the window are never opened: their manifest-recorded sizes
+    /// are reported as `bytes_skipped` instead.
     pub fn load_adjacency_window(
         &self,
-        parity: Parity,
         r0: usize,
         r1: usize,
         c0: usize,
         c1: usize,
     ) -> LoaderResult<(Csr, LoadStats)> {
         assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols, "window out of bounds");
-        if parity == Parity::Odd && self.parities < 2 {
-            return Err(LoaderError::Missing { what: "odd-parity adjacency shards" });
-        }
         let mut stats = LoadStats::default();
         let mut transient = TransientTracker::default();
         let mut row_bands: Vec<Csr> = Vec::new();
@@ -549,13 +515,13 @@ impl ShardStore {
             let mut parts_bytes = 0u64;
             for j in 0..self.grid_q {
                 let (sc0, sc1) = split_range(self.cols, self.grid_q, j);
-                let name = adj_name(parity, i, j);
+                let name = Self::shard_name(i, j);
                 if !row_hit || sc1 <= c0 || sc0 >= c1 {
                     stats.files_skipped += 1;
                     stats.bytes_skipped += self.manifest.entry(&name)?.1;
                     continue;
                 }
-                let (map, payload_at, geom) = self.map_adjacency_shard(parity, i, j, &mut stats)?;
+                let (map, payload_at, geom) = self.map_adjacency_shard(i, j, &mut stats)?;
                 // Slice to the window intersection, in shard-local coords,
                 // decoding only the intersecting rows straight out of the
                 // mapping — the shard is never materialized whole.
@@ -630,17 +596,15 @@ impl ShardStore {
         Ok((merged, stats))
     }
 
-    /// Load the full label/train-mask vectors in the given §5.1 output
-    /// order (`Even` = `P_r`, `Odd` = `P_c`). Only preprocessed stores
-    /// carry them.
-    pub fn load_labels(&self, parity: Parity) -> LoaderResult<(Vec<u32>, Vec<bool>, LoadStats)> {
-        if self.perm_mode.is_none() {
-            return Err(LoaderError::Missing { what: "labels (raw store)" });
+    /// Load the full label/train-mask vectors, in node order. Only
+    /// preprocessed stores carry them.
+    pub fn load_labels(&self) -> LoaderResult<(Vec<u32>, Vec<bool>, LoadStats)> {
+        if !self.has_labels() {
+            return Err(LoaderError::Missing { what: "labels.plx" });
         }
-        let name = labels_name(parity);
         let mut stats = LoadStats::default();
-        let (map, payload_at) = self.map_verified(&name, &mut stats)?;
-        let path = self.dir.join(&name);
+        let (map, payload_at) = self.map_verified(LABELS, &mut stats)?;
+        let path = self.dir.join(LABELS);
         let mut cur = Cursor { bytes: &map.bytes()[payload_at..], pos: 0, path: &path };
         // Five bytes per node must be present before anything is allocated.
         let n = cur.count()?;
@@ -655,11 +619,13 @@ impl ShardStore {
 }
 
 /// Offline preprocessing (§5.1 + §5.4): permute `ds`'s adjacency with
-/// `mode`/`perm_seed` and write it — both layer parities — plus permuted
-/// feature bands and labels/masks into a `p x q` [`ShardStore`] at `dir`,
-/// streaming one row band at a time. Peak extra memory over the source
-/// dataset is one band (`~nnz/p`) per worker, never a second full copy of
-/// Â.
+/// `mode`/`perm_seed` into the even-layer operand `P_r Â P_cᵀ` and write
+/// it, plus permuted feature bands and the labels/masks in node order,
+/// into a `p x q` [`ShardStore`] at `dir`, streaming one row band at a
+/// time. Panics unless `Â == Âᵀ`: odd layers read this one operand
+/// transposed. That check builds `Âᵀ` once and drops it before the first
+/// band; after it, peak extra memory over the source dataset is one band
+/// (`~nnz/p`) per worker, never a second full copy of Â.
 ///
 /// Row bands are processed in parallel (ROADMAP "Parallel store writes"):
 /// each band permutes and writes its shard files under temporary names,
@@ -672,7 +638,10 @@ impl ShardStore {
 /// store with the same parameters and the same source fingerprint skips
 /// every shard file whose on-disk bytes still hash to the prior manifest's
 /// checksum; [`ShardStore::preprocess`] reports what was written vs.
-/// reused.
+/// reused. A store written with per-parity files (`labels_e.plx`,
+/// `labels_o.plx` and odd shards) reuses its even shards the same way and
+/// gains `labels.plx`; files the new manifest does not list are left on
+/// disk unread.
 ///
 /// Training from the resulting store via
 /// [`crate::trainer::train_from_source`] is bitwise identical to the
@@ -686,63 +655,50 @@ pub fn preprocess_to_store(
     q: usize,
 ) -> LoaderResult<ShardStore> {
     assert!(p > 0 && q > 0, "preprocess_to_store: empty grid");
+    assert!(ds.adjacency.transposed() == ds.adjacency, "preprocess_to_store: Â must be symmetric");
     let n = ds.num_nodes();
     let (pr, pc) = crate::setup::build_permutations(mode, perm_seed, n);
     fs::create_dir_all(dir)?;
-    let source_fp = dataset_fingerprint(ds)?;
-    let prior = reusable_prior_files(dir, mode, perm_seed, p, q, n, ds.features.cols(), source_fp);
-
-    let mut files = BTreeMap::new();
-    let mut summary = PreprocessSummary::default();
-
-    // Adjacency, both parities, band by band.
-    for (parity, rowp, colp) in [(Parity::Even, &pr, &pc), (Parity::Odd, &pc, &pr)] {
-        let inv_row = inverse_permutation(rowp);
-        let outs =
-            run_bands(p, |i| adj_band_files(ds, dir, &prior, &inv_row, colp, parity, i, n, p, q))?;
-        collect_band_files(dir, outs, &mut files, &mut summary)?;
-    }
-
-    // Features in even-layer input order (`P_c` applied), band by band.
-    let inv_pc = inverse_permutation(&pc);
-    let outs = run_bands(p, |i| feat_band_files(ds, dir, &prior, &inv_pc, i, n, p))?;
-    collect_band_files(dir, outs, &mut files, &mut summary)?;
-
-    // Labels/masks in both output orders (two small files; serial).
-    for (parity, perm) in [(Parity::Even, &pr), (Parity::Odd, &pc)] {
-        let name = labels_name(parity);
-        let out = if let Some(entry) = verified_prior_entry(dir, &prior, &name) {
-            BandFile { name, entry, written: false }
-        } else {
-            let mut labels = vec![0u32; n];
-            let mut mask = vec![false; n];
-            for i in 0..n {
-                labels[perm[i] as usize] = ds.labels[i];
-                mask[perm[i] as usize] = ds.split.train[i];
-            }
-            let entry = write_labels(&temp_path(dir, &name), &labels, &mask)?;
-            BandFile { name, entry, written: true }
-        };
-        collect_band_files(dir, vec![vec![out]], &mut files, &mut summary)?;
-    }
-
-    let store = ShardStore {
+    let mut store = ShardStore {
         dir: dir.to_path_buf(),
         grid_p: p,
         grid_q: q,
         rows: n,
         cols: n,
         feat_dim: ds.features.cols(),
-        parities: 2,
         num_classes: ds.num_classes,
         total_train: ds.split.num_train(),
         perm_mode: Some(mode),
         perm_seed,
-        source_fp,
-        preprocess: summary,
-        manifest: Manifest::new(files),
+        source_fp: dataset_fingerprint(ds)?,
+        preprocess: PreprocessSummary::default(),
+        manifest: Manifest::new(BTreeMap::new()),
         faults: None,
     };
+    let prior = reusable_prior_files(&store);
+    let mut files = BTreeMap::new();
+
+    // The even-layer adjacency operand, band by band.
+    let inv_pr = inverse_permutation(&pr);
+    let outs = run_bands(p, |i| adj_band_files(ds, &store, &prior, &inv_pr, &pc, i))?;
+    collect_band_files(dir, outs, &mut files, &mut store.preprocess)?;
+
+    // Features in even-layer input order (`P_c` applied), band by band.
+    let inv_pc = inverse_permutation(&pc);
+    let outs = run_bands(p, |i| feat_band_files(ds, &store, &prior, &inv_pc, i))?;
+    collect_band_files(dir, outs, &mut files, &mut store.preprocess)?;
+
+    // Labels/masks in node order; a reader permutes them (one small file).
+    let name = LABELS.to_string();
+    let out = if let Some(entry) = verified_prior_entry(dir, &prior, &name) {
+        BandFile { name, entry, written: false }
+    } else {
+        let entry = write_labels(&temp_path(dir, &name), &ds.labels, &ds.split.train)?;
+        BandFile { name, entry, written: true }
+    };
+    collect_band_files(dir, vec![vec![out]], &mut files, &mut store.preprocess)?;
+
+    store.manifest = Manifest::new(files);
     store.write_manifest()
 }
 
@@ -798,26 +754,22 @@ fn collect_band_files(
     Ok(())
 }
 
-/// Permute and shard one adjacency row band. When every one of the band's
-/// `q` shard files verifies against the prior manifest, the permutation
-/// work is skipped entirely; otherwise stale files are rewritten to temp
-/// names.
-#[allow(clippy::too_many_arguments)]
+/// Permute and shard row band `i` of `store`'s adjacency. When every one of
+/// the band's `q` shard files verifies against the prior manifest, the
+/// permutation work is skipped entirely; otherwise stale files are
+/// rewritten to temp names.
 fn adj_band_files(
     ds: &LoadedDataset,
-    dir: &Path,
+    store: &ShardStore,
     prior: &BTreeMap<String, (u64, u64)>,
     inv_row: &[u32],
     colp: &[u32],
-    parity: Parity,
     i: usize,
-    n: usize,
-    p: usize,
-    q: usize,
 ) -> LoaderResult<Vec<BandFile>> {
+    let (dir, n, q) = (&store.dir, store.rows, store.grid_q);
     let reuse: Vec<Option<(String, (u64, u64))>> = (0..q)
         .map(|j| {
-            let name = adj_name(parity, i, j);
+            let name = ShardStore::shard_name(i, j);
             verified_prior_entry(dir, prior, &name).map(|e| (name, e))
         })
         .collect();
@@ -830,7 +782,7 @@ fn adj_band_files(
             })
             .collect());
     }
-    let (r0, r1) = split_range(n, p, i);
+    let (r0, r1) = split_range(n, store.grid_p, i);
     let band = permuted_row_band(&ds.adjacency, inv_row, colp, r0, r1);
     let mut out = Vec::with_capacity(q);
     for (j, r) in reuse.into_iter().enumerate() {
@@ -839,30 +791,29 @@ fn adj_band_files(
             continue;
         }
         let (c0, c1) = split_range(n, q, j);
-        let name = adj_name(parity, i, j);
+        let name = ShardStore::shard_name(i, j);
         let entry = write_csr(&temp_path(dir, &name), &band.block(0, band.rows(), c0, c1))?;
         out.push(BandFile { name, entry, written: true });
     }
     Ok(out)
 }
 
-/// Gather and write one feature row band (or verify and reuse it).
+/// Gather and write feature row band `i` of `store` (or verify and reuse
+/// it).
 fn feat_band_files(
     ds: &LoadedDataset,
-    dir: &Path,
+    store: &ShardStore,
     prior: &BTreeMap<String, (u64, u64)>,
     inv_pc: &[u32],
     i: usize,
-    n: usize,
-    p: usize,
 ) -> LoaderResult<Vec<BandFile>> {
     let name = feat_name(i);
-    if let Some(entry) = verified_prior_entry(dir, prior, &name) {
+    if let Some(entry) = verified_prior_entry(&store.dir, prior, &name) {
         return Ok(vec![BandFile { name, entry, written: false }]);
     }
-    let (r0, r1) = split_range(n, p, i);
+    let (r0, r1) = split_range(store.rows, store.grid_p, i);
     let rows: Vec<usize> = inv_pc[r0..r1].iter().map(|&x| x as usize).collect();
-    let entry = write_matrix(&temp_path(dir, &name), &ds.features.gather_rows(&rows))?;
+    let entry = write_matrix(&temp_path(&store.dir, &name), &ds.features.gather_rows(&rows))?;
     Ok(vec![BandFile { name, entry, written: true }])
 }
 
@@ -882,36 +833,18 @@ fn verified_prior_entry(
     }
 }
 
-/// Prior manifest's file map when — and only when — the existing store was
-/// produced by an identical preprocessing run: same grid, permutation
-/// parameters and source-dataset fingerprint. Anything else (raw store,
-/// different seed, different dataset, unreadable manifest) disables reuse.
-#[allow(clippy::too_many_arguments)]
-fn reusable_prior_files(
-    dir: &Path,
-    mode: PermutationMode,
-    perm_seed: u64,
-    p: usize,
-    q: usize,
-    rows: usize,
-    feat_dim: usize,
-    source_fp: u64,
-) -> BTreeMap<String, (u64, u64)> {
-    let Ok(prior) = ShardStore::open(dir) else { return BTreeMap::new() };
-    let matches = prior.perm_mode == Some(mode)
-        && prior.perm_seed == perm_seed
-        && prior.grid_p == p
-        && prior.grid_q == q
-        && prior.rows == rows
-        && prior.cols == rows
-        && prior.feat_dim == feat_dim
-        && prior.parities == 2
-        && source_fp != 0
-        && prior.source_fp == source_fp;
-    if matches {
-        prior.manifest.files
-    } else {
-        BTreeMap::new()
+/// The file map of the store already in `fresh`'s directory when — and
+/// only when — it was produced by an identical preprocessing run: same
+/// grid, shape, permutation parameters and source-dataset fingerprint.
+/// Anything else (raw store, different seed, different dataset, unreadable
+/// manifest) disables reuse.
+fn reusable_prior_files(fresh: &ShardStore) -> BTreeMap<String, (u64, u64)> {
+    let run = |s: &ShardStore| {
+        (s.grid_p, s.grid_q, s.rows, s.cols, s.feat_dim, s.perm_mode, s.perm_seed, s.source_fp)
+    };
+    match ShardStore::open(&fresh.dir) {
+        Ok(prior) if fresh.source_fp != 0 && run(&prior) == run(fresh) => prior.manifest.files,
+        _ => BTreeMap::new(),
     }
 }
 
@@ -1168,7 +1101,6 @@ fn lower_bound(mut lo: usize, mut hi: usize, mut below: impl FnMut(usize) -> boo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use plexus_sparse::permute::apply_permutation;
     use plexus_sparse::Coo;
     use plexus_tensor::uniform_matrix;
 
@@ -1199,7 +1131,7 @@ mod tests {
         let a = random_csr(40, 1);
         let f = uniform_matrix(40, 6, -1.0, 1.0, 2);
         let store = ShardStore::create(&dir, &a, &f, 4, 4).unwrap();
-        let (a2, _) = store.load_adjacency_window(Parity::Even, 0, 40, 0, 40).unwrap();
+        let (a2, _) = store.load_adjacency_window(0, 40, 0, 40).unwrap();
         assert_eq!(a2, a);
         let (f2, _) = store.load_feature_rows(0, 40).unwrap();
         assert_eq!(f2, f);
@@ -1214,7 +1146,7 @@ mod tests {
         let store = ShardStore::create(&dir, &a, &f, 4, 4).unwrap();
         for (r0, r1, c0, c1) in [(0, 12, 0, 48), (12, 24, 24, 48), (5, 43, 7, 29), (24, 36, 0, 12)]
         {
-            let (blk, _) = store.load_adjacency_window(Parity::Even, r0, r1, c0, c1).unwrap();
+            let (blk, _) = store.load_adjacency_window(r0, r1, c0, c1).unwrap();
             assert_eq!(blk, a.block(r0, r1, c0, c1), "window {:?}", (r0, r1, c0, c1));
         }
         fs::remove_dir_all(&dir).unwrap();
@@ -1230,7 +1162,7 @@ mod tests {
         let f = uniform_matrix(64, 8, -1.0, 1.0, 6);
         let store = ShardStore::create(&dir, &a, &f, 8, 8).unwrap();
         let total = store.total_bytes().unwrap();
-        let (_, stats) = store.load_adjacency_window(Parity::Even, 0, 8, 0, 8).unwrap();
+        let (_, stats) = store.load_adjacency_window(0, 8, 0, 8).unwrap();
         assert!(
             stats.bytes_read * 8 < total,
             "1/64 window read {} of {} total bytes",
@@ -1241,7 +1173,7 @@ mod tests {
         assert_eq!(stats.files_skipped, 63);
         // Read + skipped cover every adjacency file exactly once.
         let adj_total: u64 = (0..8)
-            .flat_map(|i| (0..8).map(move |j| adj_name(Parity::Even, i, j)))
+            .flat_map(|i| (0..8).map(move |j| ShardStore::shard_name(i, j)))
             .map(|n| store.manifest.entry(&n).unwrap().1)
             .sum();
         assert_eq!(stats.bytes_read + stats.bytes_skipped, adj_total);
@@ -1255,7 +1187,7 @@ mod tests {
         let f = uniform_matrix(64, 8, -1.0, 1.0, 20);
         let store = ShardStore::create(&dir, &a, &f, 8, 8).unwrap();
         let mut ledger = MemoryLedger::default();
-        let (_, stats) = store.load_adjacency_window(Parity::Even, 0, 8, 0, 8).unwrap();
+        let (_, stats) = store.load_adjacency_window(0, 8, 0, 8).unwrap();
         ledger.absorb(&stats);
         let (_, fstats) = store.load_feature_rows(0, 8).unwrap();
         ledger.absorb(&fstats);
@@ -1278,10 +1210,9 @@ mod tests {
         assert_eq!((store.grid_p, store.grid_q), (2, 2));
         assert_eq!(store.rows, 20);
         assert_eq!(store.feat_dim, 3);
-        assert_eq!(store.parities, 1);
         assert!(store.perm_mode.is_none());
         store.validate_files().unwrap();
-        let (a2, _) = store.load_adjacency_window(Parity::Even, 0, 20, 0, 20).unwrap();
+        let (a2, _) = store.load_adjacency_window(0, 20, 0, 20).unwrap();
         assert_eq!(a2, a);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1308,12 +1239,12 @@ mod tests {
         let f = uniform_matrix(16, 2, -1.0, 1.0, 12);
         let store = ShardStore::create(&dir, &a, &f, 2, 2).unwrap();
         // Flip one payload byte of a shard the window needs.
-        let victim = dir.join(adj_name(Parity::Even, 0, 0));
+        let victim = dir.join(ShardStore::shard_name(0, 0));
         let mut bytes = fs::read(&victim).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
         fs::write(&victim, &bytes).unwrap();
-        match store.load_adjacency_window(Parity::Even, 0, 16, 0, 16) {
+        match store.load_adjacency_window(0, 16, 0, 16) {
             Err(LoaderError::ChecksumMismatch { .. }) => {}
             other => panic!("expected ChecksumMismatch, got {:?}", other.map(|_| ())),
         }
@@ -1328,14 +1259,14 @@ mod tests {
         ShardStore::create(&dir, &a, &f, 1, 1).unwrap();
         // Rewrite a shard with a bumped version header and a manifest-
         // consistent checksum: only the version check can catch it.
-        let victim = dir.join(adj_name(Parity::Even, 0, 0));
+        let victim = dir.join(ShardStore::shard_name(0, 0));
         let mut bytes = fs::read(&victim).unwrap();
         bytes[8..16].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         fs::write(&victim, &bytes).unwrap();
         let mut patched = ShardStore::open(&dir).unwrap();
         let entry = (digest(&bytes), bytes.len() as u64);
-        patched.manifest.files.insert(adj_name(Parity::Even, 0, 0), entry);
-        match patched.load_adjacency_window(Parity::Even, 0, 16, 0, 16) {
+        patched.manifest.files.insert(ShardStore::shard_name(0, 0), entry);
+        match patched.load_adjacency_window(0, 16, 0, 16) {
             Err(LoaderError::VersionMismatch { found, expected, .. }) => {
                 assert_eq!(found, FORMAT_VERSION + 1);
                 assert_eq!(expected, FORMAT_VERSION);
@@ -1371,7 +1302,7 @@ mod tests {
         }
         // A shard file carrying version word 2 under a v3 manifest entry
         // that matches its bytes is refused by the header check.
-        let victim = adj_name(Parity::Even, 0, 0);
+        let victim = ShardStore::shard_name(0, 0);
         let mut bytes = fs::read(dir.join(&victim)).unwrap();
         bytes[8..16].copy_from_slice(&2u64.to_le_bytes());
         store.manifest.files.insert(victim.clone(), (digest(&bytes), bytes.len() as u64));
@@ -1436,42 +1367,14 @@ mod tests {
         let a = random_csr(16, 15);
         let f = uniform_matrix(16, 2, -1.0, 1.0, 16);
         let store = ShardStore::create(&dir, &a, &f, 1, 1).unwrap();
-        let victim = dir.join(adj_name(Parity::Even, 0, 0));
+        let victim = dir.join(ShardStore::shard_name(0, 0));
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
         assert!(matches!(
-            store.load_adjacency_window(Parity::Even, 0, 16, 0, 16),
+            store.load_adjacency_window(0, 16, 0, 16),
             Err(LoaderError::Truncated { .. })
         ));
         assert!(store.validate_files().is_err());
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn preprocessed_store_round_trips_both_parities() {
-        use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
-        let ds = LoadedDataset::generate(OGBN_PRODUCTS, 96, Some(6), 21);
-        let n = ds.num_nodes();
-        let dir = temp_dir("parity");
-        let store = preprocess_to_store(&ds, &dir, PermutationMode::Double, 11, 3, 3).unwrap();
-        assert_eq!(store.parities, 2);
-        assert_eq!(store.total_train, ds.split.num_train());
-        let (pr, pc) = crate::setup::build_permutations(PermutationMode::Double, 11, n);
-        let even = apply_permutation(&ds.adjacency, &pr, &pc);
-        let odd = apply_permutation(&ds.adjacency, &pc, &pr);
-        let (e, _) = store.load_adjacency_window(Parity::Even, 0, n, 0, n).unwrap();
-        let (o, _) = store.load_adjacency_window(Parity::Odd, 0, n, 0, n).unwrap();
-        assert_eq!(e, even);
-        assert_eq!(o, odd);
-        // Windows match blocks of the full permuted matrices.
-        let (we, _) = store.load_adjacency_window(Parity::Even, 5, n / 2, 7, n - 3).unwrap();
-        assert_eq!(we, even.block(5, n / 2, 7, n - 3));
-        // Labels in even order are the P_r scatter of the originals.
-        let (labels, mask, _) = store.load_labels(Parity::Even).unwrap();
-        for i in 0..n {
-            assert_eq!(labels[pr[i] as usize], ds.labels[i]);
-            assert_eq!(mask[pr[i] as usize], ds.split.train[i]);
-        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1517,7 +1420,7 @@ mod tests {
         use plexus_graph::{datasets::OGBN_PRODUCTS, LoadedDataset};
         let ds = LoadedDataset::generate(OGBN_PRODUCTS, 80, Some(5), 29);
         let dir = temp_dir("incr");
-        let total_files = 2 * 3 * 3 + 3 + 2; // two adjacency parities + features + labels
+        let total_files = 3 * 3 + 3 + 1; // adjacency + features + labels
         let first = preprocess_to_store(&ds, &dir, PermutationMode::Double, 7, 3, 3).unwrap();
         assert_eq!(first.preprocess.files_written, total_files);
         assert_eq!(first.preprocess.files_skipped, 0);
@@ -1535,7 +1438,7 @@ mod tests {
         assert!(!dir.join("manifest.txt.tmp").exists(), "re-publish left its temp file");
 
         // Tamper with one shard: exactly that file is rewritten.
-        let victim = adj_name(Parity::Odd, 1, 2);
+        let victim = ShardStore::shard_name(1, 2);
         let mut bytes = fs::read(dir.join(&victim)).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
@@ -1545,7 +1448,7 @@ mod tests {
         assert_eq!(third.preprocess.files_skipped, total_files - 1);
         assert_eq!(third.manifest.files, first.manifest.files);
         let n = ds.num_nodes();
-        let (a, _) = third.load_adjacency_window(Parity::Odd, 0, n, 0, n).unwrap();
+        let (a, _) = third.load_adjacency_window(0, n, 0, n).unwrap();
         assert_eq!(a.nnz(), ds.adjacency.nnz(), "rewritten shard corrupt");
 
         // A different permutation seed invalidates everything.
@@ -1562,16 +1465,13 @@ mod tests {
     }
 
     #[test]
-    fn raw_store_rejects_odd_parity_and_labels() {
+    fn raw_store_rejects_labels() {
         let dir = temp_dir("raw");
         let a = random_csr(12, 17);
         let f = uniform_matrix(12, 2, -1.0, 1.0, 18);
         let store = ShardStore::create(&dir, &a, &f, 2, 2).unwrap();
-        assert!(matches!(
-            store.load_adjacency_window(Parity::Odd, 0, 12, 0, 12),
-            Err(LoaderError::Missing { .. })
-        ));
-        assert!(matches!(store.load_labels(Parity::Even), Err(LoaderError::Missing { .. })));
+        assert!(!store.has_labels());
+        assert!(matches!(store.load_labels(), Err(LoaderError::Missing { .. })));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

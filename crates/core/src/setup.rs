@@ -7,9 +7,13 @@
 //! each rank loads/merges only the shard files its window intersects
 //! ([`RankData::load_from_store`]), with a [`MemoryLedger`] recording the
 //! resulting footprint. Both paths produce bitwise-identical [`RankData`].
+//!
+//! Both paths hold one adjacency operand, the even layers' `P_r Â P_cᵀ`:
+//! Â is symmetric (both entry points assert it), so the odd layers'
+//! `P_c Â P_rᵀ` is its transpose, read through mirrored windows.
 
 use crate::grid::{roles_for_layer, GridConfig, GridCoords};
-use crate::loader::{LoaderError, LoaderResult, MemoryLedger, Parity, ShardStore};
+use crate::loader::{LoaderError, LoaderResult, MemoryLedger, ShardStore};
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::LoadedDataset;
 use plexus_sparse::permute::{apply_permutation, inverse_permutation, random_permutation};
@@ -47,6 +51,26 @@ pub fn build_permutations(mode: PermutationMode, perm_seed: u64, n: usize) -> (V
             random_permutation(n, perm_seed.wrapping_add(0x9e3779b97f4a7c15)),
         ),
     }
+}
+
+/// Labels and train mask in the final layer's output order, padded to
+/// `meta.n_pad` rows (padding rows masked out): node `i` lands on row
+/// `P_r[i]` after an even last layer and `P_c[i]` after an odd one.
+fn final_order_labels(
+    meta: &ProblemMeta,
+    (pr, pc): &(Vec<u32>, Vec<u32>),
+    labels: &[u32],
+    mask: &[bool],
+) -> (Vec<u32>, Vec<bool>) {
+    let final_perm = if (meta.num_layers - 1).is_multiple_of(2) { pr } else { pc };
+    let mut labels_final = vec![0u32; meta.n_pad];
+    let mut mask_final = vec![false; meta.n_pad];
+    for i in 0..meta.n_real {
+        let dst = final_perm[i] as usize;
+        labels_final[dst] = labels[i];
+        mask_final[dst] = mask[i];
+    }
+    (labels_final, mask_final)
 }
 
 /// Round `n` up to a multiple of `m`.
@@ -173,10 +197,9 @@ impl ProblemMeta {
 /// (the in-memory ingest path).
 pub struct GlobalProblem {
     pub meta: ProblemMeta,
-    /// Adjacency used by even layers (`P_r Â P_cᵀ`, zero-padded).
+    /// Adjacency used by even layers (`P_r Â P_cᵀ`, zero-padded). Odd
+    /// layers read its mirrored windows.
     pub a_even: Csr,
-    /// Adjacency used by odd layers (`P_c Â P_rᵀ`, zero-padded).
-    pub a_odd: Csr,
     /// Input features in even-layer input order (`P_c` applied), padded.
     pub features_perm: Matrix,
     /// Labels/mask in the *final layer output* order, padded (padding rows
@@ -201,6 +224,7 @@ impl GlobalProblem {
         mode: PermutationMode,
         perm_seed: u64,
     ) -> Self {
+        assert!(ds.adjacency.transposed() == ds.adjacency, "GlobalProblem: Â must be symmetric");
         let n_real = ds.num_nodes();
         let total_train = ds.split.num_train();
         let meta = ProblemMeta::derive(
@@ -215,39 +239,26 @@ impl GlobalProblem {
         let n_pad = meta.n_pad;
 
         // Permutations over the real nodes; padding rows stay at the end.
-        let (pr, pc) = build_permutations(mode, perm_seed, n_real);
+        let perms = build_permutations(mode, perm_seed, n_real);
+        let (pr, pc) = &perms;
 
-        // Â with both §5.1 permutation variants, padded.
-        let a_even = apply_permutation(&ds.adjacency, &pr, &pc).zero_padded(n_pad, n_pad);
-        let a_odd = apply_permutation(&ds.adjacency, &pc, &pr).zero_padded(n_pad, n_pad);
+        // The even-layer operand, padded; odd layers read it mirrored.
+        let a_even = apply_permutation(&ds.adjacency, pr, pc).zero_padded(n_pad, n_pad);
 
         // Weights: identical to the serial model, zero-padded.
         let weights_full = meta.full_padded_weights(model_seed);
 
         // Input features: row-permute by P_c (even-layer input order), pad.
-        let inv_pc = inverse_permutation(&pc);
+        let inv_pc = inverse_permutation(pc);
         let perm_rows: Vec<usize> = inv_pc.iter().map(|&i| i as usize).collect();
         let features_perm =
             ds.features.gather_rows(&perm_rows).zero_padded(n_pad, meta.dims_pad[0]);
 
-        // Labels/mask in the final-layer output order.
-        let final_perm = if (num_layers - 1).is_multiple_of(2) { &pr } else { &pc };
-        let mut labels_final = vec![0u32; n_pad];
-        let mut train_mask_final = vec![false; n_pad];
-        for i in 0..n_real {
-            let dst = final_perm[i] as usize;
-            labels_final[dst] = ds.labels[i];
-            train_mask_final[dst] = ds.split.train[i];
-        }
+        let (labels_final, train_mask_final) =
+            final_order_labels(&meta, &perms, &ds.labels, &ds.split.train);
         assert!(total_train > 0, "GlobalProblem: no training nodes");
 
-        Self { meta, a_even, a_odd, features_perm, labels_final, train_mask_final, weights_full }
-    }
-
-    /// Bytes of the two resident global adjacency copies — the `2·nnz`
-    /// footprint the out-of-core path is measured against.
-    pub fn adjacency_footprint_bytes(&self) -> u64 {
-        self.a_even.mem_bytes() + self.a_odd.mem_bytes()
+        Self { meta, a_even, features_perm, labels_final, train_mask_final, weights_full }
     }
 }
 
@@ -267,6 +278,29 @@ fn layer_window(meta: &ProblemMeta, c: GridCoords, l: usize) -> (usize, usize, u
     let r0 = c.along(roles.rows) * wr;
     let c0 = c.along(roles.contract) * wc;
     (r0, wr, c0, wc)
+}
+
+/// The window of the even operand that layer `l` reads on rank `c`. An odd
+/// layer's window `[r0, r0+wr) × [c0, c0+wc)` of `P_c Â P_rᵀ` is the
+/// transpose of the even operand's `[c0, c0+wc) × [r0, r0+wr)`.
+fn even_window(meta: &ProblemMeta, c: GridCoords, l: usize) -> (usize, usize, usize, usize) {
+    let (r0, wr, c0, wc) = layer_window(meta, c, l);
+    if l.is_multiple_of(2) {
+        (r0, wr, c0, wc)
+    } else {
+        (c0, wc, r0, wr)
+    }
+}
+
+/// Layer `l`'s `(shard, transpose)` from its [`even_window`] block: the
+/// shard on an even layer, the transpose on an odd one.
+fn orient(l: usize, block: Csr) -> (Csr, Csr) {
+    let transposed = block.transposed();
+    if l.is_multiple_of(2) {
+        (block, transposed)
+    } else {
+        (transposed, block)
+    }
 }
 
 /// The stored-feature block (padded coordinates) rank `c` owns.
@@ -331,11 +365,10 @@ impl RankData {
         let mut a_shards = Vec::with_capacity(meta.num_layers);
         let mut a_shards_t = Vec::with_capacity(meta.num_layers);
         for l in 0..meta.num_layers {
-            let a_global = if l % 2 == 0 { &gp.a_even } else { &gp.a_odd };
-            let (r0, wr, c0, wc) = layer_window(meta, c, l);
-            let shard = a_global.block(r0, r0 + wr, c0, c0 + wc);
-            a_shards_t.push(shard.transposed());
+            let (r0, wr, c0, wc) = even_window(meta, c, l);
+            let (shard, shard_t) = orient(l, gp.a_even.block(r0, r0 + wr, c0, c0 + wc));
             a_shards.push(shard);
+            a_shards_t.push(shard_t);
         }
 
         // F₀ stored shard.
@@ -414,28 +447,31 @@ impl RankData {
         let weights_full = meta.full_padded_weights(model_seed);
         let w_stored = weight_shards(meta, &weights_full, c);
 
-        // Labels/mask in the final layer's output order, sliced + padded.
-        let (labels_all, mask_all, lstats) =
-            store.load_labels(Parity::for_layer(meta.num_layers - 1))?;
+        // Labels/mask: stored in node order, put in the final layer's
+        // output order with the store's own permutations, then sliced.
+        let Some(mode) = store.perm_mode else {
+            return Err(LoaderError::Missing { what: "labels (raw store)" });
+        };
+        let (labels_all, mask_all, lstats) = store.load_labels()?;
         if labels_all.len() != n {
             return Err(LoaderError::BadManifest {
                 reason: format!("label file has {} rows, store has {}", labels_all.len(), n),
             });
         }
         ledger.absorb(&lstats);
+        let perms = build_permutations(mode, store.perm_seed, n);
+        let (labels_final, mask_final) = final_order_labels(meta, &perms, &labels_all, &mask_all);
         let (l0, lrows) = label_window(meta, c);
-        let mut labels_local = vec![0u32; lrows];
-        let mut mask_local = vec![false; lrows];
-        let real = (l0 + lrows).min(n).saturating_sub(l0);
-        labels_local[..real].copy_from_slice(&labels_all[l0..l0 + real]);
-        mask_local[..real].copy_from_slice(&mask_all[l0..l0 + real]);
+        let labels_local = labels_final[l0..l0 + lrows].to_vec();
+        let mask_local = mask_final[l0..l0 + lrows].to_vec();
 
         Ok((Self { a_shards, a_shards_t, f_stored, w_stored, labels_local, mask_local }, ledger))
     }
 }
 
-/// Load one layer's adjacency shard (and transpose) from the store,
-/// clamping the padded window to stored coordinates and padding back.
+/// Load one layer's adjacency shard (and transpose) from the store: its
+/// [`even_window`], clamped to stored coordinates and padded back, then
+/// [`orient`]ed.
 fn load_layer_shard(
     store: &ShardStore,
     meta: &ProblemMeta,
@@ -443,20 +479,13 @@ fn load_layer_shard(
     l: usize,
 ) -> LoaderResult<(Csr, Csr, crate::loader::LoadStats)> {
     let n = meta.n_real;
-    let (r0, wr, c0, wc) = layer_window(meta, c, l);
+    let (r0, wr, c0, wc) = even_window(meta, c, l);
     let (raw, stats) = if r0 < n && c0 < n {
-        store.load_adjacency_window(
-            Parity::for_layer(l),
-            r0,
-            (r0 + wr).min(n),
-            c0,
-            (c0 + wc).min(n),
-        )?
+        store.load_adjacency_window(r0, (r0 + wr).min(n), c0, (c0 + wc).min(n))?
     } else {
         (Csr::empty(0, 0), crate::loader::LoadStats::default())
     };
-    let shard = raw.zero_padded(wr, wc);
-    let shard_t = shard.transposed();
+    let (shard, shard_t) = orient(l, raw.zero_padded(wr, wc));
     Ok((shard, shard_t, stats))
 }
 
@@ -464,7 +493,7 @@ fn load_layer_shard(
 mod tests {
     use super::*;
     use crate::loader::preprocess_to_store;
-    use plexus_graph::{DatasetKind, DatasetSpec, LoadedDataset};
+    use plexus_graph::{DatasetKind, DatasetSpec, Graph, LoadedDataset};
     use plexus_sparse::shard::split_range;
 
     fn tiny_ds() -> LoadedDataset {
@@ -494,7 +523,6 @@ mod tests {
         let gp = GlobalProblem::build(&ds, grid, 16, 3, 7, PermutationMode::Double, 11);
         assert_eq!(gp.meta.n_pad % 8, 0);
         assert_eq!(gp.a_even.shape(), (gp.meta.n_pad, gp.meta.n_pad));
-        assert_eq!(gp.a_odd.shape(), (gp.meta.n_pad, gp.meta.n_pad));
         assert_eq!(gp.features_perm.shape(), (gp.meta.n_pad, gp.meta.dims_pad[0]));
         assert_eq!(gp.meta.dims_pad.len(), 4);
         for d in &gp.meta.dims_pad {
@@ -502,7 +530,6 @@ mod tests {
         }
         // nnz preserved by permutation + padding.
         assert_eq!(gp.a_even.nnz(), ds.adjacency.nnz());
-        assert_eq!(gp.a_odd.nnz(), ds.adjacency.nnz());
     }
 
     #[test]
@@ -511,16 +538,28 @@ mod tests {
         let grid = GridConfig::new(1, 1, 1);
         let gp = GlobalProblem::build(&ds, grid, 8, 3, 7, PermutationMode::None, 1);
         assert_eq!(gp.a_even, ds.adjacency.zero_padded(gp.meta.n_pad, gp.meta.n_pad));
-        assert_eq!(gp.a_odd, gp.a_even);
+    }
+
+    /// `tiny_ds` on a graph of one one-way edge: odd layers would train Âᵀ.
+    fn directed_ds() -> LoadedDataset {
+        let mut ds = tiny_ds();
+        ds.graph = Graph::new(ds.num_nodes(), vec![(0, 1)]);
+        ds.adjacency = ds.graph.normalized_adjacency();
+        ds
     }
 
     #[test]
-    fn odd_adjacency_is_transpose_of_even_for_symmetric_graphs() {
-        // Â is symmetric, so P_c Â P_rᵀ = (P_r Â P_cᵀ)ᵀ.
-        let ds = tiny_ds();
+    #[should_panic(expected = "Â must be symmetric")]
+    fn directed_adjacency_is_refused_in_memory() {
         let grid = GridConfig::new(2, 1, 1);
-        let gp = GlobalProblem::build(&ds, grid, 8, 3, 7, PermutationMode::Double, 5);
-        assert_eq!(gp.a_odd, gp.a_even.transposed());
+        GlobalProblem::build(&directed_ds(), grid, 8, 3, 7, PermutationMode::None, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "Â must be symmetric")]
+    fn directed_adjacency_is_refused_by_the_store_writer() {
+        let dir = std::env::temp_dir().join(format!("plexus_setup_dir_{}", std::process::id()));
+        let _ = preprocess_to_store(&directed_ds(), &dir, PermutationMode::None, 5, 2, 2);
     }
 
     #[test]
@@ -590,14 +629,24 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("plexus_setup_equiv_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = preprocess_to_store(&ds, &dir, PermutationMode::Double, 11, 4, 4).unwrap();
+        let (pr, pc) = build_permutations(PermutationMode::Double, 11, ds.num_nodes());
         for grid in [GridConfig::new(2, 2, 2), GridConfig::new(4, 1, 1), GridConfig::new(1, 2, 2)] {
             let gp = GlobalProblem::build(&ds, grid, 16, 3, 7, PermutationMode::Double, 11);
             let meta = ProblemMeta::from_store(&store, grid, 16, 3);
             assert_eq!(meta.n_pad, gp.meta.n_pad);
             assert_eq!(meta.dims_pad, gp.meta.dims_pad);
+            // Odd layers consume `P_c Â P_rᵀ`, built here the direct way.
+            let odd =
+                apply_permutation(&ds.adjacency, &pc, &pr).zero_padded(meta.n_pad, meta.n_pad);
             for rank in 0..grid.total() {
                 let a = RankData::extract(&gp, rank);
                 let (b, ledger) = RankData::load_from_store(&store, &meta, rank, 7).unwrap();
+                for l in (1..meta.num_layers).step_by(2) {
+                    let (r0, wr, c0, wc) = layer_window(&meta, meta.grid.coords(rank), l);
+                    let window = odd.block(r0, r0 + wr, c0, c0 + wc);
+                    assert_eq!(a.a_shards[l], window, "rank {} layer {} in-memory", rank, l);
+                    assert_eq!(b.a_shards[l], window, "rank {} layer {} store", rank, l);
+                }
                 assert_eq!(a.a_shards, b.a_shards, "rank {} shards", rank);
                 assert_eq!(a.a_shards_t, b.a_shards_t, "rank {} transposes", rank);
                 assert_eq!(a.f_stored, b.f_stored, "rank {} features", rank);

@@ -496,7 +496,7 @@ impl From<LoaderError> for TrainError {
 /// before the first world, so a retry re-fans rank threads without
 /// re-preprocessing.
 enum Prepared<'a> {
-    InMemory { gp: Arc<GlobalProblem>, global_adj: u64, global_feat: u64 },
+    InMemory(Arc<GlobalProblem>),
     Sharded { store: &'a ShardStore, meta: ProblemMeta },
 }
 
@@ -649,7 +649,7 @@ fn run_attempt(
         let mut ctx = DistContext::with_spec(world, opts.grid_spec(grid));
         ctx.faults = opts.faults.clone();
         let mut rt = match prepared {
-            Prepared::InMemory { gp, global_adj, global_feat } => {
+            Prepared::InMemory(gp) => {
                 let rd = RankData::extract(gp, ctx.world.rank());
                 let rank_adj: u64 =
                     rd.a_shards.iter().chain(&rd.a_shards_t).map(|a| a.mem_bytes()).sum();
@@ -657,9 +657,9 @@ fn run_attempt(
                 let rank_feat = rd.f_stored.mem_bytes() * opts.replication as u64;
                 let mut rt = RankTrainer::from_parts(&gp.meta, ctx, rd, opts);
                 // The Arc'd global problem stays resident on every rank for
-                // the whole run — the 2·nnz footprint §5.4 attacks.
-                rt.ledger_mut().note_adjacency_resident(global_adj + rank_adj);
-                rt.ledger_mut().note_feature_resident(global_feat + rank_feat);
+                // the whole run — the global copy of Â that §5.4 attacks.
+                rt.ledger_mut().note_adjacency_resident(gp.a_even.mem_bytes() + rank_adj);
+                rt.ledger_mut().note_feature_resident(gp.features_perm.mem_bytes() + rank_feat);
                 rt
             }
             Prepared::Sharded { store, meta } => {
@@ -710,8 +710,9 @@ fn run_attempt(
 /// With the same permutation options the two paths produce bitwise
 /// identical losses; only the memory ledgers differ.
 ///
-/// Structural store problems — a raw (labelless, single-parity) store, or
-/// files missing/mis-sized against the manifest — surface as
+/// Structural store problems — a raw store, a store without `labels.plx`
+/// (written before labels were stored in node order), or files
+/// missing/mis-sized against the manifest — surface as
 /// [`TrainError::Loader`] before any rank thread starts, as do corrupt or
 /// configuration-incompatible checkpoints.
 ///
@@ -737,25 +738,21 @@ pub fn train_from_source(
     epochs: usize,
 ) -> Result<DistRunResult, TrainError> {
     let prepared = match source {
-        ProblemSource::InMemory(ds) => {
-            let gp = Arc::new(GlobalProblem::build(
-                ds,
-                grid,
-                opts.hidden_dim,
-                opts.num_layers,
-                opts.model_seed,
-                opts.permutation,
-                opts.perm_seed,
-            ));
-            let global_adj = gp.adjacency_footprint_bytes();
-            let global_feat = gp.features_perm.mem_bytes();
-            Prepared::InMemory { gp, global_adj, global_feat }
-        }
+        ProblemSource::InMemory(ds) => Prepared::InMemory(Arc::new(GlobalProblem::build(
+            ds,
+            grid,
+            opts.hidden_dim,
+            opts.num_layers,
+            opts.model_seed,
+            opts.permutation,
+            opts.perm_seed,
+        ))),
         ProblemSource::Sharded(store) => {
             // Catch structural problems before fanning out rank threads.
-            if store.parities < 2 || store.perm_mode.is_none() {
+            if !store.has_labels() {
                 return Err(LoaderError::Missing {
-                    what: "preprocessed store (raw stores lack the odd parity and labels)",
+                    what: "labels.plx (raw stores lack it; a store preprocessed with \
+                           per-parity label files gains it when preprocessed again)",
                 }
                 .into());
             }
@@ -768,7 +765,7 @@ pub fn train_from_source(
     // (opts.permutation is ignored on that path), so a checkpoint can
     // never be resumed against a different store.
     let config_fp = match &prepared {
-        Prepared::InMemory { .. } => {
+        Prepared::InMemory(_) => {
             config_fingerprint(grid, opts, perm_tag(Some(opts.permutation)), opts.perm_seed, 0)
         }
         Prepared::Sharded { store, .. } => config_fingerprint(
@@ -1348,7 +1345,7 @@ mod tests {
         for (e, (a, b)) in in_mem.losses().iter().zip(sharded.losses()).enumerate() {
             assert_eq!(*a, b, "epoch {} loss differs between ingest paths", e);
         }
-        // Sharded ranks never hold the 2·nnz global copies.
+        // Sharded ranks never hold the global copy of Â.
         assert!(
             sharded.peak_adjacency_bytes() < in_mem.peak_adjacency_bytes(),
             "sharded peak {} not below in-memory peak {}",
@@ -1380,18 +1377,40 @@ mod tests {
 
     #[test]
     fn raw_store_as_sharded_source_is_a_typed_error() {
-        // A raw ShardStore (single parity, no labels) is structurally
-        // unusable for training; the error must surface as Err before any
-        // rank thread starts, not as a mid-world panic.
+        // A store without `labels.plx` is structurally unusable for
+        // training: a raw store, or one preprocessed with per-parity label
+        // files (`labels_e.plx`/`labels_o.plx` plus odd shards). The error
+        // must surface as Err before any rank thread starts, not as a
+        // mid-world panic; preprocessing the old directory again reuses
+        // its shards and adds `labels.plx`.
+        use crate::loader::{preprocess_to_store, LoaderError, ShardStore};
         let ds = tiny_ds(96, 41);
         let dir = std::env::temp_dir().join(format!("plexus_raw_src_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let store =
-            crate::loader::ShardStore::create(&dir, &ds.adjacency, &ds.features, 2, 2).unwrap();
         let opts = DistTrainOptions { hidden_dim: 8, ..Default::default() };
-        let res =
-            train_from_source(ProblemSource::Sharded(&store), GridConfig::new(1, 1, 1), &opts, 1);
-        assert!(matches!(res, Err(TrainError::Loader(crate::loader::LoaderError::Missing { .. }))));
+        let grid = GridConfig::new(2, 1, 1);
+        let missing = |store: &ShardStore| {
+            let res = train_from_source(ProblemSource::Sharded(store), grid, &opts, 1);
+            matches!(res, Err(TrainError::Loader(LoaderError::Missing { .. })))
+        };
+        assert!(missing(&ShardStore::create(&dir, &ds.adjacency, &ds.features, 2, 2).unwrap()));
+
+        let fresh = preprocess_to_store(&ds, &dir, opts.permutation, opts.perm_seed, 2, 2).unwrap();
+        let manifest = std::fs::read_to_string(dir.join("manifest.txt")).unwrap();
+        let line = manifest.lines().find(|l| l.starts_with("file labels.plx =")).unwrap();
+        let old_lines = ["labels_e.plx", "labels_o.plx"].map(|name| {
+            std::fs::copy(dir.join("labels.plx"), dir.join(name)).unwrap();
+            line.replace("labels.plx", name)
+        });
+        std::fs::remove_file(dir.join("labels.plx")).unwrap();
+        let old = manifest.replace(line, &old_lines.join("\n")).replace("q =", "parities = 2\nq =");
+        std::fs::write(dir.join("manifest.txt"), old).unwrap();
+        assert!(missing(&ShardStore::open(&dir).unwrap()));
+
+        let again = preprocess_to_store(&ds, &dir, opts.permutation, opts.perm_seed, 2, 2).unwrap();
+        assert_eq!(again.preprocess.files_written, 1, "only labels.plx is new");
+        assert_eq!(again.preprocess.files_skipped, fresh.preprocess.files_written - 1);
+        assert!(!missing(&again));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

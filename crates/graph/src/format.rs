@@ -25,10 +25,13 @@ use std::path::{Path, PathBuf};
 /// Magic prefix of every Plexus format file ("PLXSSHAR").
 pub const MAGIC: u64 = 0x504c5853_53484152;
 /// Current on-disk format. Version 2 added the per-file version header,
-/// manifest checksums, dual-parity adjacency shards, and label files;
-/// version 3 keeps every layout and replaces the byte-serial manifest
-/// checksum with [`Digest`], so files of the two versions differ in this
-/// word and in their recorded digests only.
+/// manifest checksums and label files; version 3 keeps every file layout
+/// and replaces the byte-serial manifest checksum with [`Digest`], so files
+/// of the two versions differ in this word and in their recorded digests
+/// only. Which files a directory lists is its writer's business: a v3
+/// shard store now holds one adjacency operand and one node-order label
+/// file, and one written with per-parity files is refused by the trainer's
+/// preflight, not by this word.
 pub const FORMAT_VERSION: u64 = 3;
 
 /// Typed failure of reading or writing a format file.
@@ -48,7 +51,8 @@ pub enum LoaderError {
     /// The manifest is missing, unparsable, or does not list the file.
     BadManifest { reason: String },
     /// The store does not contain the requested component (e.g. labels in
-    /// a raw store, or the odd parity in a single-parity store).
+    /// a raw store, or `labels.plx` in a store written with per-parity
+    /// label files).
     Missing { what: &'static str },
 }
 

@@ -29,7 +29,7 @@
 
 use plexus::loader::{
     open_verified, CsrPayload, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult,
-    Manifest, Parity, ShardStore,
+    Manifest, ShardStore,
 };
 use plexus_gnn::{gcn_layer_forward_ws, Gcn, GcnConfig};
 use plexus_graph::{khop::RowSource, KhopWorkspace, MappedFile};
@@ -264,10 +264,9 @@ impl Artifact {
             band_starts.push(split_range(store.rows, store.grid_p, i).0);
             let mut row = Vec::with_capacity(store.grid_q);
             for j in 0..store.grid_q {
-                let (map, payload_at, geom) =
-                    store.map_adjacency_shard(Parity::Even, i, j, &mut stats)?;
+                let (map, payload_at, geom) = store.map_adjacency_shard(i, j, &mut stats)?;
                 // Rows are decoded without per-row checks from here on.
-                let path = dir.join(ShardStore::shard_name(Parity::Even, i, j));
+                let path = dir.join(ShardStore::shard_name(i, j));
                 geom.check_entries(&map.bytes()[payload_at..], &path)?;
                 let sc0 = split_range(store.cols, store.grid_q, j).0;
                 row.push(MappedShard { map, payload_at, geom, sc0 });

@@ -1,6 +1,6 @@
 //! Out-of-core ingest and activation residency end to end: generate an
 //! RMAT graph through the chunked edge stream, preprocess it into a §5.4
-//! [`ShardStore`] without ever holding two full copies of Â (and show the
+//! [`ShardStore`] one row band at a time (and show the
 //! incremental re-preprocess skipping every up-to-date shard), train the
 //! same problem through the in-memory and sharded ingest paths, then train
 //! it twice more under the `Spill` and `Recompute` activation residency
@@ -134,7 +134,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let written = preprocess_to_store(&ds, &dir, opts.permutation, opts.perm_seed, 8, 8).unwrap();
     println!(
-        "Preprocessed into an 8x8 store ({:.1} MB, both parities) in {:.1}s: {}.",
+        "Preprocessed into an 8x8 store ({:.1} MB, one adjacency operand) in {:.1}s: {}.",
         mb(written.total_bytes().unwrap()),
         t0.elapsed().as_secs_f64(),
         written.preprocess.report()
@@ -174,10 +174,11 @@ fn main() {
     }
     println!("  Losses are bitwise identical across ingest paths.");
 
-    // 5. The memory ledger: every rank against the 2·nnz footprint.
+    // 5. The memory ledger: every rank against the in-memory path's one
+    //    padded global copy of Â.
     let meta = ProblemMeta::from_store(&store, grid, opts.hidden_dim, opts.num_layers);
     let n_pad = pad_to_multiple(n, grid.total());
-    let footprint = 2 * (nnz as u64 * 8 + (n_pad as u64 + 1) * 8);
+    let footprint = nnz as u64 * 8 + (n_pad as u64 + 1) * 8;
     println!("\nPer-rank memory ledger (sharded path):");
     for (rank, ledger) in sharded.memory.iter().enumerate() {
         println!("  rank {:>3}: {}", rank, ledger.summary());
@@ -196,7 +197,7 @@ fn main() {
     let peak = sharded.peak_adjacency_bytes();
     let estimate = estimate_rank_adjacency_bytes(nnz, meta.n_pad, &meta.layer_splits());
     println!(
-        "\nIn-memory 2*nnz adjacency footprint: {:>10.1} MB (every rank holds it)",
+        "\nIn-memory adjacency footprint:       {:>10.1} MB (every rank holds it)",
         mb(footprint)
     );
     println!(
@@ -206,14 +207,14 @@ fn main() {
     );
     println!("Analytic (simnet) per-rank estimate: {:>10.1} MB", mb(estimate));
     assert!(
-        (peak as f64) < 0.4 * footprint as f64,
-        "peak resident adjacency {} B is not below 40% of the in-memory 2*nnz footprint {} B \
+        (peak as f64) < 0.8 * footprint as f64,
+        "peak resident adjacency {} B is not below 80% of the in-memory adjacency footprint {} B \
          (grid {} may split the adjacency planes too coarsely)",
         peak,
         footprint,
         grid.label()
     );
-    println!("\nOut-of-core ingest verified: < 40% of the in-memory footprint, same losses.");
+    println!("\nOut-of-core ingest verified: < 80% of the in-memory footprint, same losses.");
 
     // 6. Activation residency: the same sharded problem under the Spill
     //    and Recompute policies. The sharded run above IS the Resident

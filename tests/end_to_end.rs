@@ -5,7 +5,7 @@
 
 use plexus::activation::ResidencyPolicy;
 use plexus::grid::GridConfig;
-use plexus::loader::{preprocess_to_store, Parity, ShardStore};
+use plexus::loader::{preprocess_to_store, ShardStore};
 use plexus::perfmodel::{choose_config, rank_configs, Workload};
 use plexus::setup::{PermutationMode, ProblemMeta};
 use plexus::trainer::{train_distributed, train_from_source, DistTrainOptions, ProblemSource};
@@ -27,7 +27,7 @@ fn full_pipeline_from_disk_to_trained_model() {
 
     // A rank's window comes back exactly equal to the in-memory block,
     // reading only the intersecting files and skipping the rest unopened.
-    let (window, stats) = store.load_adjacency_window(Parity::Even, 0, n / 2, n / 4, n).unwrap();
+    let (window, stats) = store.load_adjacency_window(0, n / 2, n / 4, n).unwrap();
     assert_eq!(window, ds.adjacency.block(0, n / 2, n / 4, n));
     assert!(stats.bytes_read > 0 && stats.bytes_read < store.total_bytes().unwrap());
     assert!(stats.bytes_skipped > 0 && stats.files_skipped > 0);
@@ -65,7 +65,7 @@ fn sharded_ingest_trains_bitwise_identically_to_in_memory() {
     // §5.4 out-of-core acceptance: preprocess to a store, then train the
     // exact same problem via both ingest paths and demand bit-equal
     // losses, a strictly smaller adjacency footprint than the in-memory
-    // path's 2·nnz globals, and a ledger that agrees with the analytic
+    // path's global copy of Â, and a ledger that agrees with the analytic
     // gpumem estimate.
     let ds = LoadedDataset::generate(OGBN_PRODUCTS, 256, Some(16), 41);
     let dir = std::env::temp_dir().join(format!("plexus_e2e_oc_{}", std::process::id()));

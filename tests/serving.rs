@@ -20,7 +20,7 @@
 
 use plexus::checkpoint::{Checkpoint, CheckpointPolicy};
 use plexus::grid::GridConfig;
-use plexus::loader::{digest, LoaderError, Manifest, Parity, ShardStore};
+use plexus::loader::{digest, LoaderError, Manifest, ShardStore};
 use plexus::trainer::{train_from_source, DistTrainOptions, ProblemSource};
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::{datasets::OGBN_PRODUCTS, Graph, LoadedDataset};
@@ -354,7 +354,7 @@ fn shard_shape_off_the_grid_is_bad_manifest_for_every_reader() {
         b[SHARD_ROWS_AT..SHARD_ROWS_AT + 8].copy_from_slice(&(rows - 1).to_le_bytes());
     });
     let store = ShardStore::open(&dir).unwrap();
-    match store.load_adjacency_window(Parity::Even, 0, store.rows, 0, store.cols) {
+    match store.load_adjacency_window(0, store.rows, 0, store.cols) {
         Err(LoaderError::BadManifest { reason }) => {
             assert!(reason.contains("adj_e_0_0"), "{reason}")
         }
