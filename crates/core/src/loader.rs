@@ -18,10 +18,16 @@
 //!    windows mirrored (see [`crate::setup`]). Feature row bands, one
 //!    label/mask file in node order, and a versioned manifest with
 //!    per-shard checksums complete the store.
-//! 2. **Per-rank loading** — `load_*` methods read back only the files a
-//!    rank's window intersects, skipping non-intersecting files *without
-//!    opening them* (sizes come from the manifest) and reporting both
-//!    bytes read and bytes skipped in a [`LoadStats`]. A [`MemoryLedger`]
+//! 2. **Per-rank loading** — one reader decodes adjacency shards:
+//!    [`ShardStore::map_window`] maps exactly the shard files a window
+//!    intersects, skipping the rest *without opening them* (sizes come
+//!    from the manifest), and checks each mapped shard's row pointers and
+//!    column ids once. Its [`MappedWindow`] decodes rows straight out of
+//!    the mappings into one [`Csr`] — a rank's window
+//!    ([`ShardStore::load_adjacency_window`]) or the serving artifact's
+//!    rows alike — with no intermediate blocks to merge. Feature rows are
+//!    copied band by band into one preallocated matrix. Both report bytes
+//!    read and bytes skipped in a [`LoadStats`]; a [`MemoryLedger`]
 //!    aggregates those stats plus resident/peak adjacency and feature
 //!    bytes — the quantities behind the paper's memory reductions.
 //!
@@ -38,13 +44,14 @@ pub use plexus_graph::format::{
     digest, verify_shard_bytes, Cursor, HashingWriter, LoaderError, LoaderResult, Manifest,
     FORMAT_VERSION, MAGIC,
 };
-use plexus_graph::{LoadedDataset, MappedFile};
+use plexus_graph::{LoadedDataset, MappedFile, RowSource};
 use plexus_sparse::permute::{inverse_permutation, permuted_row_band};
 use plexus_sparse::shard::split_range;
 use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ffi::OsStr;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -100,7 +107,7 @@ pub fn open_verified(
 
 /// What one windowed load touched on disk: the §5.4 quantities (bytes a
 /// rank actually read vs. the bytes it proved it could skip without
-/// opening), plus the transient merge-buffer high-water mark.
+/// opening).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoadStats {
     pub bytes_read: u64,
@@ -113,9 +120,6 @@ pub struct LoadStats {
     /// Of `bytes_read`, the bytes copied into an owned heap buffer (the
     /// portable fallback when mmap is unavailable).
     pub bytes_copied: u64,
-    /// Peak bytes of shard/band buffers alive at once while merging,
-    /// beyond the returned object itself.
-    pub peak_transient_bytes: u64,
     /// Reads that failed verification once and succeeded on the bounded
     /// re-read (transient-fault recovery; see [`open_verified`]).
     pub read_retries: u64,
@@ -139,7 +143,9 @@ impl LoadStats {
 /// loop's activation state: I/O totals from [`LoadStats`], resident/peak
 /// adjacency and feature bytes (the §5.4 claim — `~nnz/(G_r·G_c)` per
 /// layer for the sharded path against a global copy of Â for the in-memory
-/// path), plus the activation-residency counters synced from the trainer's
+/// path; a window decodes straight into its shard, so no merge buffer
+/// adds to the adjacency peak), plus the activation-residency counters
+/// synced from the trainer's
 /// [`ActivationStore`](crate::activation::ActivationStore).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryLedger {
@@ -191,13 +197,6 @@ impl MemoryLedger {
     pub fn note_adjacency_resident(&mut self, bytes: u64) {
         self.adjacency_resident_bytes += bytes;
         self.peak_adjacency_bytes = self.peak_adjacency_bytes.max(self.adjacency_resident_bytes);
-    }
-
-    /// Account a transient adjacency spike of `bytes` on top of what is
-    /// currently resident (merge buffers during a windowed load).
-    pub fn note_adjacency_transient(&mut self, bytes: u64) {
-        self.peak_adjacency_bytes =
-            self.peak_adjacency_bytes.max(self.adjacency_resident_bytes + bytes);
     }
 
     /// Account `bytes` of features that stay resident after a load.
@@ -470,19 +469,22 @@ impl ShardStore {
     }
 
     /// Map and verify the adjacency shard at grid position `(i, j)` through
-    /// [`map_verified`](Self::map_verified) and parse its CSR header. A
-    /// shape other than the grid's `split_range` bounds is a
-    /// `BadManifest` naming the shard, so a window never indexes past a
-    /// shard that disagrees with the store it is listed in.
-    pub fn map_adjacency_shard(
+    /// [`map_verified`](Self::map_verified), parse its CSR header and check
+    /// its entries once ([`CsrPayload::check_entries`]). A shape other than
+    /// the grid's `split_range` bounds is a `BadManifest` naming the shard,
+    /// so a window never indexes past a shard that disagrees with the
+    /// store it is listed in.
+    fn map_adjacency_shard(
         &self,
         i: usize,
         j: usize,
         stats: &mut LoadStats,
     ) -> LoaderResult<(MappedFile, usize, CsrPayload)> {
         let name = Self::shard_name(i, j);
+        let path = self.dir.join(&name);
         let (map, payload_at) = self.map_verified(&name, stats)?;
-        let geom = CsrPayload::parse(&map.bytes()[payload_at..], &self.dir.join(&name))?;
+        let payload = &map.bytes()[payload_at..];
+        let geom = CsrPayload::parse(payload, &path)?;
         let (sr0, sr1) = split_range(self.rows, self.grid_p, i);
         let (sc0, sc1) = split_range(self.cols, self.grid_q, j);
         if geom.rows != sr1 - sr0 || geom.cols != sc1 - sc0 {
@@ -490,12 +492,51 @@ impl ShardStore {
                 reason: format!("{}: shard shape disagrees with the grid", name),
             });
         }
+        geom.check_entries(payload, &path)?;
         Ok((map, payload_at, geom))
     }
 
-    /// Load the adjacency window `[r0, r1) x [c0, c1)`. Shard files wholly
-    /// outside the window are never opened: their manifest-recorded sizes
-    /// are reported as `bytes_skipped` instead.
+    /// Map the adjacency window `[r0, r1) x [c0, c1)`: exactly the shard
+    /// files it intersects, each verified and checked once. Shard files
+    /// wholly outside the window are never opened: their manifest-recorded
+    /// sizes are counted as `bytes_skipped` in `stats` instead.
+    pub fn map_window(
+        &self,
+        r0: usize,
+        r1: usize,
+        c0: usize,
+        c1: usize,
+        stats: &mut LoadStats,
+    ) -> LoaderResult<MappedWindow> {
+        assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols, "window out of bounds");
+        let mut bands = Vec::new();
+        for i in 0..self.grid_p {
+            let (sr0, sr1) = split_range(self.rows, self.grid_p, i);
+            let row_hit = sr1 > r0 && sr0 < r1;
+            let mut shards = Vec::new();
+            for j in 0..self.grid_q {
+                let (sc0, sc1) = split_range(self.cols, self.grid_q, j);
+                if !row_hit || sc1 <= c0 || sc0 >= c1 {
+                    stats.files_skipped += 1;
+                    stats.bytes_skipped += self.manifest.entry(&Self::shard_name(i, j))?.1;
+                    continue;
+                }
+                let (map, payload_at, geom) = self.map_adjacency_shard(i, j, stats)?;
+                // The window's columns, in shard-local coordinates.
+                let (lc0, lc1) = (c0.max(sc0) - sc0, c1.min(sc1) - sc0);
+                let shift = sc0.max(c0) - c0;
+                shards.push(WindowShard { map, payload_at, geom, lc0, lc1, shift });
+            }
+            if row_hit {
+                let (start, end) = (r0.max(sr0) - r0, r1.min(sr1) - r0);
+                bands.push(WindowBand { start, end, skip: r0.max(sr0) - sr0, shards });
+            }
+        }
+        Ok(MappedWindow { rows: r1 - r0, cols: c1 - c0, bands })
+    }
+
+    /// Load the adjacency window `[r0, r1) x [c0, c1)`: its
+    /// [`map_window`](Self::map_window) handle, decoded whole.
     pub fn load_adjacency_window(
         &self,
         r0: usize,
@@ -503,70 +544,18 @@ impl ShardStore {
         c0: usize,
         c1: usize,
     ) -> LoaderResult<(Csr, LoadStats)> {
-        assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols, "window out of bounds");
         let mut stats = LoadStats::default();
-        let mut transient = TransientTracker::default();
-        let mut row_bands: Vec<Csr> = Vec::new();
-        let mut bands_bytes = 0u64;
-        for i in 0..self.grid_p {
-            let (sr0, sr1) = split_range(self.rows, self.grid_p, i);
-            let row_hit = sr1 > r0 && sr0 < r1;
-            let mut band_parts: Vec<(usize, Csr)> = Vec::new();
-            let mut parts_bytes = 0u64;
-            for j in 0..self.grid_q {
-                let (sc0, sc1) = split_range(self.cols, self.grid_q, j);
-                let name = Self::shard_name(i, j);
-                if !row_hit || sc1 <= c0 || sc0 >= c1 {
-                    stats.files_skipped += 1;
-                    stats.bytes_skipped += self.manifest.entry(&name)?.1;
-                    continue;
-                }
-                let (map, payload_at, geom) = self.map_adjacency_shard(i, j, &mut stats)?;
-                // Slice to the window intersection, in shard-local coords,
-                // decoding only the intersecting rows straight out of the
-                // mapping — the shard is never materialized whole.
-                let lr0 = r0.max(sr0) - sr0;
-                let lr1 = r1.min(sr1) - sr0;
-                let lc0 = c0.max(sc0) - sc0;
-                let lc1 = c1.min(sc1) - sc0;
-                let block = parse_csr_block(
-                    &map.bytes()[payload_at..],
-                    &geom,
-                    &self.dir.join(&name),
-                    lr0,
-                    lr1,
-                    lc0,
-                    lc1,
-                )?;
-                parts_bytes += block.mem_bytes();
-                transient.probe(bands_bytes + parts_bytes);
-                band_parts.push((sc0.max(c0), block));
-            }
-            if row_hit {
-                band_parts.sort_by_key(|&(off, _)| off);
-                let band = hstack_blocks(&band_parts, c1 - c0);
-                transient.probe(bands_bytes + parts_bytes + band.mem_bytes());
-                bands_bytes += band.mem_bytes();
-                row_bands.push(band);
-            }
-        }
-        let merged = if row_bands.is_empty() {
-            Csr::empty(r1 - r0, c1 - c0)
-        } else {
-            Csr::vstack(&row_bands)
-        };
-        transient.probe(bands_bytes + merged.mem_bytes());
-        stats.peak_transient_bytes = transient.peak;
-        Ok((merged, stats))
+        let window = self.map_window(r0, r1, c0, c1, &mut stats)?;
+        Ok((window.decode_rows(0, r1 - r0), stats))
     }
 
-    /// Load feature rows `[r0, r1)`, touching only intersecting band files.
+    /// Load feature rows `[r0, r1)`, touching only intersecting band files
+    /// and copying each band's rows into one preallocated matrix.
     pub fn load_feature_rows(&self, r0: usize, r1: usize) -> LoaderResult<(Matrix, LoadStats)> {
         assert!(r0 <= r1 && r1 <= self.rows, "feature window out of bounds");
         let mut stats = LoadStats::default();
-        let mut transient = TransientTracker::default();
-        let mut blocks = Vec::new();
-        let mut blocks_bytes = 0u64;
+        let d = self.feat_dim;
+        let mut out = Matrix::zeros(r1 - r0, d);
         for i in 0..self.grid_p {
             let (sr0, sr1) = split_range(self.rows, self.grid_p, i);
             let name = feat_name(i);
@@ -576,24 +565,16 @@ impl ShardStore {
                 continue;
             }
             let (map, payload_at) = self.map_verified(&name, &mut stats)?;
-            let block = parse_matrix_rows(
+            let (lo, hi) = (r0.max(sr0), r1.min(sr1));
+            read_matrix_rows(
                 &map.bytes()[payload_at..],
                 &self.dir.join(&name),
-                r0.max(sr0) - sr0,
-                r1.min(sr1) - sr0,
+                (sr1 - sr0, d),
+                lo - sr0,
+                &mut out.as_mut_slice()[(lo - r0) * d..(hi - r0) * d],
             )?;
-            blocks_bytes += block.mem_bytes();
-            transient.probe(blocks_bytes);
-            blocks.push(block);
         }
-        let merged = if blocks.is_empty() {
-            Matrix::zeros(0, self.feat_dim)
-        } else {
-            Matrix::vstack(&blocks)
-        };
-        transient.probe(blocks_bytes + merged.mem_bytes());
-        stats.peak_transient_bytes = transient.peak;
-        Ok((merged, stats))
+        Ok((out, stats))
     }
 
     /// Load the full label/train-mask vectors, in node order. Only
@@ -640,8 +621,13 @@ impl ShardStore {
 /// checksum; [`ShardStore::preprocess`] reports what was written vs.
 /// reused. A store written with per-parity files (`labels_e.plx`,
 /// `labels_o.plx` and odd shards) reuses its even shards the same way and
-/// gains `labels.plx`; files the new manifest does not list are left on
-/// disk unread.
+/// gains `labels.plx`.
+///
+/// Once the new manifest is published, every file the prior manifest
+/// listed and the new one does not (per-parity files, the shards of a
+/// larger grid) is deleted. A crash before the deletes leaves orphans
+/// beside a complete store, never a manifest naming a missing file, and a
+/// file no manifest listed is never touched.
 ///
 /// Training from the resulting store via
 /// [`crate::trainer::train_from_source`] is bitwise identical to the
@@ -659,6 +645,7 @@ pub fn preprocess_to_store(
     let n = ds.num_nodes();
     let (pr, pc) = crate::setup::build_permutations(mode, perm_seed, n);
     fs::create_dir_all(dir)?;
+    let listed_before = Manifest::read(&dir.join(MANIFEST)).map(|m| m.files).unwrap_or_default();
     let mut store = ShardStore {
         dir: dir.to_path_buf(),
         grid_p: p,
@@ -699,7 +686,15 @@ pub fn preprocess_to_store(
     collect_band_files(dir, vec![vec![out]], &mut files, &mut store.preprocess)?;
 
     store.manifest = Manifest::new(files);
-    store.write_manifest()
+    let store = store.write_manifest()?;
+    for name in listed_before.keys().filter(|&name| !store.manifest.files.contains_key(name)) {
+        // Only a plain file name inside `dir`, never the manifest itself. A
+        // delete that fails leaves an orphan, as a crash before it would.
+        if Path::new(name).file_name() == Some(OsStr::new(name)) && name != MANIFEST {
+            let _ = fs::remove_file(dir.join(name));
+        }
+    }
+    Ok(store)
 }
 
 /// One file a preprocessing band produced: its manifest entry plus whether
@@ -870,38 +865,6 @@ fn mask_bytes(mask: &[bool]) -> Vec<u8> {
     mask.iter().map(|&m| m as u8).collect()
 }
 
-/// High-water tracker for merge buffers during a windowed load.
-#[derive(Default)]
-struct TransientTracker {
-    peak: u64,
-}
-
-impl TransientTracker {
-    fn probe(&mut self, live: u64) {
-        self.peak = self.peak.max(live);
-    }
-}
-
-/// Stitch column-partial CSR blocks (sharing rows) into one block of
-/// `total_cols`, given each part's absolute starting column.
-fn hstack_blocks(parts: &[(usize, Csr)], total_cols: usize) -> Csr {
-    assert!(!parts.is_empty(), "hstack_blocks: no parts");
-    let base = parts[0].0;
-    let rows = parts[0].1.rows();
-    let mut row_ptr = vec![0usize];
-    let mut col_idx = Vec::new();
-    let mut values = Vec::new();
-    for r in 0..rows {
-        for &(off, ref blk) in parts {
-            let (cols, vals) = blk.row_entries(r);
-            col_idx.extend(cols.iter().map(|&c| c + (off - base) as u32));
-            values.extend_from_slice(vals);
-        }
-        row_ptr.push(col_idx.len());
-    }
-    Csr::from_raw(rows, total_cols, row_ptr, col_idx, values)
-}
-
 // ---------------------------------------------------------------------------
 // Binary encoding: [MAGIC u64][FORMAT_VERSION u64][payload], little-endian,
 // with the whole file's digest recorded in the manifest.
@@ -939,21 +902,21 @@ fn write_labels(path: &Path, labels: &[u32], mask: &[bool]) -> LoaderResult<(u64
 /// 16-byte file header): `rows u64, cols u64, nnz u64, row_ptr
 /// (rows+1)×u64, col_idx nnz×u32, values nnz×f32`, little-endian.
 #[derive(Clone, Copy, Debug)]
-pub struct CsrPayload {
-    pub rows: usize,
-    pub cols: usize,
-    pub nnz: usize,
+struct CsrPayload {
+    rows: usize,
+    cols: usize,
+    nnz: usize,
     /// Byte offset (within the payload) of `row_ptr[0]`.
-    pub row_ptr_at: usize,
+    row_ptr_at: usize,
     /// Byte offset of `col_idx[0]`.
-    pub col_idx_at: usize,
+    col_idx_at: usize,
     /// Byte offset of `values[0]`.
-    pub values_at: usize,
+    values_at: usize,
 }
 
 impl CsrPayload {
     /// Parse and bounds-check the header of a CSR payload.
-    pub fn parse(payload: &[u8], path: &Path) -> LoaderResult<CsrPayload> {
+    fn parse(payload: &[u8], path: &Path) -> LoaderResult<CsrPayload> {
         let mut cur = Cursor { bytes: payload, pos: 0, path };
         let (rows, cols, nnz) = (cur.count()?, cur.count()?, cur.count()?);
         let row_ptr_at = cur.pos;
@@ -976,97 +939,177 @@ impl CsrPayload {
     }
 
     /// `row_ptr[r]`, decoded from the payload.
-    pub fn row_start(&self, payload: &[u8], r: usize) -> usize {
+    fn row_start(&self, payload: &[u8], r: usize) -> usize {
         le_u64(payload, self.row_ptr_at + 8 * r) as usize
     }
 
     /// Column id of entry `k`.
-    pub fn col(&self, payload: &[u8], k: usize) -> u32 {
+    fn col(&self, payload: &[u8], k: usize) -> u32 {
         le_u32(payload, self.col_idx_at + 4 * k)
     }
 
-    /// Value of entry `k`.
-    pub fn val(&self, payload: &[u8], k: usize) -> f32 {
-        le_f32(payload, self.values_at + 4 * k)
-    }
-
-    /// One pass over every row pointer and column id, for a reader that
-    /// decodes rows without per-row checks: `row_ptr` must start at 0,
-    /// never decrease and end at `nnz` (else `Truncated`, as a window read
-    /// reports it), and every column id must be below `cols` (else
+    /// One pass over every row pointer and column id, so rows decode
+    /// without per-row checks afterwards: `row_ptr` must start at 0, never
+    /// decrease and end at `nnz` (else `Truncated`), and within every row
+    /// the column ids must strictly increase and stay below `cols` (else
     /// `BadManifest` naming the file).
-    pub fn check_entries(&self, payload: &[u8], path: &Path) -> LoaderResult<()> {
-        let mut prev = 0;
-        for r in 0..=self.rows {
-            let p = self.row_start(payload, r);
-            if p < prev || (r == 0 && p != 0) || (r == self.rows && p != self.nnz) {
-                return Err(LoaderError::Truncated { file: path.to_path_buf() });
-            }
-            prev = p;
+    fn check_entries(&self, payload: &[u8], path: &Path) -> LoaderResult<()> {
+        let bad = |what: &str| LoaderError::BadManifest {
+            reason: format!("{}: {}", path.display(), what),
+        };
+        let truncated = || LoaderError::Truncated { file: path.to_path_buf() };
+        if self.row_start(payload, 0) != 0 || self.row_start(payload, self.rows) != self.nnz {
+            return Err(truncated());
         }
         let cols = &payload[self.col_idx_at..self.values_at];
-        if cols.chunks_exact(4).any(|b| le_u32(b, 0) as usize >= self.cols) {
-            return Err(LoaderError::BadManifest {
-                reason: format!("{}: column id outside the shard", path.display()),
-            });
+        let mut p0 = 0;
+        for r in 1..=self.rows {
+            let p1 = self.row_start(payload, r);
+            if p1 < p0 || p1 > self.nnz {
+                return Err(truncated());
+            }
+            // Strictly increasing: each id is at least one past the last.
+            let mut next = 0;
+            for b in cols[4 * p0..4 * p1].chunks_exact(4) {
+                let c = le_u32(b, 0) as usize;
+                if c >= self.cols {
+                    return Err(bad("column id outside the shard"));
+                }
+                if c < next {
+                    return Err(bad("column ids not increasing within a row"));
+                }
+                next = c + 1;
+            }
+            p0 = p1;
         }
         Ok(())
     }
 }
 
-/// Decode the `[r0, r1) x [c0, c1)` block of a CSR payload with parsed
-/// header `geom`, in place: only the window's row pointers and entry
-/// ranges are ever touched, so a mapped shard contributes exactly the
-/// pages the window needs.
-fn parse_csr_block(
-    payload: &[u8],
-    geom: &CsrPayload,
-    path: &Path,
-    r0: usize,
-    r1: usize,
-    c0: usize,
-    c1: usize,
-) -> LoaderResult<Csr> {
-    assert!(
-        r0 <= r1 && r1 <= geom.rows && c0 <= c1 && c1 <= geom.cols,
-        "parse_csr_block: window out of bounds"
-    );
-    let mut row_ptr = Vec::with_capacity(r1 - r0 + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    let mut values = Vec::new();
-    for r in r0..r1 {
-        let p0 = geom.row_start(payload, r);
-        let p1 = geom.row_start(payload, r + 1);
-        if p0 > p1 || p1 > geom.nnz {
-            return Err(LoaderError::Truncated { file: path.to_path_buf() });
-        }
-        // Columns are sorted ascending within the row: binary-search the
-        // window's entry range instead of scanning the whole row.
-        let s = lower_bound(p0, p1, |k| geom.col(payload, k) < c0 as u32);
-        let e = lower_bound(s, p1, |k| geom.col(payload, k) < c1 as u32);
-        // `p1 <= nnz` puts `[s, e)` inside both arrays: one slice each,
-        // then a fixed-width copy per entry.
-        let cols = &payload[geom.col_idx_at + 4 * s..geom.col_idx_at + 4 * e];
-        let vals = &payload[geom.values_at + 4 * s..geom.values_at + 4 * e];
-        col_idx.extend(cols.chunks_exact(4).map(|b| le_u32(b, 0) - c0 as u32));
-        values.extend(vals.chunks_exact(4).map(|b| le_f32(b, 0)));
-        row_ptr.push(col_idx.len());
-    }
-    Ok(Csr::from_raw(r1 - r0, c1 - c0, row_ptr, col_idx, values))
+/// The adjacency shards one window intersects, mapped, verified and
+/// checked once by [`ShardStore::map_window`]. Rows decode straight out
+/// of the mappings in window coordinates — row `v` is store row `r0 + v`,
+/// column `c` is store column `c0 + c` — either one at a time
+/// ([`RowSource`], over a square window such as the serving artifact's
+/// whole store) or as a row range into one [`Csr`]
+/// ([`decode_rows`](Self::decode_rows)).
+pub struct MappedWindow {
+    rows: usize,
+    cols: usize,
+    /// The intersecting shard row bands, in row order.
+    bands: Vec<WindowBand>,
 }
 
-/// Decode rows `[r0, r1)` of a matrix payload in place. Payload layout:
-/// `rows u64, cols u64, rows·cols×f32` row-major, little-endian.
-fn parse_matrix_rows(payload: &[u8], path: &Path, r0: usize, r1: usize) -> LoaderResult<Matrix> {
+/// One shard row band of a [`MappedWindow`]: window rows `[start, end)`,
+/// which are shard-local rows `skip..`, over its shards in column order.
+struct WindowBand {
+    start: usize,
+    end: usize,
+    skip: usize,
+    shards: Vec<WindowShard>,
+}
+
+/// One mapped, checked shard of a [`WindowBand`]: the window's columns are
+/// its shard-local `[lc0, lc1)`, which land at window column `shift..`.
+struct WindowShard {
+    map: MappedFile,
+    payload_at: usize,
+    geom: CsrPayload,
+    lc0: usize,
+    lc1: usize,
+    shift: usize,
+}
+
+impl WindowShard {
+    /// Append the window's entries of shard-local row `r`, in window
+    /// column coordinates. `check_entries` vouched for the row pointers and
+    /// sorted columns, so only the window's column range is searched for.
+    fn push_row(&self, r: usize, cols: &mut Vec<u32>, vals: Option<&mut Vec<f32>>) {
+        let (g, payload) = (&self.geom, &self.map.bytes()[self.payload_at..]);
+        let (p0, p1) = (g.row_start(payload, r), g.row_start(payload, r + 1));
+        let (lc0, lc1) = (self.lc0 as u32, self.lc1 as u32);
+        let s = if lc0 == 0 { p0 } else { lower_bound(p0, p1, |k| g.col(payload, k) < lc0) };
+        let e =
+            if self.lc1 == g.cols { p1 } else { lower_bound(s, p1, |k| g.col(payload, k) < lc1) };
+        let shift = self.shift as u32;
+        let col_bytes = &payload[g.col_idx_at + 4 * s..g.col_idx_at + 4 * e];
+        cols.extend(col_bytes.chunks_exact(4).map(|b| le_u32(b, 0) - lc0 + shift));
+        if let Some(vals) = vals {
+            let val_bytes = &payload[g.values_at + 4 * s..g.values_at + 4 * e];
+            vals.extend(val_bytes.chunks_exact(4).map(|b| le_f32(b, 0)));
+        }
+    }
+}
+
+impl MappedWindow {
+    /// Window row ranges `[start, end)` of the shard row bands, in order:
+    /// a caller that decodes the window piecewise can keep one band's rows
+    /// at a time.
+    pub fn bands(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.bands.iter().map(|b| (b.start, b.end))
+    }
+
+    /// Decode window rows `[r0, r1)` into one `(r1 - r0) x cols` [`Csr`].
+    pub fn decode_rows(&self, r0: usize, r1: usize) -> Csr {
+        assert!(r0 <= r1 && r1 <= self.rows, "decode_rows: rows out of the window");
+        let mut row_ptr = Vec::with_capacity(r1 - r0 + 1);
+        row_ptr.push(0usize);
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for b in &self.bands {
+            for v in r0.max(b.start)..r1.min(b.end) {
+                for s in &b.shards {
+                    s.push_row(v - b.start + b.skip, &mut col_idx, Some(&mut values));
+                }
+                row_ptr.push(col_idx.len());
+            }
+        }
+        Csr::from_raw(r1 - r0, self.cols, row_ptr, col_idx, values)
+    }
+
+    /// Append row `v`'s entries: its band's shards, in column order.
+    fn push_row(&self, v: u32, cols: &mut Vec<u32>, mut vals: Option<&mut Vec<f32>>) {
+        let v = v as usize;
+        let b = &self.bands[self.bands.partition_point(|b| b.end <= v)];
+        for s in &b.shards {
+            s.push_row(v - b.start + b.skip, cols, vals.as_deref_mut());
+        }
+    }
+}
+
+impl RowSource for MappedWindow {
+    fn num_nodes(&self) -> usize {
+        self.rows
+    }
+
+    fn row_support(&self, v: u32, out: &mut Vec<u32>) {
+        self.push_row(v, out, None)
+    }
+
+    fn row_entries(&self, v: u32, cols: &mut Vec<u32>, vals: &mut Vec<f32>) {
+        self.push_row(v, cols, Some(vals))
+    }
+}
+
+/// Copy rows `r0..` of a matrix payload into `out` (a whole number of
+/// rows), in place. Payload layout: `rows u64, cols u64, rows·cols×f32`
+/// row-major, little-endian. A payload whose shape is not `shape` is a
+/// `BadManifest` naming the file.
+fn read_matrix_rows(
+    payload: &[u8],
+    path: &Path,
+    shape: (usize, usize),
+    r0: usize,
+    out: &mut [f32],
+) -> LoaderResult<()> {
     let mut cur = Cursor { bytes: payload, pos: 0, path };
-    let (rows, cols) = cur.matrix_shape()?;
-    assert!(r0 <= r1 && r1 <= rows, "parse_matrix_rows: window out of bounds");
+    if cur.matrix_shape()? != shape {
+        return Err(LoaderError::BadManifest {
+            reason: format!("{}: feature band shape disagrees with the store", path.display()),
+        });
+    }
     // `matrix_shape` vouched for all `rows * cols` values: skip to row `r0`.
-    cur.pos += 4 * r0 * cols;
-    let mut data = vec![0.0; (r1 - r0) * cols];
-    cur.f32s_into(&mut data)?;
-    Ok(Matrix::from_vec(r1 - r0, cols, data))
+    cur.pos += 4 * r0 * shape.1;
+    cur.f32s_into(out)
 }
 
 #[inline]
@@ -1350,7 +1393,7 @@ mod tests {
         {
             let p = payload(&[rows, cols]);
             assert!(
-                truncated(parse_matrix_rows(&p, path, 0, 0).map(|_| ())),
+                truncated(read_matrix_rows(&p, path, (0, 0), 0, &mut [])),
                 "{} x {}",
                 rows,
                 cols
@@ -1358,7 +1401,10 @@ mod tests {
         }
         // An honest header still parses.
         CsrPayload::parse(&payload(&[3, 4, 2]), path).unwrap();
-        parse_matrix_rows(&payload(&[2, 3]), path, 0, 2).unwrap();
+        read_matrix_rows(&payload(&[2, 3]), path, (2, 3), 0, &mut [0.0; 6]).unwrap();
+        // A band of another shape than the store's is a typed error.
+        let reshaped = read_matrix_rows(&payload(&[2, 3]), path, (3, 2), 0, &mut []);
+        assert!(matches!(reshaped, Err(LoaderError::BadManifest { .. })));
     }
 
     #[test]
@@ -1461,6 +1507,20 @@ mod tests {
         let ds2 = LoadedDataset::generate(OGBN_PRODUCTS, 80, Some(5), 31);
         let refp = preprocess_to_store(&ds2, &dir, PermutationMode::Double, 8, 3, 3).unwrap();
         assert_eq!(refp.preprocess.files_skipped, 0, "different dataset was reused");
+
+        // A smaller grid deletes the 3x3 files its manifest no longer
+        // lists, and nothing that no manifest listed.
+        fs::write(dir.join("notes.txt"), "listed by no manifest").unwrap();
+        let small = preprocess_to_store(&ds2, &dir, PermutationMode::Double, 8, 2, 2).unwrap();
+        let mut on_disk: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        let mut want: Vec<String> = small.manifest.files.into_keys().collect();
+        want.extend(["manifest.txt".into(), "notes.txt".into()]);
+        on_disk.sort();
+        want.sort();
+        assert_eq!(on_disk, want, "a stale 3x3 file survived, or an unlisted file went");
         fs::remove_dir_all(&dir).unwrap();
     }
 

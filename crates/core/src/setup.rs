@@ -4,7 +4,7 @@
 //! All preprocessing is deterministic and happens once per (dataset, grid)
 //! pair. The in-memory path materializes a [`GlobalProblem`] and every
 //! rank slices it; the out-of-core path opens a preprocessed store and
-//! each rank loads/merges only the shard files its window intersects
+//! each rank decodes only the shard files its window intersects
 //! ([`RankData::load_from_store`]), with a [`MemoryLedger`] recording the
 //! resulting footprint. Both paths produce bitwise-identical [`RankData`].
 //!
@@ -16,7 +16,7 @@ use crate::grid::{roles_for_layer, GridConfig, GridCoords};
 use crate::loader::{LoaderError, LoaderResult, MemoryLedger, ShardStore};
 use plexus_gnn::{Gcn, GcnConfig};
 use plexus_graph::LoadedDataset;
-use plexus_sparse::permute::{apply_permutation, inverse_permutation, random_permutation};
+use plexus_sparse::permute::{inverse_permutation, permuted_row_band, random_permutation};
 use plexus_sparse::Csr;
 use plexus_tensor::Matrix;
 use rayon::prelude::*;
@@ -242,8 +242,11 @@ impl GlobalProblem {
         let perms = build_permutations(mode, perm_seed, n_real);
         let (pr, pc) = &perms;
 
-        // The even-layer operand, padded; odd layers read it mirrored.
-        let a_even = apply_permutation(&ds.adjacency, pr, pc).zero_padded(n_pad, n_pad);
+        // The even-layer operand, padded; odd layers read it mirrored. Both
+        // ingest paths permute Â with the store writer's band routine.
+        let inv_pr = inverse_permutation(pr);
+        let a_even =
+            permuted_row_band(&ds.adjacency, &inv_pr, pc, 0, n_real).zero_padded(n_pad, n_pad);
 
         // Weights: identical to the serial model, zero-padded.
         let weights_full = meta.full_padded_weights(model_seed);
@@ -388,7 +391,7 @@ impl RankData {
     }
 
     /// Load everything rank `rank` owns straight from a preprocessed
-    /// [`ShardStore`], merging only the shard files its windows intersect
+    /// [`ShardStore`], decoding only the shard files its windows intersect
     /// (the §5.4 parallel loader). Layer windows are loaded in parallel
     /// on the persistent worker pool (a per-layer task costs a deque push,
     /// not a thread spawn). Returns the rank data — bitwise identical to
@@ -414,12 +417,7 @@ impl RankData {
         let mut a_shards_t = Vec::with_capacity(meta.num_layers);
         for slot in slots {
             let (shard, shard_t, stats) = slot.expect("parallel load filled every slot")?;
-            // Conservative sequential accounting: the transient spike of
-            // this load is charged on top of all previously resident
-            // layers (parallel loads can only hit this bound, not beat it
-            // upward, because each spike is counted against full residency).
             ledger.absorb(&stats);
-            ledger.note_adjacency_transient(stats.peak_transient_bytes);
             ledger.note_adjacency_resident(shard.mem_bytes() + shard_t.mem_bytes());
             a_shards.push(shard);
             a_shards_t.push(shard_t);
@@ -435,7 +433,7 @@ impl RankData {
             (Matrix::zeros(0, d0), crate::loader::LoadStats::default())
         };
         ledger.absorb(&fstats);
-        ledger.note_feature_transient(fstats.peak_transient_bytes.max(band.mem_bytes()));
+        ledger.note_feature_transient(band.mem_bytes());
         let f_stored = if fc0 < d0 {
             band.block(0, band.rows(), fc0, (fc0 + fcols).min(d0)).zero_padded(subrows, fcols)
         } else {
@@ -530,6 +528,10 @@ mod tests {
         }
         // nnz preserved by permutation + padding.
         assert_eq!(gp.a_even.nnz(), ds.adjacency.nnz());
+        // The band routine builds exactly the global COO permutation.
+        let (pr, pc) = build_permutations(PermutationMode::Double, 11, ds.num_nodes());
+        let reference = plexus_sparse::permute::apply_permutation(&ds.adjacency, &pr, &pc);
+        assert_eq!(gp.a_even, reference.zero_padded(gp.meta.n_pad, gp.meta.n_pad));
     }
 
     #[test]
@@ -636,8 +638,8 @@ mod tests {
             assert_eq!(meta.n_pad, gp.meta.n_pad);
             assert_eq!(meta.dims_pad, gp.meta.dims_pad);
             // Odd layers consume `P_c Â P_rᵀ`, built here the direct way.
-            let odd =
-                apply_permutation(&ds.adjacency, &pc, &pr).zero_padded(meta.n_pad, meta.n_pad);
+            let odd = plexus_sparse::permute::apply_permutation(&ds.adjacency, &pc, &pr)
+                .zero_padded(meta.n_pad, meta.n_pad);
             for rank in 0..grid.total() {
                 let a = RankData::extract(&gp, rank);
                 let (b, ledger) = RankData::load_from_store(&store, &meta, rank, 7).unwrap();

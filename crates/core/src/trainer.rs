@@ -415,7 +415,8 @@ pub struct DistRunResult {
     pub traffic: Vec<Vec<CommEvent>>,
     /// Per-rank ingest memory accounting. The in-memory path charges every
     /// rank the shared global problem plus its shards; the sharded path
-    /// charges only what each rank loaded from the store.
+    /// charges only the shards each rank keeps from the store (a window
+    /// decodes straight into its shard, so no merge buffer is charged).
     pub memory: Vec<MemoryLedger>,
     /// World rebuilds performed by checkpoint-based crash recovery. `0`
     /// for an uninterrupted run (and always `0` without a checkpoint
@@ -445,8 +446,8 @@ impl DistRunResult {
 pub enum ProblemSource<'a> {
     /// Build the [`GlobalProblem`] in RAM and let every rank slice it.
     InMemory(&'a LoadedDataset),
-    /// Each rank opens the preprocessed store and loads/merges only the
-    /// shard files its windows intersect. The store's baked-in permutation
+    /// Each rank opens the preprocessed store and decodes only the shard
+    /// files its windows intersect. The store's baked-in permutation
     /// is used; `DistTrainOptions::permutation`/`perm_seed` are ignored.
     Sharded(&'a ShardStore),
 }
@@ -1382,7 +1383,8 @@ mod tests {
         // files (`labels_e.plx`/`labels_o.plx` plus odd shards). The error
         // must surface as Err before any rank thread starts, not as a
         // mid-world panic; preprocessing the old directory again reuses
-        // its shards and adds `labels.plx`.
+        // its shards, adds `labels.plx` and deletes the per-parity files
+        // the old manifest listed.
         use crate::loader::{preprocess_to_store, LoaderError, ShardStore};
         let ds = tiny_ds(96, 41);
         let dir = std::env::temp_dir().join(format!("plexus_raw_src_{}", std::process::id()));
@@ -1411,6 +1413,9 @@ mod tests {
         assert_eq!(again.preprocess.files_written, 1, "only labels.plx is new");
         assert_eq!(again.preprocess.files_skipped, fresh.preprocess.files_written - 1);
         assert!(!missing(&again));
+        for name in ["labels_e.plx", "labels_o.plx"] {
+            assert!(!dir.join(name).exists(), "{name} survived the re-preprocess");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

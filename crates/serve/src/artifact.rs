@@ -12,28 +12,29 @@
 //! atomically republishes `serve.txt`, which a running
 //! [`Artifact::reload_latest`] picks up without ever unmapping the graph.
 //!
-//! [`Artifact::open`] maps and verifies every adjacency shard once through
-//! [`open_verified`], then serves adjacency rows by decoding them in place
-//! from the mappings ([`RowSource`]); at no point is a shard or model file
-//! copied through the heap. Corrupted, truncated, or version-mismatched
-//! files surface as the loader's typed [`LoaderError`]s, never as panics
-//! or garbage.
+//! [`Artifact::open`] maps its whole store once through the trainer's own
+//! shard reader, [`ShardStore::map_window`]: every adjacency shard is
+//! verified against the manifest and its row pointers and column ids are
+//! checked once, and adjacency rows are then decoded in place from the
+//! mappings ([`RowSource`]); at no point is a shard or model file copied
+//! through the heap. Corrupted, truncated, or version-mismatched files and
+//! hostile shard entries surface as the loader's typed [`LoaderError`]s,
+//! never as panics or garbage.
 //!
 //! Loading a model version (at open and at each hot reload) also runs its
 //! first `L - 1` layers over the whole graph once, one shard row band at a
-//! time, and keeps the result — the last layer's full-graph input
-//! `H^(L-1)` — in the [`ModelSnapshot`]. A query then needs only the last
+//! time decoded through the same handle, and keeps the result — the last
+//! layer's full-graph input `H^(L-1)` — in the [`ModelSnapshot`]. A query then needs only the last
 //! layer. The hidden layer is computed, not stored: its integrity follows
 //! from the verified shards and model file, and the directory gains no
 //! file.
 
 use plexus::loader::{
-    open_verified, CsrPayload, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult,
-    Manifest, ShardStore,
+    open_verified, Cursor, HashingWriter, LoadStats, LoaderError, LoaderResult, Manifest,
+    MappedWindow, ShardStore,
 };
 use plexus_gnn::{gcn_layer_forward_ws, Gcn, GcnConfig};
-use plexus_graph::{khop::RowSource, KhopWorkspace, MappedFile};
-use plexus_sparse::shard::split_range;
+use plexus_graph::khop::RowSource;
 use plexus_sparse::Csr;
 use plexus_tensor::{KernelWorkspace, Matrix};
 use std::collections::BTreeMap;
@@ -133,105 +134,29 @@ pub fn publish(dir: &Path, model: &Gcn, features: &Matrix) -> LoaderResult<u64> 
     Ok(version)
 }
 
-/// One mapped adjacency shard: the verified mapping plus the payload
-/// geometry and the shard's global column offset.
-struct MappedShard {
-    map: MappedFile,
-    payload_at: usize,
-    geom: CsrPayload,
-    sc0: usize,
-}
-
-impl MappedShard {
-    fn payload(&self) -> &[u8] {
-        &self.map.bytes()[self.payload_at..]
-    }
-}
-
-/// The verified, mapped adjacency: rows decoded in place from the shards.
-struct MappedAdjacency {
-    rows: usize,
-    /// `[band i][shard j]`, bands covering `split_range(rows, p, i)`.
-    shards: Vec<Vec<MappedShard>>,
-    /// Global first row of each band, plus a trailing `rows` sentinel.
-    band_starts: Vec<usize>,
-}
-
-impl MappedAdjacency {
-    fn band_of(&self, v: u32) -> (usize, usize) {
-        let v = v as usize;
-        debug_assert!(v < self.rows, "node {} out of range", v);
-        // band_starts is sorted ascending; find the band containing v.
-        let mut lo = 0;
-        let mut hi = self.band_starts.len() - 1;
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            if self.band_starts[mid] <= v {
-                lo = mid;
-            } else {
-                hi = mid;
+/// `H^(L-1)` for `gcn`: layers `0 … L-2` over the whole graph with the
+/// trainer's layer kernel, one shard row band at a time — each band's rows
+/// are decoded, computed and dropped, so the adjacency is never a heap
+/// copy as a whole. Row for row this is the trainer's forward: SpMM rows
+/// depend only on their own entries (in ascending order, as decoded) and
+/// GEMM rows only on `(k, n)`, never on the row count.
+fn last_layer_input(adj: &MappedWindow, gcn: &Gcn, features: &Matrix) -> Matrix {
+    let mut ws = KernelWorkspace::new();
+    let mut x: Option<Matrix> = None;
+    for w in &gcn.weights[..gcn.weights.len() - 1] {
+        let input = x.as_ref().unwrap_or(features);
+        let mut next = Matrix::zeros(adj.num_nodes(), w.cols());
+        for (r0, r1) in adj.bands() {
+            let a = adj.decode_rows(r0, r1);
+            let (out, cache) = gcn_layer_forward_ws(&mut ws, &a, input, w, true);
+            next.as_mut_slice()[r0 * w.cols()..r1 * w.cols()].copy_from_slice(out.as_slice());
+            for m in [out, cache.h, cache.q] {
+                ws.recycle(m);
             }
         }
-        (lo, v - self.band_starts[lo])
+        x = Some(next);
     }
-
-    /// `H^(L-1)` for `gcn`: layers `0 … L-2` over the whole graph with the
-    /// trainer's layer kernel, one shard row band at a time — each band's
-    /// rows are extracted, computed and dropped, so the adjacency is never
-    /// a heap copy as a whole. Row for row this is the trainer's forward:
-    /// SpMM rows depend only on their own entries (in ascending order, as
-    /// extracted) and GEMM rows only on `(k, n)`, never on the row count.
-    fn last_layer_input(&self, gcn: &Gcn, features: &Matrix) -> Matrix {
-        let all: Vec<u32> = (0..self.rows as u32).collect();
-        let (mut khop, mut ws) = (KhopWorkspace::new(), KernelWorkspace::new());
-        let mut x: Option<Matrix> = None;
-        for w in &gcn.weights[..gcn.weights.len() - 1] {
-            let input = x.as_ref().unwrap_or(features);
-            let mut next = Matrix::zeros(self.rows, w.cols());
-            for band in self.band_starts.windows(2) {
-                let a = khop.extract_sub_csr(self, &all[band[0]..band[1]], &all);
-                let (out, cache) = gcn_layer_forward_ws(&mut ws, &a, input, w, true);
-                let span = band[0] * w.cols()..band[1] * w.cols();
-                next.as_mut_slice()[span].copy_from_slice(out.as_slice());
-                for m in [out, cache.h, cache.q] {
-                    ws.recycle(m);
-                }
-            }
-            x = Some(next);
-        }
-        x.unwrap_or_else(|| features.clone())
-    }
-}
-
-impl RowSource for MappedAdjacency {
-    fn num_nodes(&self) -> usize {
-        self.rows
-    }
-
-    fn row_support(&self, v: u32, out: &mut Vec<u32>) {
-        let (band, r) = self.band_of(v);
-        for shard in &self.shards[band] {
-            let payload = shard.payload();
-            let p0 = shard.geom.row_start(payload, r);
-            let p1 = shard.geom.row_start(payload, r + 1);
-            for k in p0..p1 {
-                out.push(shard.geom.col(payload, k) + shard.sc0 as u32);
-            }
-        }
-    }
-
-    fn row_entries(&self, v: u32, cols: &mut Vec<u32>, vals: &mut Vec<f32>) {
-        let (band, r) = self.band_of(v);
-        for shard in &self.shards[band] {
-            let payload = shard.payload();
-            let p0 = shard.geom.row_start(payload, r);
-            let p1 = shard.geom.row_start(payload, r + 1);
-            for k in p0..p1 {
-                cols.push(shard.geom.col(payload, k) + shard.sc0 as u32);
-                vals.push(shard.geom.val(payload, k));
-            }
-        }
-    }
+    x.unwrap_or_else(|| features.clone())
 }
 
 /// An opened serving artifact: every adjacency shard checksum-verified and
@@ -239,7 +164,7 @@ impl RowSource for MappedAdjacency {
 /// layer), the graph served row by row straight out of the mappings.
 pub struct Artifact {
     dir: PathBuf,
-    adj: MappedAdjacency,
+    adj: MappedWindow,
     model: RwLock<Arc<ModelSnapshot>>,
     open_stats: LoadStats,
 }
@@ -258,23 +183,7 @@ impl Artifact {
             });
         }
         let mut stats = LoadStats::default();
-        let mut shards = Vec::with_capacity(store.grid_p);
-        let mut band_starts = Vec::with_capacity(store.grid_p + 1);
-        for i in 0..store.grid_p {
-            band_starts.push(split_range(store.rows, store.grid_p, i).0);
-            let mut row = Vec::with_capacity(store.grid_q);
-            for j in 0..store.grid_q {
-                let (map, payload_at, geom) = store.map_adjacency_shard(i, j, &mut stats)?;
-                // Rows are decoded without per-row checks from here on.
-                let path = dir.join(ShardStore::shard_name(i, j));
-                geom.check_entries(&map.bytes()[payload_at..], &path)?;
-                let sc0 = split_range(store.cols, store.grid_q, j).0;
-                row.push(MappedShard { map, payload_at, geom, sc0 });
-            }
-            shards.push(row);
-        }
-        band_starts.push(store.rows);
-        let adj = MappedAdjacency { rows: store.rows, shards, band_starts };
+        let adj = store.map_window(0, store.rows, 0, store.cols, &mut stats)?;
         let manifest = Manifest::read(&serve_manifest(dir))?;
         let current = manifest.get("current")?;
         let snapshot = load_model(dir, &adj, &manifest, current, &mut stats)?;
@@ -331,7 +240,7 @@ impl Artifact {
 
     /// Number of nodes (adjacency rows) served.
     pub fn num_nodes(&self) -> usize {
-        self.adj.rows
+        self.adj.num_nodes()
     }
 }
 
@@ -339,7 +248,7 @@ impl Artifact {
 /// adjacency's nodes, and compute its hidden layer over `adj`.
 fn load_model(
     dir: &Path,
-    adj: &MappedAdjacency,
+    adj: &MappedWindow,
     manifest: &Manifest,
     version: u64,
     stats: &mut LoadStats,
@@ -349,16 +258,16 @@ fn load_model(
     let (map, payload_at, _) = open_verified(&path, manifest.entry(&name)?, None)?;
     stats.note_file_read(&map);
     let (gcn, features) = parse_model(&map.bytes()[payload_at..], &path)?;
-    if features.rows() != adj.rows {
+    if features.rows() != adj.num_nodes() {
         return Err(manifest.bad(format!("{} feature rows disagree with the store", name)));
     }
-    let hidden = adj.last_layer_input(&gcn, &features);
+    let hidden = last_layer_input(adj, &gcn, &features);
     Ok(ModelSnapshot { version, gcn, features, hidden })
 }
 
 impl RowSource for Artifact {
     fn num_nodes(&self) -> usize {
-        self.adj.rows
+        self.adj.num_nodes()
     }
 
     fn row_support(&self, v: u32, out: &mut Vec<u32>) {

@@ -144,7 +144,7 @@ pub fn simulate_spmm_kernel(a: &Csr, dense_cols: usize, l2_bytes: usize) -> Spmm
 /// `layer_splits[l] = (rdim, cdim)` is the shard grid the layer's
 /// adjacency plane is split over — `ProblemMeta::layer_splits()` in the
 /// engine. The estimate assumes permutation-balanced shards; real ledgers
-/// land within a small factor of it (skew and transient merge buffers).
+/// land within a small factor of it (shard skew).
 pub fn estimate_rank_adjacency_bytes(
     nnz_total: usize,
     n_pad: usize,

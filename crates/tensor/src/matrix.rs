@@ -223,19 +223,6 @@ impl Matrix {
         }
     }
 
-    /// Stack matrices vertically (all must share `cols`).
-    pub fn vstack(blocks: &[Matrix]) -> Matrix {
-        assert!(!blocks.is_empty(), "vstack of zero blocks");
-        let cols = blocks[0].cols;
-        let rows: usize = blocks.iter().map(|b| b.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for b in blocks {
-            assert_eq!(b.cols, cols, "vstack: inconsistent column counts");
-            data.extend_from_slice(&b.data);
-        }
-        Matrix::from_vec(rows, cols, data)
-    }
-
     /// Pad with zero rows/cols up to the given shape (no-op if already there).
     pub fn zero_padded(&self, rows: usize, cols: usize) -> Matrix {
         assert!(rows >= self.rows && cols >= self.cols, "zero_padded: target smaller than source");
@@ -336,7 +323,7 @@ mod tests {
         let m = Matrix::from_fn(8, 6, |i, j| (i * 6 + j) as f32);
         let top = m.row_block(0, 3);
         let bottom = m.row_block(3, 8);
-        assert_eq!(Matrix::vstack(&[top, bottom]), m);
+        assert_eq!([top.as_slice(), bottom.as_slice()].concat(), m.as_slice());
         let left = m.col_block(0, 2);
         let right = m.col_block(2, 6);
         let mut joined = Matrix::zeros(8, 6);

@@ -364,30 +364,50 @@ fn shard_shape_off_the_grid_is_bad_manifest_for_every_reader() {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Each re-signed patch goes through both shard readers — the trainer's
+/// window load and `Artifact::open` — and both must return the same typed
+/// error naming the shard: `Truncated` for a row pointer past `nnz`,
+/// `BadManifest` for a column id outside the shard or two column ids out
+/// of order within a row.
 #[test]
 fn hostile_shard_row_pointers_and_columns_are_typed_errors_not_panics() {
-    let (dir, ..) = small_artifact("hostile_rows");
-    resign_shard(&dir, "adj_e_0_1.plx", |b| {
-        b[row_ptr_at(1)..row_ptr_at(1) + 8].copy_from_slice(&(1u64 << 40).to_le_bytes())
-    });
-    match Artifact::open(&dir) {
-        Err(LoaderError::Truncated { file }) => assert!(file.ends_with("adj_e_0_1.plx")),
-        other => panic!("row pointer: expected Truncated, got {:?}", other.err()),
-    }
-    fs::remove_dir_all(&dir).unwrap();
-
-    let (dir, ..) = small_artifact("hostile_cols");
-    resign_shard(&dir, "adj_e_0_0.plx", |b| {
-        let at = first_col_at(b);
-        b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
-    });
-    match Artifact::open(&dir) {
-        Err(LoaderError::BadManifest { reason }) => {
-            assert!(reason.contains("adj_e_0_0"), "{reason}")
+    type Patch = fn(&mut Vec<u8>);
+    let swap_first_pair: Patch = |b| {
+        // The first row with two entries: swap its first two column ids.
+        let ptr =
+            |r: usize| u64::from_le_bytes(b[row_ptr_at(r)..row_ptr_at(r) + 8].try_into().unwrap());
+        let r = (0..).find(|&r| ptr(r + 1) - ptr(r) >= 2).unwrap();
+        let at = first_col_at(b) + 4 * ptr(r) as usize;
+        b[at..at + 8].rotate_left(4);
+    };
+    let cases: [(&str, &str, Patch); 3] = [
+        ("row pointer", "adj_e_0_1.plx", |b| {
+            b[row_ptr_at(1)..row_ptr_at(1) + 8].copy_from_slice(&(1u64 << 40).to_le_bytes())
+        }),
+        ("column id", "adj_e_0_0.plx", |b| {
+            let at = first_col_at(b);
+            b[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes())
+        }),
+        ("swapped columns", "adj_e_0_0.plx", swap_first_pair),
+    ];
+    for (case, shard, patch) in cases {
+        let (dir, ..) = small_artifact("hostile");
+        resign_shard(&dir, shard, patch);
+        let store = ShardStore::open(&dir).unwrap();
+        let window = store.load_adjacency_window(0, store.rows, 0, store.cols).err();
+        let artifact = Artifact::open(&dir).err();
+        match &window {
+            Some(LoaderError::Truncated { file }) if case == "row pointer" => {
+                assert!(file.ends_with(shard), "{case}: {}", file.display())
+            }
+            Some(LoaderError::BadManifest { reason }) if case != "row pointer" => {
+                assert!(reason.contains(shard), "{case}: {reason}")
+            }
+            other => panic!("{case}: unexpected window-load result {:?}", other),
         }
-        other => panic!("column id: expected BadManifest, got {:?}", other.err()),
+        assert_eq!(format!("{window:?}"), format!("{artifact:?}"), "{case}: readers disagree");
+        fs::remove_dir_all(&dir).unwrap();
     }
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
